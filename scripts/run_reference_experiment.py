@@ -20,7 +20,6 @@ def main() -> int:
     parser.add_argument("--out", default="out/reference", help="output directory")
     parser.add_argument("--seed", type=int, default=20260810)
     parser.add_argument("--n-samples", type=int, default=100_000, help="shots per eta point")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--skip-scaling", action="store_true", help="skip the slow output-gain scaling check"
     )
@@ -39,7 +38,7 @@ def main() -> int:
             "reconstruction_n_samples": max(args.n_samples, 10**6),
         }
     )
-    result = run_experiment(config, Path(args.out), workers=args.workers)
+    result = run_experiment(config, Path(args.out))
     print(f"wrote {result.files['report']}")
     ok = True
     for name, verdict in result.verdicts.items():

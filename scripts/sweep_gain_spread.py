@@ -23,14 +23,8 @@ from linphot import (
     make_poisson,
     rebin,
     simulate_ensemble,
+    total_variation,
 )
-
-
-def tv(a, b):
-    size = max(a.size, b.size)
-    return 0.5 * float(
-        np.abs(np.pad(a, (0, size - a.size)) - np.pad(b, (0, size - b.size))).sum()
-    )
 
 
 def main() -> int:
@@ -59,7 +53,9 @@ def main() -> int:
     print(f"{'sigma/gamma':>12} {'TV (avg)':>10} {'TV (sd)':>9} {'floor':>10} {'underflow':>10}")
     for rel in args.spreads:
         gain = make_gain("gaussian", args.gamma_bar, rel * args.gamma_bar)
-        floor = tv(expected_rebinned_pmf(detected, gain, dark, args.gamma_bar), detected.pmf)
+        floor = total_variation(
+            expected_rebinned_pmf(detected, gain, dark, args.gamma_bar), detected.pmf
+        )
         tvs, uf = [], []
         for seed in range(args.seeds):
             ens = simulate_ensemble(

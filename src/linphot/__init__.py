@@ -59,6 +59,7 @@ from .reconstruction import (
     rebin,
     self_consistency_check,
     subtract_offset,
+    total_variation,
     with_reference_metrics,
 )
 from .sources import (
@@ -128,5 +129,6 @@ __all__ = [
     "self_consistency_check",
     "simulate_ensemble",
     "subtract_offset",
+    "total_variation",
     "with_reference_metrics",
 ]

@@ -232,17 +232,11 @@ def iter_eta_series(
     seed: int,
     *,
     gain_scale: float = 1.0,
-    workers: int = 1,
     stream_tag: tuple = (ETA_SERIES,),
 ):
-    """Yield (point, ensemble) pairs for each efficiency in the sweep."""
-    etas = _check_eta_list(eta_list)
-    if n_samples < MIN_SAMPLES_PER_POINT:
-        raise InvalidParameterError(
-            f"n_samples must be >= {MIN_SAMPLES_PER_POINT}, got {n_samples}"
-        )
+    """Yield (point, ensemble) pairs for each efficiency in the sweep, unchecked."""
     dark_var = (gain_scale * dark.sigma0) ** 2
-    for i, eta in enumerate(etas):
+    for i, eta in enumerate(eta_list):
         ens = simulate_ensemble(
             source,
             eta,
@@ -252,7 +246,6 @@ def iter_eta_series(
             seed,
             stream_key=tuple(stream_tag) + (i,),
             gain_scale=gain_scale,
-            workers=workers,
             keep_truth=False,
         )
         yield eta_point_from_samples(eta, ens.samples, dark_variance=dark_var), ens
@@ -267,21 +260,24 @@ def run_eta_series(
     seed: int,
     *,
     gain_scale: float = 1.0,
-    workers: int = 1,
     stream_tag: tuple = (ETA_SERIES,),
 ) -> list[EtaSeriesPoint]:
-    """Simulate the efficiency sweep and return one point per eta."""
+    """Check the sweep design, simulate it and return one point per eta."""
+    etas = _check_eta_list(eta_list)
+    if n_samples < MIN_SAMPLES_PER_POINT:
+        raise InvalidParameterError(
+            f"n_samples must be >= {MIN_SAMPLES_PER_POINT}, got {n_samples}"
+        )
     return [
         point
         for point, _ in iter_eta_series(
             source,
             gain,
             dark,
-            eta_list,
+            etas,
             n_samples,
             seed,
             gain_scale=gain_scale,
-            workers=workers,
             stream_tag=stream_tag,
         )
     ]
@@ -404,20 +400,25 @@ def gain_scaling_check(
     n_samples: int,
     seed: int,
     *,
-    workers: int = 1,
+    baseline: CalibrationFit,
     n_se: float = 3.0,
 ) -> GainScalingReport:
     """Re-run the sweep under known output-gain factors and compare intercepts.
 
     Scaling every voltage by g leaves the relative gain spread untouched,
-    so the fitted intercept must scale by exactly g.  Each factor uses an
-    independent substream; a factor of exactly 1 reuses the baseline fit.
+    so the fitted intercept must scale by exactly g.  ``baseline`` is the
+    unscaled fit of the same sweep, normally the main one.  Each factor uses
+    an independent substream; a factor of exactly 1 reuses the baseline fit.
     """
     factors = [float(g) for g in factors]
     for i, g in enumerate(factors):
         if not (math.isfinite(g) and g > 0):
             raise InvalidParameterError(f"factors[{i}]: must be positive, got {g}")
     etas = _check_eta_list(eta_list)
+    if not baseline.valid:
+        raise InvalidParameterError("baseline fit is invalid (intercept <= 0)")
+    if [p.eta for p in baseline.points] != etas:
+        raise InvalidParameterError("baseline fit must cover the efficiencies of eta_list")
     refs = [e * source.mean_n for e in etas]
     sigma2_rel = gain.sigma2 / gain.gamma_bar**2
 
@@ -430,12 +431,10 @@ def gain_scaling_check(
             n_samples,
             seed,
             gain_scale=g,
-            workers=workers,
             stream_tag=(GAIN_SCALING, factor_index),
         )
         return fit_fano_line(pts, sigma2_rel=sigma2_rel)
 
-    baseline = _series(0, 1.0)
     rows = []
     constancy = []
     for i, g in enumerate(factors):

@@ -15,14 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .calibration import eta_point_from_samples, fit_fano_line
-from .detector import simulate_ensemble
+from .calibration import eta_point_from_samples, fit_fano_line, iter_eta_series
 from .errors import ConfigError, LinphotError
-from .files import read_ensemble_csv, read_json, write_ensemble_csv, write_json
+from .files import read_ensemble_csv, read_json
 from .moments import sample_moments
-from .pipeline import run_experiment
-from .reconstruction import rebin, self_consistency_check, subtract_offset
-from .streams import DARK, ETA_SERIES
+from .pipeline import (
+    calibrate,
+    reconstruct,
+    run_experiment,
+    simulate_sweep,
+    write_calibration,
+    write_reconstruction,
+)
 
 
 def _load_config(path, seed_override):
@@ -41,7 +45,7 @@ def _resolve_out(args, config=None):
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
-    result = run_experiment(config, _resolve_out(args, config), workers=args.workers)
+    result = run_experiment(config, _resolve_out(args, config))
     print(f"report: {result.files['report']}")
     for name, verdict in result.verdicts.items():
         if verdict is not None:
@@ -53,24 +57,14 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config, args.seed)
     out = _resolve_out(args, config)
     out.mkdir(parents=True, exist_ok=True)
-    sha = cfgmod.config_hash(config)
-    source = cfgmod.build_source(config)
-    gain = cfgmod.build_gain(config)
-    dark = cfgmod.build_dark(config)
-    header = {"config_sha256": sha}
-    dark_ens = simulate_ensemble(
-        source, 0.0, gain, dark, config.n_samples, config.seed,
-        stream_key=(DARK,), workers=args.workers, keep_truth=False,
+    simulate_sweep(
+        config,
+        cfgmod.build_source(config),
+        cfgmod.build_gain(config),
+        cfgmod.build_dark(config),
+        out,
+        {"config_sha256": cfgmod.config_hash(config)},
     )
-    write_ensemble_csv(out / "dark.csv", dark_ens, extra_header=header)
-    for i, eta in enumerate(config.eta_series):
-        ens = simulate_ensemble(
-            source, eta, gain, dark, config.n_samples, config.seed,
-            stream_key=(ETA_SERIES, i), workers=args.workers, keep_truth=False,
-        )
-        write_ensemble_csv(
-            out / f"ensemble_{i:02d}_eta_{eta:.6f}.csv", ens, extra_header=header
-        )
     print(f"wrote {len(config.eta_series)} ensembles + dark.csv to {out}")
     return 0
 
@@ -85,34 +79,21 @@ def _cmd_moments(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = _load_config(args.config, args.seed) if args.config else None
     out = _resolve_out(args, config)
-    out.mkdir(parents=True, exist_ok=True)
     if config is not None:
         source = cfgmod.build_source(config)
         gain = cfgmod.build_gain(config)
         dark = cfgmod.build_dark(config)
-        points = []
-        for i, eta in enumerate(config.eta_series):
-            ens = simulate_ensemble(
-                source, eta, gain, dark, config.n_samples, config.seed,
-                stream_key=(ETA_SERIES, i), workers=args.workers, keep_truth=False,
-            )
-            points.append(
-                eta_point_from_samples(eta, ens.samples, dark_variance=dark.sigma0**2)
-            )
-        sigma2_rel = gain.sigma2 / gain.gamma_bar**2
-        fit = fit_fano_line(points, sigma2_rel=sigma2_rel)
+        sweep = iter_eta_series(
+            source, gain, dark, config.eta_series, config.n_samples, config.seed
+        )
+        fit, fit_error = calibrate(
+            [point for point, _ in sweep], gain.sigma2 / gain.gamma_bar**2
+        )
         sha = cfgmod.config_hash(config)
         dark_var = dark.sigma0**2
     else:
         ens_dir = Path(args.ensembles)
-        if not ens_dir.is_dir():
-            print(f"error: ensemble directory not found: {ens_dir}", file=sys.stderr)
-            return 1
-        dark_path = ens_dir / "dark.csv"
-        if not dark_path.exists():
-            print(f"error: dark record not found: {dark_path}", file=sys.stderr)
-            return 1
-        dark_ens = read_ensemble_csv(dark_path)
+        dark_ens = read_ensemble_csv(ens_dir / "dark.csv")
         dark_mean = float(dark_ens.samples.mean())
         dark_var = float(np.mean((dark_ens.samples - dark_mean) ** 2))
         paths = sorted(p for p in ens_dir.glob("ensemble_*.csv"))
@@ -127,17 +108,12 @@ def _cmd_calibrate(args) -> int:
                     ens.eta, ens.samples - dark_mean, dark_variance=dark_var
                 )
             )
-        fit = fit_fano_line(points)
+        fit, fit_error = calibrate(points, None)
         sha = None
-    doc = {
-        "schema_version": 1,
-        "config_sha256": sha,
-        "dark_variance_subtracted": dark_var,
-        "fit": fit.to_dict(),
-        "fit_error": None,
-        "checks": {"mean_constancy": None, "gain_scaling": None},
-    }
-    write_json(out / "calibration.json", doc)
+    if fit is None:
+        raise LinphotError(fit_error)
+    out.mkdir(parents=True, exist_ok=True)
+    write_calibration(out / "calibration.json", sha, dark_var, fit, None, None, None)
     print(f"gamma_bar_est = {fit.gamma_bar_est!r} +- {fit.intercept_se!r}")
     print(f"slope = {fit.slope!r} +- {fit.slope_se!r}")
     print(f"wrote {out / 'calibration.json'}")
@@ -161,30 +137,11 @@ def _cmd_reconstruct(args) -> int:
     dark_mean = 0.0
     if args.dark:
         dark_mean = float(read_ensemble_csv(args.dark).samples.mean())
-    shifted = subtract_offset(ens, dark_mean)
-    result = rebin(shifted, gamma_bar)
-    mean_v = float(shifted.samples.mean())
-    se_mean_v = float(shifted.samples.std(ddof=1) / math.sqrt(shifted.n_samples))
-    consistency = self_consistency_check(result, mean_v, se_mean_v=se_mean_v)
+    _, result, mean_v, consistency = reconstruct(ens, dark_mean, gamma_bar, 0.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "pm.csv", "w") as fh:
-        fh.write(f"# gamma_bar={gamma_bar!r}\n")
-        fh.write(f"# n_samples={result.n_samples}\n")
-        fh.write("m,pmf_hat,count\n")
-        for m, (p, c) in enumerate(zip(result.pmf_hat, result.counts)):
-            fh.write(f"{m},{p:.17e},{c}\n")
-    write_json(
-        out / "pm_metrics.json",
-        {
-            "gamma_bar_used": float(gamma_bar),
-            "underflow_fraction": result.underflow_fraction,
-            "mean_m_hat": result.mean_m_hat,
-            "mean_v": mean_v,
-            "self_consistency": consistency.to_dict(),
-        },
-    )
-    print(f"wrote {out / 'pm.csv'} and {out / 'pm_metrics.json'}")
+    files = write_reconstruction(out, result, mean_v, consistency, {}, {})
+    print(f"wrote {files['pm']} and {files['pm_metrics']}")
     print(f"[{'PASS' if consistency.passed else 'FAIL'}] self-consistency")
     return 0
 
@@ -267,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="run config JSON")
         p.add_argument("--out", help="output directory (default: config out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
 
     p_run = sub.add_parser("run", help="full pipeline: simulate, calibrate, reconstruct")
     add_common(p_run)
@@ -289,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.add_argument("--out", help="output directory (default: config out_dir)")
     p_cal.add_argument("--seed", type=int, default=None)
-    p_cal.add_argument("--workers", type=int, default=1)
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_rec = sub.add_parser("reconstruct", help="rebin an ensemble into photon counts")

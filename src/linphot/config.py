@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .calibration import default_eta_series
+from .calibration import MIN_ETA_POINTS, MIN_SAMPLES_PER_POINT, default_eta_series
 from .detector import DarkNoiseModel, GainModel, make_gain
 from .errors import ConfigError
 from .sources import (
@@ -29,6 +29,15 @@ SOURCE_KINDS = ("poisson", "thermal", "multimode_thermal", "fock", "pmf")
 def _require(cond: bool, field_path: str, message: str):
     if not cond:
         raise ConfigError(f"{field_path}: {message}")
+
+
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
 
 
 @dataclass(frozen=True)
@@ -120,19 +129,19 @@ def _parse_source(raw: dict) -> SourceSpec:
     if kind in ("poisson", "thermal", "multimode_thermal"):
         _require(spec.mean is not None, "source.mean", f"required for kind {kind!r}")
         _require(
-            isinstance(spec.mean, (int, float)) and math.isfinite(spec.mean) and spec.mean >= 0,
+            _is_number(spec.mean) and math.isfinite(spec.mean) and spec.mean >= 0,
             "source.mean",
             f"must be a nonnegative finite number, got {spec.mean!r}",
         )
     if kind == "multimode_thermal":
         _require(
-            isinstance(spec.modes, int) and spec.modes >= 1,
+            _is_int(spec.modes) and spec.modes >= 1,
             "source.modes",
             f"must be a positive integer, got {spec.modes!r}",
         )
     if kind == "fock":
         _require(
-            isinstance(spec.n, int) and spec.n >= 0,
+            _is_int(spec.n) and spec.n >= 0,
             "source.n",
             f"must be a nonnegative integer, got {spec.n!r}",
         )
@@ -163,13 +172,13 @@ def from_dict(raw: dict) -> RunConfig:
     )
     gamma_bar = g.get("gamma_bar")
     _require(
-        isinstance(gamma_bar, (int, float)) and math.isfinite(gamma_bar) and gamma_bar > 0,
+        _is_number(gamma_bar) and math.isfinite(gamma_bar) and gamma_bar > 0,
         "gain.gamma_bar",
         f"must be a positive finite number, got {gamma_bar!r}",
     )
     sigma = g.get("sigma", 0.0)
     _require(
-        isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0,
+        _is_number(sigma) and math.isfinite(sigma) and sigma >= 0,
         "gain.sigma",
         f"must be a nonnegative finite number, got {sigma!r}",
     )
@@ -179,7 +188,7 @@ def from_dict(raw: dict) -> RunConfig:
     _require(isinstance(d, dict), "dark", "must be an object")
     sigma0 = d.get("sigma0", 0.1 * gain.gamma_bar)
     _require(
-        isinstance(sigma0, (int, float)) and math.isfinite(sigma0) and sigma0 >= 0,
+        _is_number(sigma0) and math.isfinite(sigma0) and sigma0 >= 0,
         "dark.sigma0",
         f"must be a nonnegative finite number, got {sigma0!r}",
     )
@@ -194,7 +203,7 @@ def from_dict(raw: dict) -> RunConfig:
         )
         for i, e in enumerate(etas):
             _require(
-                isinstance(e, (int, float)) and 0.0 < e <= 1.0,
+                _is_number(e) and 0.0 < e <= 1.0,
                 f"eta_series[{i}]",
                 f"must be in (0, 1], got {e!r}",
             )
@@ -202,21 +211,27 @@ def from_dict(raw: dict) -> RunConfig:
     else:
         eta_max = raw.get("eta_max")
         _require(
-            isinstance(eta_max, (int, float)) and 0.0 < eta_max <= 1.0,
+            _is_number(eta_max) and 0.0 < eta_max <= 1.0,
             "eta_max",
             "required when eta_series is absent; must be in (0, 1]",
         )
-        eta_series = tuple(default_eta_series(float(eta_max), int(raw.get("eta_count", 10))))
+        count = raw.get("eta_count", 10)
+        _require(
+            _is_int(count) and count >= MIN_ETA_POINTS,
+            "eta_count",
+            f"must be an integer >= {MIN_ETA_POINTS}, got {count!r}",
+        )
+        eta_series = tuple(default_eta_series(float(eta_max), count))
 
     n_samples = raw.get("n_samples")
     _require(
-        isinstance(n_samples, int) and n_samples >= 1,
+        _is_int(n_samples) and n_samples >= 1,
         "n_samples",
         f"must be a positive integer, got {n_samples!r}",
     )
     seed = raw.get("seed")
     _require(
-        isinstance(seed, int) and 0 <= seed < 2**64,
+        _is_int(seed) and 0 <= seed < 2**64,
         "seed",
         f"must be an integer in [0, 2^64), got {seed!r}",
     )
@@ -225,14 +240,21 @@ def from_dict(raw: dict) -> RunConfig:
     _require(isinstance(factors, (list, tuple)), "gain_scale_factors", "must be a list")
     for i, f in enumerate(factors):
         _require(
-            isinstance(f, (int, float)) and math.isfinite(f) and f > 0,
+            _is_number(f) and math.isfinite(f) and f > 0,
             f"gain_scale_factors[{i}]",
             f"must be positive, got {f!r}",
         )
+    # the gain-scaling check re-runs the sweep through run_eta_series
+    _require(
+        not factors
+        or (n_samples >= MIN_SAMPLES_PER_POINT and len(set(eta_series)) >= MIN_ETA_POINTS),
+        "gain_scale_factors",
+        f"need n_samples >= {MIN_SAMPLES_PER_POINT} and {MIN_ETA_POINTS} distinct eta_series values",
+    )
 
     order = raw.get("moment_order", 5)
     _require(
-        isinstance(order, int) and 2 <= order <= 5,
+        _is_int(order) and 2 <= order <= 5,
         "moment_order",
         f"must be an integer in [2, 5], got {order!r}",
     )
@@ -245,13 +267,13 @@ def from_dict(raw: dict) -> RunConfig:
 
     rec_eta = raw.get("reconstruct_eta", max(eta_series))
     _require(
-        isinstance(rec_eta, (int, float)) and 0.0 < rec_eta <= 1.0,
+        _is_number(rec_eta) and 0.0 < rec_eta <= 1.0,
         "reconstruct_eta",
         f"must be in (0, 1], got {rec_eta!r}",
     )
     rec_n = raw.get("reconstruction_n_samples", n_samples)
     _require(
-        isinstance(rec_n, int) and rec_n >= 1,
+        _is_int(rec_n) and rec_n >= 1,
         "reconstruction_n_samples",
         f"must be a positive integer, got {rec_n!r}",
     )

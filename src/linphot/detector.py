@@ -10,7 +10,6 @@ offset convention is applied.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +100,9 @@ class VoltageEnsemble:
     truth: DetectedPhotonDistribution | None = None
 
     def __post_init__(self):
+        bad = np.count_nonzero(~np.isfinite(self.samples))
+        if bad:
+            raise InvalidParameterError(f"{bad} of {self.samples.size} samples are not finite")
         self.samples.setflags(write=False)
 
 
@@ -209,8 +211,7 @@ def _segment_sums(draws: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulate_chunk(args) -> np.ndarray:
-    source, eta, gain, dark, size, seed, key = args
+def _simulate_chunk(source, eta, gain, dark, size, seed, key) -> np.ndarray:
     rng = substream(seed, key)
     n = sample_n(source, rng, size=size)
     m = rng.binomial(n, eta)
@@ -234,14 +235,13 @@ def simulate_ensemble(
     *,
     stream_key: tuple = (),
     gain_scale: float = 1.0,
-    workers: int = 1,
     keep_truth: bool = True,
 ) -> VoltageEnsemble:
     """Simulate n_samples independent voltage shots.
 
     Shots are generated on a fixed chunk grid of substreams keyed by
-    (seed, stream_key, chunk index), so the output is byte-identical for
-    any worker count.  ``gain_scale`` models a known post-detector
+    (seed, stream_key, chunk index), so the output depends only on those
+    and on the models.  ``gain_scale`` models a known post-detector
     amplification / digitizer-scale factor applied to every voltage.
     """
     eta = float(eta)
@@ -253,17 +253,12 @@ def simulate_ensemble(
     if not (math.isfinite(gain_scale) and gain_scale > 0):
         raise InvalidParameterError(f"gain_scale must be positive, got {gain_scale}")
 
-    sizes = chunk_sizes(n_samples)
-    jobs = [
-        (source, eta, gain, dark, size, seed, tuple(stream_key) + (ci,))
-        for ci, size in enumerate(sizes)
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_chunk, jobs))
-    else:
-        parts = [_simulate_chunk(job) for job in jobs]
-    v = np.concatenate(parts)
+    v = np.concatenate(
+        [
+            _simulate_chunk(source, eta, gain, dark, size, seed, tuple(stream_key) + (ci,))
+            for ci, size in enumerate(chunk_sizes(n_samples))
+        ]
+    )
     if gain_scale != 1.0:
         v = v * gain_scale
     if dark.offset_raw != 0.0:

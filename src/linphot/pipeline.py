@@ -1,7 +1,8 @@
 """End-to-end experiment runner: simulate, calibrate, reconstruct, report.
 
-All artifacts carry the config hash; outputs are byte-identical for a
-fixed (config, seed, worker count).
+``run_experiment`` composes the stage functions below; each CLI
+subcommand calls the same stages.  All artifacts carry the config hash;
+outputs are byte-identical for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from pathlib import Path
 from . import config as cfgmod
 from .calibration import (
     CalibrationFit,
-    eta_point_from_samples,
     fit_fano_line,
     gain_scaling_check,
+    iter_eta_series,
     mean_constancy_check,
 )
 from .detector import simulate_ensemble
 from .errors import LinphotError
-from .files import write_ensemble_csv, write_json
+from .files import write_ensemble_csv, write_json, write_pm_csv
 from .moments import analytic_voltage_moments, sample_moments
 from .reconstruction import (
     ReconstructionResult,
@@ -29,7 +30,7 @@ from .reconstruction import (
     subtract_offset,
     with_reference_metrics,
 )
-from .streams import DARK, ETA_SERIES, RECONSTRUCTION
+from .streams import DARK, RECONSTRUCTION
 
 
 @dataclass(frozen=True)
@@ -46,71 +47,119 @@ def _fmt(x, digits=9):
     return f"{x:.{digits}g}"
 
 
-def run_experiment(config: cfgmod.RunConfig, out_dir, workers: int = 1) -> RunResult:
+def simulate_sweep(config, source, gain, dark, out: Path, header: dict):
+    """Simulate and write the dark record and the sweep ensembles as CSV.
+
+    Returns the dark ensemble, the sweep points and the written paths.
+    """
+    # eta = 0 yields the dark record only
+    dark_ens = simulate_ensemble(
+        source, 0.0, gain, dark, config.n_samples, config.seed,
+        stream_key=(DARK,), keep_truth=False,
+    )
+    files = {"dark": out / "dark.csv"}
+    write_ensemble_csv(files["dark"], dark_ens, extra_header=header)
+    points = []
+    sweep = iter_eta_series(source, gain, dark, config.eta_series, config.n_samples, config.seed)
+    for i, (point, ens) in enumerate(sweep):
+        files[f"ensemble_{i}"] = out / f"ensemble_{i:02d}_eta_{ens.eta:.6f}.csv"
+        write_ensemble_csv(files[f"ensemble_{i}"], ens, extra_header=header)
+        points.append(point)
+    return dark_ens, points, files
+
+
+def calibrate(points, sigma2_rel: float | None):
+    """Fit the fano line: ``(fit, None)``, or ``(None, reason)`` when none fits.
+
+    An intercept at or below zero is returned as a fit flagged invalid.
+    """
+    if not any(p.mean_v > 5.0 * p.se_mean_v for p in points):
+        return None, "no significant light at any efficiency; calibration skipped"
+    try:
+        return fit_fano_line(points, sigma2_rel=sigma2_rel), None
+    except LinphotError as exc:
+        return None, str(exc)
+
+
+def write_calibration(path, config_sha256, dark_variance, fit, fit_error, constancy, scaling):
+    """Write the ``calibration.json`` document."""
+    write_json(
+        path,
+        {
+            "schema_version": 1,
+            "config_sha256": config_sha256,
+            "dark_variance_subtracted": dark_variance,
+            "fit": fit.to_dict() if fit is not None else None,
+            "fit_error": fit_error,
+            "checks": {
+                "mean_constancy": constancy.to_dict() if constancy is not None else None,
+                "gain_scaling": scaling.to_dict() if scaling is not None else None,
+            },
+        },
+    )
+
+
+def reconstruct(ensemble, dark_mean: float, gamma_bar: float, se_gamma_bar: float):
+    """Zero-set and rebin one ensemble, then check the reconstructed mean.
+
+    Returns the zero-set ensemble, the rebinned result, its mean voltage
+    and the self-consistency report.
+    """
+    shifted = subtract_offset(ensemble, dark_mean)
+    result = rebin(shifted, gamma_bar)
+    mean_v = float(shifted.samples.mean())
+    se_mean_v = float(shifted.samples.std(ddof=1) / math.sqrt(shifted.n_samples))
+    consistency = self_consistency_check(
+        result, mean_v, se_mean_v=se_mean_v, se_gamma_bar=se_gamma_bar
+    )
+    return shifted, result, mean_v, consistency
+
+
+def write_reconstruction(out: Path, result, mean_v, consistency, header: dict, extra: dict):
+    """Write ``pm.csv`` and ``pm_metrics.json``; ``header`` tags both.
+
+    Returns the written paths.
+    """
+    files = {"pm": out / "pm.csv", "pm_metrics": out / "pm_metrics.json"}
+    write_pm_csv(files["pm"], result, header)
+    write_json(
+        files["pm_metrics"],
+        {
+            **header,
+            "gamma_bar_used": result.gamma_bar_used,
+            "underflow_fraction": result.underflow_fraction,
+            "mean_m_hat": result.mean_m_hat,
+            "mean_v": mean_v,
+            "self_consistency": consistency.to_dict(),
+            **extra,
+        },
+    )
+    return files
+
+
+def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     """Run the full pipeline and write all artifacts into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sha = cfgmod.config_hash(config)
-    files = {}
-
+    header = {"config_sha256": sha}
     cfgmod.save(config, out / "config.json")
-    files["config"] = out / "config.json"
+    files = {"config": out / "config.json"}
 
     source = cfgmod.build_source(config)
     gain = cfgmod.build_gain(config)
     dark = cfgmod.build_dark(config)
     sigma2_rel = gain.sigma2 / gain.gamma_bar**2
-    header = {"config_sha256": sha}
 
-    # dark record (zero-setting + blind-mode reuse); eta=0 yields dark only
-    dark_ens = simulate_ensemble(
-        source=source,
-        eta=0.0,
-        gain=gain,
-        dark=dark,
-        n_samples=config.n_samples,
-        seed=config.seed,
-        stream_key=(DARK,),
-        workers=workers,
-        keep_truth=False,
-    )
-    write_ensemble_csv(out / "dark.csv", dark_ens, extra_header=header)
-    files["dark"] = out / "dark.csv"
+    dark_ens, points, sweep_files = simulate_sweep(config, source, gain, dark, out, header)
+    files.update(sweep_files)
 
-    # efficiency sweep
-    points = []
-    dark_var = dark.sigma0**2
-    for i, eta in enumerate(config.eta_series):
-        ens = simulate_ensemble(
-            source,
-            eta,
-            gain,
-            dark,
-            config.n_samples,
-            config.seed,
-            stream_key=(ETA_SERIES, i),
-            workers=workers,
-            keep_truth=False,
-        )
-        name = f"ensemble_{i:02d}_eta_{eta:.6f}.csv"
-        write_ensemble_csv(out / name, ens, extra_header=header)
-        files[f"ensemble_{i}"] = out / name
-        points.append(eta_point_from_samples(eta, ens.samples, dark_variance=dark_var))
-
-    # fano-line fit (flagged invalid rather than clamped when degenerate)
-    fit = None
-    fit_error = None
-    if not any(p.mean_v > 5.0 * p.se_mean_v for p in points):
-        fit_error = "no significant light at any efficiency; calibration skipped"
-    else:
-        try:
-            fit = fit_fano_line(points, sigma2_rel=sigma2_rel)
-        except LinphotError as exc:
-            fit_error = str(exc)
-
-    refs = [eta * source.mean_n for eta in config.eta_series]
+    fit, fit_error = calibrate(points, sigma2_rel)
+    # the checks need a valid fit (the scaling baseline) and some light
     constancy = None
+    scaling = None
     if fit is not None and fit.valid and source.mean_n > 0:
+        refs = [eta * source.mean_n for eta in config.eta_series]
         constancy = mean_constancy_check(
             points,
             fit.gamma_bar_est,
@@ -118,33 +167,21 @@ def run_experiment(config: cfgmod.RunConfig, out_dir, workers: int = 1) -> RunRe
             gamma_bar_se=fit.intercept_se,
             sigma2_rel=sigma2_rel,
         )
-
-    scaling = None
-    if config.gain_scale_factors and source.mean_n > 0:
-        scaling = gain_scaling_check(
-            source,
-            gain,
-            dark,
-            list(config.eta_series),
-            list(config.gain_scale_factors),
-            config.n_samples,
-            config.seed,
-            workers=workers,
-        )
-
-    calibration_doc = {
-        "schema_version": 1,
-        "config_sha256": sha,
-        "dark_variance_subtracted": dark_var,
-        "fit": fit.to_dict() if fit is not None else None,
-        "fit_error": fit_error,
-        "checks": {
-            "mean_constancy": constancy.to_dict() if constancy is not None else None,
-            "gain_scaling": scaling.to_dict() if scaling is not None else None,
-        },
-    }
-    write_json(out / "calibration.json", calibration_doc)
+        if config.gain_scale_factors:
+            scaling = gain_scaling_check(
+                source,
+                gain,
+                dark,
+                list(config.eta_series),
+                list(config.gain_scale_factors),
+                config.n_samples,
+                config.seed,
+                baseline=fit,
+            )
     files["calibration"] = out / "calibration.json"
+    write_calibration(
+        files["calibration"], sha, dark.sigma0**2, fit, fit_error, constancy, scaling
+    )
 
     # reconstruction at the chosen efficiency
     rec_ens = simulate_ensemble(
@@ -155,14 +192,11 @@ def run_experiment(config: cfgmod.RunConfig, out_dir, workers: int = 1) -> RunRe
         config.reconstruction_n_samples,
         config.seed,
         stream_key=(RECONSTRUCTION,),
-        workers=workers,
     )
     rec_name = f"reconstruction_eta_{config.reconstruct_eta:.6f}.csv"
     write_ensemble_csv(out / rec_name, rec_ens, extra_header=header)
     files["reconstruction_ensemble"] = out / rec_name
 
-    dark_mean = float(dark_ens.samples.mean())
-    shifted = subtract_offset(rec_ens, dark_mean)
     if fit is not None and fit.valid:
         gamma_used = fit.gamma_bar_est
         gamma_source = "calibration intercept"
@@ -171,38 +205,17 @@ def run_experiment(config: cfgmod.RunConfig, out_dir, workers: int = 1) -> RunRe
         gamma_used = gain.gamma_bar
         gamma_source = "configured gain (calibration unavailable)"
         se_gamma = 0.0
-    result = rebin(shifted, gamma_used)
+    shifted, result, mean_v, consistency = reconstruct(
+        rec_ens, float(dark_ens.samples.mean()), gamma_used, se_gamma
+    )
     truth = rec_ens.truth
     result = with_reference_metrics(result, truth)
-    mean_v = float(shifted.samples.mean())
-    se_mean_v = float(shifted.samples.std(ddof=1) / math.sqrt(shifted.n_samples))
-    consistency = self_consistency_check(
-        result, mean_v, se_mean_v=se_mean_v, se_gamma_bar=se_gamma
-    )
-
-    counts = result.counts
-    with open(out / "pm.csv", "w") as fh:
-        fh.write(f"# config_sha256={sha}\n")
-        fh.write(f"# gamma_bar={gamma_used!r}\n")
-        fh.write(f"# n_samples={result.n_samples}\n")
-        fh.write("m,pmf_hat,count\n")
-        for m, (p, c) in enumerate(zip(result.pmf_hat, counts)):
-            fh.write(f"{m},{p:.17e},{c}\n")
-    files["pm"] = out / "pm.csv"
-
-    metrics_doc = {
-        "config_sha256": sha,
-        "gamma_bar_used": gamma_used,
+    extra = {
         "gamma_bar_source": gamma_source,
-        "underflow_fraction": result.underflow_fraction,
-        "mean_m_hat": result.mean_m_hat,
-        "mean_v": mean_v,
         "tv_distance": result.tv_distance,
         "fidelity": result.fidelity,
-        "self_consistency": consistency.to_dict(),
     }
-    write_json(out / "pm_metrics.json", metrics_doc)
-    files["pm_metrics"] = out / "pm_metrics.json"
+    files.update(write_reconstruction(out, result, mean_v, consistency, header, extra))
 
     # report
     verdicts = {

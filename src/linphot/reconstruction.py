@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .detector import DarkNoiseModel, GainModel, VoltageEnsemble
-from .errors import InvalidParameterError, UnsupportedOracleError
+from .detector import DarkNoiseModel, GainModel, VoltageEnsemble, _gaussian_components
+from .errors import InvalidParameterError
 from .loss import DetectedPhotonDistribution
 
 
@@ -152,12 +152,18 @@ def _pad_common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """Total-variation distance of two PMFs; the shorter one is zero-padded."""
+    a, b = _pad_common(p, q)
+    return 0.5 * float(np.abs(a - b).sum())
+
+
 def compare(
     result: ReconstructionResult, reference: DetectedPhotonDistribution
 ) -> ReconstructionMetrics:
     """Total-variation distance, overlap fidelity and per-bin z-scores."""
     p_hat, p_ref = _pad_common(result.pmf_hat, reference.pmf)
-    tv = 0.5 * float(np.abs(p_hat - p_ref).sum())
+    tv = total_variation(p_hat, p_ref)
     fidelity = float(np.sqrt(p_hat * p_ref).sum())
     n = result.n_samples
     z = np.full(p_ref.size, np.nan)
@@ -198,18 +204,8 @@ def expected_rebinned_pmf(
     gamma_bar_used = float(gamma_bar_used)
     if not (math.isfinite(gamma_bar_used) and gamma_bar_used > 0):
         raise InvalidParameterError(f"gamma_bar_used must be positive, got {gamma_bar_used}")
-    if gain.family != "gaussian":
-        raise UnsupportedOracleError("misassignment oracle requires gaussian gain")
-    k = np.arange(detected.pmf.size)
-    var = k * gain.sigma2 + dark.sigma0**2
-    mask = detected.pmf > 0
-    if np.any(var[mask] == 0):
-        raise UnsupportedOracleError(
-            "mixture has a zero-variance component; need sigma > 0 or sigma0 > 0"
-        )
-    p = detected.pmf[mask]
-    centers = (k * gain.gamma_bar)[mask] + dark.offset_raw
-    sd = np.sqrt(var[mask])
+    p, centers, var = _gaussian_components(detected, gain, dark)
+    sd = np.sqrt(var)
     if n_bins is None:
         top = float(np.max(centers + 10.0 * sd))
         n_bins = max(1, int(math.ceil(top / gamma_bar_used + 0.5)))

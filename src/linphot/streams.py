@@ -2,8 +2,8 @@
 
 Every stochastic operation draws from a generator keyed by
 (master seed, stream key, chunk index).  Shots are produced on a fixed
-chunk grid, so an ensemble is byte-identical for any worker count: the
-chunk grid, not the workers, defines the substreams.
+chunk grid, and the grid defines the substreams: an ensemble is
+byte-identical for a fixed (seed, stream key, sample count).
 """
 
 from __future__ import annotations

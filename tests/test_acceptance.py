@@ -242,6 +242,10 @@ def test_criterion_6_gain_scaling_and_mean_constancy():
     with criterion(6, "intercept scales with known output gain; mean stays constant"):
         gain = make_gain("gaussian", GAIN, 2.0)
         dark = DarkNoiseModel(10.0)
+        baseline = fit_fano_line(
+            run_eta_series(make_poisson(100.0), gain, dark, REFERENCE_ETAS, 10**5, seed=601),
+            sigma2_rel=gain.sigma2 / GAIN**2,
+        )
         report = gain_scaling_check(
             make_poisson(100.0),
             gain,
@@ -250,6 +254,7 @@ def test_criterion_6_gain_scaling_and_mean_constancy():
             [0.5, 2.0],
             10**5,
             seed=601,
+            baseline=baseline,
         )
         for row in report.rows:
             assert row.passed, f"factor {row.factor}: ratio {row.ratio} +- {row.ratio_se}"
@@ -344,7 +349,7 @@ def test_criterion_8_determinism():
 
         config = from_dict(raw)
         with tempfile.TemporaryDirectory() as td:
-            a = run_experiment(config, Path(td) / "a", workers=1)
-            b = run_experiment(config, Path(td) / "b", workers=1)
+            a = run_experiment(config, Path(td) / "a")
+            b = run_experiment(config, Path(td) / "b")
             for name, path in a.files.items():
                 assert path.read_bytes() == b.files[name].read_bytes(), name

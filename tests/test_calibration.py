@@ -226,11 +226,15 @@ class TestMeanConstancy:
 class TestGainScaling:
     def test_unity_factor_exact_and_doubling_within_se(self):
         src = make_poisson(60.0)
+        gain = make_gain("gaussian", GAIN, 2.0)
+        dark = DarkNoiseModel(10.0)
+        etas = default_eta_series(0.5, 5)
+        baseline = fit_fano_line(run_eta_series(src, gain, dark, etas, 2 * 10**4, seed=10))
         report = gain_scaling_check(
-            src, make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0),
-            default_eta_series(0.5, 5), [1.0, 2.0], 2 * 10**4, seed=10,
+            src, gain, dark, etas, [1.0, 2.0], 2 * 10**4, seed=10, baseline=baseline,
         )
         row1, row2 = report.rows
+        assert report.baseline is baseline
         assert row1.ratio == 1.0 and row1.passed
         assert row2.passed and abs(row2.ratio - 2.0) <= 3 * row2.ratio_se
         assert all(c.passed for c in report.mean_constancy)
@@ -240,4 +244,15 @@ class TestGainScaling:
             gain_scaling_check(
                 make_poisson(10.0), make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0),
                 [0.1, 0.3, 0.5], [0.0], 10**4, seed=11,
+                baseline=fit_fano_line(synthetic_points(0.0, 10.0, [10.0, 20.0, 30.0])),
             )
+
+    def test_baseline_must_be_valid_and_match_the_sweep(self):
+        args = (make_poisson(10.0), make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0))
+        etas = [p.eta for p in synthetic_points(0.0, 10.0, [10.0, 20.0, 30.0])]
+        negative = fit_fano_line(synthetic_points(0.0, -10.0, [10.0, 20.0, 30.0]))
+        with pytest.raises(InvalidParameterError, match="invalid"):
+            gain_scaling_check(*args, etas, [2.0], 10**4, seed=12, baseline=negative)
+        valid = fit_fano_line(synthetic_points(0.0, 10.0, [10.0, 20.0, 30.0]))
+        with pytest.raises(InvalidParameterError, match="efficiencies"):
+            gain_scaling_check(*args, [0.1, 0.3, 0.5], [2.0], 10**4, seed=12, baseline=valid)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from linphot import ConfigError, VoltageEnsemble, run_experiment
+from linphot import ConfigError, InvalidParameterError, VoltageEnsemble, run_experiment
 from linphot.cli import main
 from linphot.config import (
     build_source,
@@ -86,6 +86,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_samples", True),
+            ("seed", True),
+            ("seed", False),
+            ("moment_order", True),
+            ("reconstruction_n_samples", True),
+            ("source", {"kind": "fock", "n": True}),
+            ("source", {"kind": "multimode_thermal", "mean": 4.0, "modes": True}),
+            ("source", {"kind": "poisson", "mean": True}),
+            ("gain", {"family": "gaussian", "gamma_bar": True, "sigma": 1.0}),
+            ("eta_series", [0.1, True, 0.5]),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            from_dict({**BASE, field: value})
+
+    @pytest.mark.parametrize("count", [True, 2, 10.0])
+    def test_eta_count_must_be_an_integer_of_at_least_three(self, count):
+        raw = {k: v for k, v in BASE.items() if k != "eta_series"}
+        with pytest.raises(ConfigError, match="eta_count"):
+            from_dict({**raw, "eta_max": 0.5, "eta_count": count})
+
+    def test_gain_scaling_needs_the_sweep_design(self, tmp_path):
+        with pytest.raises(ConfigError, match="n_samples"):
+            from_dict({**BASE, "n_samples": 9_999, "gain_scale_factors": [2.0]})
+        with pytest.raises(ConfigError, match="eta_series"):
+            from_dict({**BASE, "eta_series": [0.1, 0.5, 0.5], "gain_scale_factors": [2.0]})
+        # without the check the same sample count is a valid run
+        from_dict({**BASE, "n_samples": 9_999})
+
+    def test_design_error_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n_samples": 2000, "gain_scale_factors": [2.0]})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "n_samples" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnsembleCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -106,6 +146,26 @@ class TestEnsembleCsv:
         assert back.gain_scale == ens.gain_scale
         header = path.read_text().splitlines()[0]
         assert header == "# eta=0.35"
+
+    def test_non_finite_samples_rejected(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        path.write_text("# eta=0.5\n1.0\nnan\n3.0\ninf\n")
+        with pytest.raises(InvalidParameterError, match="2 of 4 samples are not finite"):
+            read_ensemble_csv(path)
+
+    def test_missing_eta_header_rejected(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        path.write_text("# seed=1\n1.0\n2.0\n")
+        with pytest.raises(InvalidParameterError, match="eta"):
+            read_ensemble_csv(path)
+
+    def test_blind_calibrate_reports_missing_eta(self, tmp_path, capsys):
+        for name in ("dark.csv", "ensemble_00.csv"):
+            (tmp_path / name).write_text("# seed=1\n1.0\n2.0\n")
+        code = main(["calibrate", "--ensembles", str(tmp_path), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "eta" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 class TestRunExperiment:
@@ -222,6 +282,11 @@ class TestCliCommands:
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_blind_calibrate_without_dark_record_exits_1(self, tmp_path, capsys):
+        code = main(["calibrate", "--ensembles", str(tmp_path / "none"), "--out", str(tmp_path)])
+        assert code == 1
+        assert "dark.csv" in capsys.readouterr().err
+
     def test_calibrate_requires_exactly_one_mode(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["calibrate", "--out", str(tmp_path)])
@@ -238,11 +303,83 @@ class TestCliCommands:
         assert "out_dir" in capsys.readouterr().err
 
 
-def test_worker_flag_does_not_change_output(tmp_path):
+def test_two_cli_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {"n_samples": 10_000})
-    out1 = tmp_path / "w1"
-    out2 = tmp_path / "w2"
-    assert main(["run", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
-    for path in sorted(out1.iterdir()):
-        assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+    out1 = tmp_path / "r1"
+    out2 = tmp_path / "r2"
+    assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_workers_flag_is_a_usage_error(tmp_path, command):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "2"])
+    assert exc.value.code == 2
+
+
+class TestSubcommandsAreStagesOfRun:
+    """Each subcommand writes what the matching stage of ``run`` writes."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("stages")
+        cfg = write_config(root)
+        assert main(["run", "--config", str(cfg), "--out", str(root / "run")]) == 0
+        return cfg, root / "run"
+
+    def test_simulate_writes_the_run_ensembles(self, run_dir, tmp_path):
+        cfg, run = run_dir
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+        names = sorted(p.name for p in sim.iterdir())
+        assert names == ["dark.csv"] + sorted(p.name for p in run.glob("ensemble_*.csv"))
+        for name in names:
+            assert (sim / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_calibrate_config_mode_writes_the_run_fit(self, run_dir, tmp_path):
+        cfg, run = run_dir
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(cfg), "--out", str(cal)]) == 0
+        doc = json.loads((cal / "calibration.json").read_text())
+        run_doc = json.loads((run / "calibration.json").read_text())
+        assert doc["fit"] == run_doc["fit"]
+        assert doc["config_sha256"] == run_doc["config_sha256"]
+        assert doc["dark_variance_subtracted"] == run_doc["dark_variance_subtracted"]
+
+    def test_reconstruct_gives_the_run_pm_rows(self, run_dir, tmp_path):
+        _, run = run_dir
+        gamma = json.loads((run / "pm_metrics.json").read_text())["gamma_bar_used"]
+        (ensemble,) = run.glob("reconstruction_eta_*.csv")
+        rec = tmp_path / "rec"
+        args = ["reconstruct", "--input", str(ensemble), "--gamma-bar", repr(gamma)]
+        assert main(args + ["--dark", str(run / "dark.csv"), "--out", str(rec)]) == 0
+
+        def rows(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        assert rows(rec / "pm.csv") == rows(run / "pm.csv")
+
+
+class TestGainScalingInRun:
+    def test_baseline_is_the_main_fit(self, tmp_path):
+        config = from_dict({**BASE, "gain_scale_factors": [2.0]})
+        result = run_experiment(config, tmp_path / "out")
+        doc = json.loads(result.files["calibration"].read_text())
+        scaling = doc["checks"]["gain_scaling"]
+        assert scaling["baseline_intercept"] == doc["fit"]["intercept"]
+        assert scaling["baseline_intercept_se"] == doc["fit"]["intercept_se"]
+        assert result.verdicts["gain_scaling"] is not None
+
+    def test_skipped_without_a_calibration(self, tmp_path):
+        raw = {**BASE, "source": {"kind": "poisson", "mean": 1e-6}, "gain_scale_factors": [2.0]}
+        result = run_experiment(from_dict(raw), tmp_path / "out")
+        doc = json.loads(result.files["calibration"].read_text())
+        assert doc["fit"] is None and doc["fit_error"]
+        assert doc["checks"]["gain_scaling"] is None
+        assert result.verdicts["gain_scaling"] is None

@@ -160,12 +160,15 @@ class TestSimulateEnsemble:
         b = simulate_ensemble(*args, 40_000, seed=34)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_worker_count_invariance(self):
+    def test_same_seed_reproduces_across_chunks(self):
         n = (1 << 18) + 1234  # spans two chunks
         args = (make_poisson(3.0), 0.7, make_gain("gaussian", 10.0, 0.5), DarkNoiseModel(1.0))
-        serial = simulate_ensemble(*args, n, seed=35, workers=1)
-        parallel = simulate_ensemble(*args, n, seed=35, workers=2)
-        assert np.array_equal(serial.samples, parallel.samples)
+        a = simulate_ensemble(*args, n, seed=35)
+        b = simulate_ensemble(*args, n, seed=35)
+        assert np.array_equal(a.samples, b.samples)
+        # the chunk grid defines the substreams: chunk 0 does not depend on n
+        first = simulate_ensemble(*args, 1 << 18, seed=35)
+        assert np.array_equal(a.samples[: 1 << 18], first.samples)
 
     def test_gain_scale_multiplies_voltages(self):
         args = (make_poisson(5.0), 0.5, make_gain("gaussian", 100.0, 2.0), DarkNoiseModel(10.0))

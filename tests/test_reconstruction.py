@@ -64,6 +64,11 @@ class TestRebin:
         assert result.mean_m_hat == 3.0
         assert result.underflow_fraction == 0.0
 
+    def test_nan_never_reaches_rebin(self):
+        # a NaN used to be cast to INT64_MIN and counted as underflow
+        with pytest.raises(InvalidParameterError, match="2 of 4 samples are not finite"):
+            rebin(ensemble_from([np.nan, np.nan, GAIN, 2 * GAIN]), GAIN)
+
     def test_bin_edges_left_closed(self):
         ens = ensemble_from([-0.5, -0.51, 0.49, 0.5, 1.49])
         result = rebin(ens, 1.0)
