@@ -35,7 +35,7 @@ def main() -> int:
             "n_samples": args.n_samples,
             "seed": args.seed,
             "gain_scale_factors": [] if args.skip_scaling else [0.5, 2.0],
-            "reconstruction_n_samples": max(args.n_samples, 10**6),
+            "reconstruction_n_samples": 10 * args.n_samples,
         }
     )
     result = run_experiment(config, Path(args.out))

@@ -181,6 +181,8 @@ def eta_point_from_samples(
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise InvalidParameterError("need at least 2 samples per point")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("samples must be finite (found NaN or inf)")
     n = x.size
     mean = math.fsum(x) / n
     mu2 = math.fsum((x - mean) ** 2) / n

@@ -2,8 +2,15 @@
 
 Each photon is independently detected with probability eta, so the
 detected-count PMF is the binomial mixture of the source PMF.  The channel
-is provided both analytically (exact PMF convolution) and as a sampler
+is provided both analytically (the detected PMF) and as a sampler
 (binomial thinning of drawn photon numbers).
+
+The analytic channel has two paths.  A named source (Poisson, thermal,
+Fock) carries its thinned law from ``sources``, which is evaluated on
+0..n_max in O(n_max).  A table (``from_pmf``, ``detected_as_source``) is
+mixed with the exact binomial kernel of ``scipy.stats``, banded to where
+it holds all but ``KERNEL_EPS`` of its mass and built blockwise, so memory
+stays bounded and no term underflows before its true value does.
 """
 
 from __future__ import annotations
@@ -12,10 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
 from .errors import InvalidParameterError, UndefinedStatisticError
 from .moments import pmf_moments
 from .sources import PhotonNumberDistribution, _finalize, sample_n
+
+# binomial mass per photon number n that the table kernel may leave out
+KERNEL_EPS = 1e-30
+# photon numbers (kernel columns) per block of the table kernel
+KERNEL_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +41,7 @@ class DetectedPhotonDistribution:
     central_moments: tuple  # mu_2(m)..mu_5(m)
     eta: float
     source_ref: str
-    tail_mass: float
+    tail_mass: float  # 1 - sum(pmf): the mass past m_max
 
     def __post_init__(self):
         self.pmf.setflags(write=False)
@@ -41,47 +54,52 @@ def _check_eta(eta) -> float:
     return eta
 
 
+def _binomial_mix(pn: np.ndarray, eta: float) -> np.ndarray:
+    """sum_n B(m | n, eta) pn[n] for m = 0..n_max.
+
+    The kernel is built from ``stats.binom.pmf`` one block of KERNEL_BLOCK
+    columns n at a time, on the rows between the KERNEL_EPS lower quantile
+    of the block's first column and the upper quantile of its last one.
+    """
+    n_max = pn.size - 1
+    pm = np.zeros(n_max + 1)
+    starts = np.arange(0, n_max + 1, KERNEL_BLOCK)
+    lasts = np.minimum(starts + KERNEL_BLOCK, n_max + 1) - 1
+    # the upper quantile of Binomial(n, eta) is n minus the lower one of
+    # Binomial(n, 1-eta): scipy's isf saturates at n for tiny tail masses
+    lows = stats.binom.ppf(KERNEL_EPS, starts, eta).astype(np.int64)
+    highs = lasts - stats.binom.ppf(KERNEL_EPS, lasts, 1.0 - eta).astype(np.int64)
+    for c0, c1, r0, r1 in zip(starts, lasts + 1, lows, highs + 1):
+        kernel = stats.binom.pmf(np.arange(r0, r1), np.arange(c0, c1)[:, None], eta)
+        pm[r0:r1] += pn[c0:c1] @ kernel
+    return pm
+
+
 def apply_bernoulli(
     source: PhotonNumberDistribution, eta
 ) -> DetectedPhotonDistribution:
     """Propagate a photon-number PMF through the loss channel.
 
-    For each detected count m the binomial kernel over n is built by the
-    term recurrence B(n+1) = B(n) (1-eta) (n+1)/(n+1-m) starting from
-    B(m) = eta^m, which never touches a factorial; each column is then
-    accumulated with exact (compensated) summation.
+    A source with a thinning rule (``make_poisson``,
+    ``make_multimode_thermal``, ``make_thermal``, ``make_fock``) gets its
+    closed-form detected law evaluated on 0..n_max.  Any other source is a
+    table and goes through the exact binomial kernel.  Both paths keep
+    m_max == n_max and lose no mass to underflow at any photon number.
     """
     eta = _check_eta(eta)
-    pn = source.pmf
-    n_max = source.n_max
-    if eta == 1.0:
-        pm = pn.copy()
-    elif eta == 0.0:
-        pm = np.zeros(n_max + 1)
-        pm[0] = math.fsum(pn)
+    if source._thin is not None:
+        pm = source._thin(np.arange(source.n_max + 1), eta)
     else:
-        pm = np.empty(n_max + 1)
-        ns = np.arange(n_max + 1, dtype=float)
-        one_minus = 1.0 - eta
-        factors = np.empty(n_max + 1)
-        for m in range(n_max + 1):
-            # every partial product is the binomial pmf value B(n) <= 1, so
-            # the running product can neither overflow nor blow up even when
-            # the bare binomial coefficient would
-            factors[0] = eta**m
-            upper = ns[m + 1 :]
-            np.multiply(one_minus * upper, 1.0 / (upper - m), out=factors[1 : n_max + 1 - m])
-            kernel = np.cumprod(factors[: n_max + 1 - m])
-            pm[m] = math.fsum(kernel * pn[m:])
+        pm = _binomial_mix(source.pmf, eta)
     mean_m, central = pmf_moments(pm, order=5)
     return DetectedPhotonDistribution(
         pmf=pm,
-        m_max=n_max,
+        m_max=source.n_max,
         mean_m=mean_m,
         central_moments=central,
         eta=eta,
         source_ref=source.label,
-        tail_mass=source.tail_mass,
+        tail_mass=max(0.0, 1.0 - math.fsum(pm)),
     )
 
 

@@ -19,6 +19,9 @@ from .detector import DarkNoiseModel, GainModel, VoltageEnsemble, _gaussian_comp
 from .errors import InvalidParameterError
 from .loss import DetectedPhotonDistribution
 
+# highest photon-count bin rebin allocates (a 128 MB count array)
+MAX_REBIN_BINS = 2**24
+
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
@@ -91,15 +94,25 @@ def rebin(ensemble: VoltageEnsemble, gamma_bar: float) -> ReconstructionResult:
     """Bin voltages into photon counts: m = round(v / gamma_bar).
 
     Bin m covers [(m - 1/2) gamma_bar, (m + 1/2) gamma_bar); samples below
-    the zero bin are counted into m = 0 and reported as underflow.
+    the zero bin are counted into m = 0 and reported as underflow.  A sample
+    above bin MAX_REBIN_BINS is an outlier no detector produces and raises
+    InvalidParameterError.
     """
     gamma_bar = float(gamma_bar)
     if not (math.isfinite(gamma_bar) and gamma_bar > 0):
         raise InvalidParameterError(f"gamma_bar must be positive, got {gamma_bar}")
-    idx = np.floor(ensemble.samples / gamma_bar + 0.5).astype(np.int64)
-    under = idx < 0
-    underflow = float(np.count_nonzero(under)) / idx.size
-    idx[under] = 0
+    # bin in float: an integer cast first would wrap huge voltages negative
+    bins = np.floor(ensemble.samples / gamma_bar + 0.5)
+    under = bins < 0
+    underflow = float(np.count_nonzero(under)) / bins.size
+    bins[under] = 0
+    top = int(np.argmax(bins))
+    if bins[top] > MAX_REBIN_BINS:
+        raise InvalidParameterError(
+            f"voltage {ensemble.samples[top]:g} is {bins[top]:g} bins of "
+            f"gamma_bar={gamma_bar:g} above zero; rebin allows at most {MAX_REBIN_BINS}"
+        )
+    idx = bins.astype(np.int64)
     counts = np.bincount(idx)
     n = idx.size
     pmf_hat = counts / n
@@ -167,10 +180,9 @@ def compare(
     fidelity = float(np.sqrt(p_hat * p_ref).sum())
     n = result.n_samples
     z = np.full(p_ref.size, np.nan)
-    mask = (p_ref > 0) & (p_ref < 1)
-    z[mask] = (p_hat[mask] - p_ref[mask]) / np.sqrt(
-        p_ref[mask] * (1.0 - p_ref[mask]) / n
-    )
+    var = p_ref * (1.0 - p_ref) / n
+    mask = var > 0  # also drops reference bins whose variance underflows
+    z[mask] = (p_hat[mask] - p_ref[mask]) / np.sqrt(var[mask])
     max_abs_z = float(np.nanmax(np.abs(z))) if np.any(mask) else 0.0
     return ReconstructionMetrics(
         tv_distance=tv, fidelity=fidelity, z_scores=z, max_abs_z=max_abs_z

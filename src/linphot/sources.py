@@ -4,12 +4,19 @@ All constructors return a truncated PMF: entries are kept until the
 cumulative tail mass drops below a configurable epsilon, and the PMF is
 *not* renormalized afterwards; the missing probability is carried in
 ``tail_mass`` so downstream sums can propagate the truncation error.
+
+The named families also carry their law under binomial loss, which stays
+in the family: Poisson(mu) thins to Poisson(eta mu), the ``modes``-mode
+thermal NB(M, mu/M) to NB(M, eta mu/M) and Fock(n) to Binomial(n, eta).
+``loss.apply_bernoulli`` evaluates that rule instead of a kernel sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -31,6 +38,8 @@ class PhotonNumberDistribution:
     mandel_q: float | None
     label: str
     cdf: np.ndarray = field(repr=False, default=None)
+    # (k, eta) -> closed-form detected PMF at counts k; None for tables
+    _thin: Callable[[np.ndarray, float], np.ndarray] | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.cdf is None:
@@ -53,7 +62,7 @@ class PhotonNumberDistribution:
             assert self.mandel_q is None
 
 
-def _finalize(pmf: np.ndarray, label: str) -> PhotonNumberDistribution:
+def _finalize(pmf: np.ndarray, label: str, thin=None) -> PhotonNumberDistribution:
     pmf = np.ascontiguousarray(pmf, dtype=float)
     tail = max(0.0, 1.0 - math.fsum(pmf))
     mean, central = pmf_moments(pmf, order=2)
@@ -65,7 +74,20 @@ def _finalize(pmf: np.ndarray, label: str) -> PhotonNumberDistribution:
         mean_n=mean,
         mandel_q=q,
         label=label,
+        _thin=thin,
     )
+
+
+def _thin_poisson(mean, k, eta):
+    return stats.poisson.pmf(k, eta * mean)
+
+
+def _thin_nbinom(mean, modes, k, eta):
+    return stats.nbinom.pmf(k, modes, 1.0 / (1.0 + eta * mean / modes))
+
+
+def _thin_fock(n, k, eta):
+    return stats.binom.pmf(k, n, eta)
 
 
 def _truncate(pmf: np.ndarray, tail_eps: float) -> np.ndarray:
@@ -93,11 +115,12 @@ def make_poisson(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistri
     mean = _check_mean(mean)
     tail_eps = _check_eps(tail_eps)
     label = f"poisson(mean={mean:g})"
+    thin = partial(_thin_poisson, mean)
     if mean == 0:
-        return _finalize(np.array([1.0]), label)
+        return _finalize(np.array([1.0]), label, thin)
     n_hi = int(stats.poisson.isf(tail_eps, mean)) + 2
     pmf = stats.poisson.pmf(np.arange(n_hi + 1), mean)
-    return _finalize(_truncate(pmf, tail_eps), label)
+    return _finalize(_truncate(pmf, tail_eps), label, thin)
 
 
 def make_multimode_thermal(
@@ -114,28 +137,20 @@ def make_multimode_thermal(
         raise InvalidParameterError(f"modes must be a positive integer, got {modes!r}")
     modes = int(modes)
     label = f"multimode_thermal(mean={mean:g}, modes={modes})"
+    thin = partial(_thin_nbinom, mean, modes)
     if mean == 0:
-        return _finalize(np.array([1.0]), label)
+        return _finalize(np.array([1.0]), label, thin)
     x = mean / modes  # per-mode mean
     p = 1.0 / (1.0 + x)
     n_hi = int(stats.nbinom.isf(tail_eps, modes, p)) + 2
     pmf = stats.nbinom.pmf(np.arange(n_hi + 1), modes, p)
-    return _finalize(_truncate(pmf, tail_eps), label)
+    return _finalize(_truncate(pmf, tail_eps), label, thin)
 
 
 def make_thermal(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistribution:
     """Single-mode thermal (Bose-Einstein) photon statistics."""
     dist = make_multimode_thermal(mean, 1, tail_eps=tail_eps)
-    label = f"thermal(mean={float(mean):g})"
-    return PhotonNumberDistribution(
-        pmf=dist.pmf,
-        n_max=dist.n_max,
-        tail_mass=dist.tail_mass,
-        mean_n=dist.mean_n,
-        mandel_q=dist.mandel_q,
-        label=label,
-        cdf=dist.cdf,
-    )
+    return replace(dist, label=f"thermal(mean={float(mean):g})")
 
 
 def make_fock(n) -> PhotonNumberDistribution:
@@ -145,7 +160,7 @@ def make_fock(n) -> PhotonNumberDistribution:
     n = int(n)
     pmf = np.zeros(n + 1)
     pmf[n] = 1.0
-    return _finalize(pmf, f"fock(n={n})")
+    return _finalize(pmf, f"fock(n={n})", partial(_thin_fock, n))
 
 
 def from_pmf(table) -> PhotonNumberDistribution:

@@ -59,6 +59,12 @@ class TestEtaPoint:
         with pytest.raises(InvalidParameterError):
             eta_point_from_samples(0.1, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_raise(self, bad):
+        # a raw array with NaN used to give an all-NaN point
+        with pytest.raises(InvalidParameterError, match="finite"):
+            eta_point_from_samples(0.5, [100.0, bad, 300.0])
+
 
 class TestFitFanoLine:
     def test_exact_line_recovered(self):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from linphot import ConfigError, InvalidParameterError, VoltageEnsemble, run_experiment
 from linphot.cli import main
@@ -207,6 +208,27 @@ class TestCliCommands:
         assert main(["check", "--out", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "[PASS]" in captured and "[FAIL]" not in captured
+
+    def test_bright_light_run_reports_the_exact_tv(self, tmp_path):
+        # Poisson <n> = 1e4: the detected truth used to be all zeros above
+        # ~1074 counts, so pm_metrics reported TV 0.5 whatever pm.csv held
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"kind": "poisson", "mean": 1e4},
+                "gain": {"family": "gaussian", "gamma_bar": 100.0, "sigma": 0.0},
+                "n_samples": 2000,
+            },
+        )
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [r for r in (out / "pm.csv").read_text().splitlines() if not r.startswith("#")]
+        pm = np.array([float(r.split(",")[1]) for r in rows[1:]])
+        oracle = stats.poisson(0.5 * 1e4)
+        m = np.arange(pm.size)
+        tv = 0.5 * (np.abs(pm - oracle.pmf(m)).sum() + oracle.sf(m[-1]))
+        reported = json.loads((out / "pm_metrics.json").read_text())["tv_distance"]
+        assert reported == pytest.approx(tv, abs=1e-9)
 
     def test_moments_hand_case(self, tmp_path, capsys):
         path = tmp_path / "three.csv"

@@ -11,6 +11,7 @@ from linphot import (
     UndefinedStatisticError,
     apply_bernoulli,
     detected_fano,
+    from_pmf,
     make_fock,
     make_multimode_thermal,
     make_poisson,
@@ -18,7 +19,7 @@ from linphot import (
     sample_m,
     sample_n,
 )
-from linphot.loss import detected_as_source
+from linphot.loss import KERNEL_EPS, detected_as_source
 from linphot.streams import substream
 
 SOURCES = {
@@ -26,6 +27,7 @@ SOURCES = {
     "thermal": make_thermal(6.0),
     "multimode": make_multimode_thermal(12.0, 4),
     "fock": make_fock(9),
+    "bright": make_poisson(1e4),  # eta**m underflowed above ~1074 counts
 }
 
 
@@ -75,6 +77,47 @@ def test_mean_and_fano_identities(name, eta):
             assert detected_fano(det) == pytest.approx(0.0, abs=1e-12)
         else:
             assert detected_fano(det) == pytest.approx(expected, rel=1e-9)
+
+
+def test_bright_poisson_thins_to_poisson():
+    det = apply_bernoulli(make_poisson(1e4), 0.5)
+    expected = stats.poisson.pmf(np.arange(det.pmf.size), 5000.0)
+    assert np.max(np.abs(det.pmf - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "src",
+    [make_thermal(1000.0), make_multimode_thermal(3000.0, 4)],
+    ids=["thermal", "multimode"],
+)
+def test_bright_thermal_keeps_mass_and_mean(src):
+    det = apply_bernoulli(src, 0.5)
+    # thinning keeps at least the mass the truncated source had
+    assert 1.0 - src.tail_mass - 1e-15 <= math.fsum(det.pmf) <= 1.0 + 1e-15
+    assert det.tail_mass == pytest.approx(1.0 - math.fsum(det.pmf), abs=1e-15)
+    assert det.mean_m == pytest.approx(0.5 * src.mean_n, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "src", [make_poisson(1500.0), make_thermal(1000.0)], ids=["poisson", "thermal"]
+)
+def test_table_kernel_matches_closed_form(src):
+    table = from_pmf(src.pmf)
+    det = apply_bernoulli(table, 0.5)
+    assert np.max(np.abs(det.pmf - apply_bernoulli(src, 0.5).pmf)) <= 1e-12
+    assert abs(math.fsum(det.pmf) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+def test_table_kernel_is_exact_at_extreme_efficiencies(eta):
+    # a 2000-photon Fock table: one kernel column, far into the range where
+    # eta**m and (1 - eta)**n underflow; entries the kernel band leaves out
+    # are below its dropped mass
+    det = apply_bernoulli(from_pmf(make_fock(2000).pmf), eta)
+    expected = stats.binom.pmf(np.arange(2001), 2000, eta)
+    kept = expected >= KERNEL_EPS
+    assert np.max(np.abs(det.pmf[kept] / expected[kept] - 1.0)) < 1e-12
+    assert np.all(det.pmf[~kept] <= KERNEL_EPS)
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,6 +22,7 @@ from linphot import (
     simulate_ensemble,
     subtract_offset,
 )
+from linphot.reconstruction import MAX_REBIN_BINS
 from linphot.streams import substream
 
 GAIN = 100.0
@@ -68,6 +69,22 @@ class TestRebin:
         # a NaN used to be cast to INT64_MIN and counted as underflow
         with pytest.raises(InvalidParameterError, match="2 of 4 samples are not finite"):
             rebin(ensemble_from([np.nan, np.nan, GAIN, 2 * GAIN]), GAIN)
+
+    def test_huge_voltage_raises_instead_of_wrapping_to_underflow(self):
+        # the int64 cast used to wrap 1e300 to INT64_MIN: one m = 0 underflow
+        with pytest.raises(InvalidParameterError, match=r"voltage 1e\+300 .*gamma_bar=100"):
+            rebin(ensemble_from([0.0, 2 * GAIN, 1e300]), GAIN)
+
+    def test_outlier_bin_is_bounded(self):
+        # 1e10 V at gamma_bar 100 used to make bincount allocate 800 MB
+        assert 1e10 / GAIN > MAX_REBIN_BINS
+        with pytest.raises(InvalidParameterError, match=r"voltage 1e\+10 .*gamma_bar=100"):
+            rebin(ensemble_from([0.0, GAIN, 1e10]), GAIN)
+
+    def test_huge_negative_voltage_is_underflow(self):
+        result = rebin(ensemble_from([-1e300, 0.0, GAIN]), GAIN)
+        assert result.counts.tolist() == [2, 1]
+        assert result.underflow_fraction == pytest.approx(1 / 3)
 
     def test_bin_edges_left_closed(self):
         ens = ensemble_from([-0.5, -0.51, 0.49, 0.5, 1.49])
@@ -171,6 +188,16 @@ class TestCompare:
         metrics = compare(result, det)
         assert metrics.tv_distance == pytest.approx(1.0)
         assert metrics.fidelity == pytest.approx(0.0)
+
+    def test_z_scores_skip_reference_bins_with_underflowing_variance(self):
+        # Poisson(5000) has subnormal entries far in its tail; their binomial
+        # variance underflows to 0 and used to give z = inf
+        det = apply_bernoulli(make_poisson(1e4), 0.5)
+        assert np.any((det.pmf > 0) & (det.pmf / 1000 == 0))
+        result = rebin(ensemble_from(np.full(1000, 5000 * GAIN)), GAIN)
+        with np.errstate(divide="raise"):
+            metrics = compare(result, det)
+        assert math.isfinite(metrics.max_abs_z)
 
     def test_fock_binomial_reconstruction(self):
         src = make_fock(40)
