@@ -5,6 +5,12 @@ single-photon gain draws + baseline noise) + raw offset.  The gain draw
 distribution is parameterized by its mean ``gamma_bar`` and spread
 ``sigma``; the baseline (dark) noise is zero-mean gaussian after the
 offset convention is applied.
+
+The simulator never draws the m gains of a shot one by one when the sum
+has a closed form: the sum of m gaussian gains is Normal(m gamma_bar,
+m sigma^2) and the sum of m Gamma(k, theta) gains is Gamma(m k, theta),
+so each shot costs one draw however many photons it holds.  Only the
+``empirical`` family, which has no closed-form sum, draws per photon.
 """
 
 from __future__ import annotations
@@ -63,6 +69,26 @@ class GainModel:
             return rng.gamma(shape, scale, size)
         u = rng.random(size)
         return np.interp(u, self.inv_cdf_u, self.grid)
+
+    def sample_sums(self, rng: np.random.Generator, counts) -> np.ndarray:
+        """For each count m, draw the sum of m independent gain values.
+
+        Exact in distribution: Normal(m gamma_bar, m sigma^2) for the
+        gaussian family and Gamma(m k, theta) for the gamma family, one
+        draw per count; a zero count gives exactly 0 (numpy returns loc for
+        scale 0 and 0 for shape 0).  The empirical family sums per-photon
+        draws.
+        """
+        counts = np.asarray(counts)
+        if self.sigma2 == 0.0 and self.family != "empirical":
+            return counts * self.gamma_bar
+        if self.family == "gaussian":
+            return rng.normal(counts * self.gamma_bar, self.sigma * np.sqrt(counts))
+        if self.family == "gamma":
+            shape = self.gamma_bar**2 / self.sigma2
+            scale = self.sigma2 / self.gamma_bar
+            return rng.gamma(counts * shape, scale)
+        return _segment_sums(self.sample(rng, int(counts.sum())), counts)
 
 
 @dataclass(frozen=True)
@@ -192,19 +218,13 @@ def sample_voltage(
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
         raise InvalidParameterError(f"m must be a nonnegative integer, got {m!r}")
     v = float(dark.sample(rng, 1)[0]) + dark.offset_raw
-    if m > 0:
-        if gain.sigma2 == 0.0 and gain.family != "empirical":
-            v += m * gain.gamma_bar
-        else:
-            v += math.fsum(gain.sample(rng, int(m)))
-    return v
+    return v + float(gain.sample_sums(rng, [m])[0])
 
 
 def _segment_sums(draws: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-shot sums of consecutive draw segments of the given lengths."""
-    out = np.zeros(counts.size)
     if draws.size == 0:
-        return out
+        return np.zeros(counts.size)
     starts = np.cumsum(counts) - counts
     out = np.add.reduceat(np.append(draws, 0.0), starts)
     out[counts == 0] = 0.0
@@ -214,12 +234,7 @@ def _segment_sums(draws: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _simulate_chunk(source, eta, gain, dark, size, seed, key) -> np.ndarray:
     rng = substream(seed, key)
     n = sample_n(source, rng, size=size)
-    m = rng.binomial(n, eta)
-    if gain.sigma2 == 0.0 and gain.family != "empirical":
-        v = m * gain.gamma_bar
-    else:
-        draws = gain.sample(rng, int(m.sum()))
-        v = _segment_sums(draws, m)
+    v = gain.sample_sums(rng, rng.binomial(n, eta))
     if dark.sigma0 > 0:
         v = v + rng.normal(0.0, dark.sigma0, size)
     return v
@@ -241,8 +256,12 @@ def simulate_ensemble(
 
     Shots are generated on a fixed chunk grid of substreams keyed by
     (seed, stream_key, chunk index), so the output depends only on those
-    and on the models.  ``gain_scale`` models a known post-detector
-    amplification / digitizer-scale factor applied to every voltage.
+    and on the models.  Each chunk draws the photon numbers n, the detected
+    counts m ~ Binomial(n, eta), each shot's summed gain in one draw
+    (:meth:`GainModel.sample_sums`; per photon for the empirical family)
+    and then the dark noise, so the cost per shot does not grow with m.
+    ``gain_scale`` models a known post-detector amplification /
+    digitizer-scale factor applied to every voltage.
     """
     eta = float(eta)
     if not (0.0 <= eta <= 1.0):
@@ -292,11 +311,13 @@ def _gaussian_components(
     return detected.pmf[mask], centers[mask], var[mask]
 
 
-def _mixture_eval(v, p, centers, var, kernel, block=1 << 16):
-    # blockwise so a million-point grid never allocates the full (N, K) matrix
+def _mixture_eval(v, p, centers, var, kernel, max_entries=1 << 22):
+    # blockwise so neither a million-point grid nor the thousands of
+    # components of a bright source allocate the full (N, K) matrix
     v = np.asarray(v, dtype=float)
     out = np.empty(v.size)
     sd = np.sqrt(var)
+    block = max(1, max_entries // centers.size)
     for lo in range(0, v.size, block):
         z = (v[lo : lo + block, None] - centers[None, :]) / sd
         out[lo : lo + block] = kernel(z, sd) @ p

@@ -139,6 +139,14 @@ class TestSimulateEnsemble:
         assert ens.samples.mean() == pytest.approx(0.0, abs=5 * 10.0 / math.sqrt(50_000))
         assert ens.samples.std() == pytest.approx(10.0, rel=0.05)
 
+    def test_vacuum_source_with_gamma_gain_is_all_zero(self):
+        # zero photons give a gamma sum of shape 0, which numpy draws as exactly 0
+        ens = simulate_ensemble(
+            make_poisson(0.0), 0.5, make_gain("gamma", 100.0, 10.0),
+            DarkNoiseModel(0.0), 10_000, seed=41,
+        )
+        assert np.all(ens.samples == 0.0)
+
     def test_noiseless_single_photon(self):
         ens = simulate_ensemble(
             make_fock(1), 1.0, make_gain("gaussian", 100.0, 0.0),
@@ -282,3 +290,36 @@ class TestAnalyticPv:
         ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
         bound = 5 * math.sqrt(math.log(2 / 0.001) / (2 * n))
         assert ks < bound
+
+
+class TestCompoundSumSampler:
+    """One gain draw per shot in the bright regime, against independent oracles."""
+
+    def test_bright_gaussian_matches_mixture_cdf(self):
+        # the gain term of the variance (5000 * 100^2) equals the photon
+        # term (100^2 * 5000), so a wrong sum variance moves the CDF visibly
+        gain = make_gain("gaussian", 100.0, 100.0)
+        dark = DarkNoiseModel(10.0)
+        n = 20_000
+        ens = simulate_ensemble(make_poisson(1e4), 0.5, gain, dark, n, seed=42)
+        x = np.sort(ens.samples)
+        cdf = analytic_pv_cdf_gaussian(ens.truth, gain, dark, x)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks < math.sqrt(math.log(2 / 0.001) / (2 * n))
+
+    @pytest.mark.parametrize(
+        "source,sigma",
+        [(make_thermal(1000.0), 30.0), (make_poisson(1e4), 50.0)],
+        ids=["thermal-1000", "poisson-1e4"],
+    )
+    def test_bright_gamma_central_moments(self, source, sigma):
+        gain = make_gain("gamma", 100.0, sigma)
+        dark = DarkNoiseModel(10.0)
+        ens = simulate_ensemble(source, 0.5, gain, dark, 10**5, seed=43)
+        exact = analytic_voltage_moments(ens.truth, gain, dark, 4)
+        sampled = sample_moments(ens.samples, 4)
+        for r in (2, 3, 4):
+            se = block_jackknife_se(
+                ens.samples, lambda v, r=r: np.mean((v - v.mean()) ** r), n_blocks=20
+            )
+            assert sampled.central_moment(r) == pytest.approx(exact.central_moment(r), abs=5 * se)
