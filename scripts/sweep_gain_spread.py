@@ -58,9 +58,7 @@ def main() -> int:
         )
         tvs, uf = [], []
         for seed in range(args.seeds):
-            ens = simulate_ensemble(
-                source, args.eta, gain, dark, args.n_samples, seed=seed, keep_truth=False
-            )
+            ens = simulate_ensemble(source, args.eta, gain, dark, args.n_samples, seed=seed)
             result = rebin(ens, args.gamma_bar)
             tvs.append(compare(result, detected).tv_distance)
             uf.append(result.underflow_fraction)

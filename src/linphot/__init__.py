@@ -24,7 +24,6 @@ from .detector import (
     analytic_pv_cdf_gaussian,
     analytic_pv_gaussian,
     make_gain,
-    sample_voltage,
     simulate_ensemble,
 )
 from .errors import (
@@ -60,7 +59,6 @@ from .reconstruction import (
     self_consistency_check,
     subtract_offset,
     total_variation,
-    with_reference_metrics,
 )
 from .sources import (
     PhotonNumberDistribution,
@@ -124,11 +122,9 @@ __all__ = [
     "sample_m",
     "sample_moments",
     "sample_n",
-    "sample_voltage",
     "scale_cumulants",
     "self_consistency_check",
     "simulate_ensemble",
     "subtract_offset",
     "total_variation",
-    "with_reference_metrics",
 ]

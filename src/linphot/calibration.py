@@ -248,7 +248,6 @@ def iter_eta_series(
             seed,
             stream_key=tuple(stream_tag) + (i,),
             gain_scale=gain_scale,
-            keep_truth=False,
         )
         yield eta_point_from_samples(eta, ens.samples, dark_variance=dark_var), ens
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .calibration import MIN_ETA_POINTS, MIN_SAMPLES_PER_POINT, default_eta_series
-from .detector import DarkNoiseModel, GainModel, make_gain
+from .detector import GAIN_FAMILIES, DarkNoiseModel, GainModel, make_gain
 from .errors import ConfigError
 from .sources import (
     DEFAULT_TAIL_EPS,
@@ -166,9 +166,9 @@ def from_dict(raw: dict) -> RunConfig:
     _require(isinstance(g, dict), "gain", "must be an object")
     family = g.get("family", "gaussian")
     _require(
-        family in ("gaussian", "gamma"),
+        family in GAIN_FAMILIES,
         "gain.family",
-        f"must be 'gaussian' or 'gamma', got {family!r}",
+        f"must be one of {GAIN_FAMILIES}, got {family!r}",
     )
     gamma_bar = g.get("gamma_bar")
     _require(

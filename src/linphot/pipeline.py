@@ -22,13 +22,14 @@ from .calibration import (
 from .detector import simulate_ensemble
 from .errors import LinphotError
 from .files import write_ensemble_csv, write_json, write_pm_csv
+from .loss import apply_bernoulli
 from .moments import analytic_voltage_moments, sample_moments
 from .reconstruction import (
     ReconstructionResult,
+    compare,
     rebin,
     self_consistency_check,
     subtract_offset,
-    with_reference_metrics,
 )
 from .streams import DARK, RECONSTRUCTION
 
@@ -54,8 +55,7 @@ def simulate_sweep(config, source, gain, dark, out: Path, header: dict):
     """
     # eta = 0 yields the dark record only
     dark_ens = simulate_ensemble(
-        source, 0.0, gain, dark, config.n_samples, config.seed,
-        stream_key=(DARK,), keep_truth=False,
+        source, 0.0, gain, dark, config.n_samples, config.seed, stream_key=(DARK,)
     )
     files = {"dark": out / "dark.csv"}
     write_ensemble_csv(files["dark"], dark_ens, extra_header=header)
@@ -208,8 +208,8 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     shifted, result, mean_v, consistency = reconstruct(
         rec_ens, float(dark_ens.samples.mean()), gamma_used, se_gamma
     )
-    truth = rec_ens.truth
-    result = with_reference_metrics(result, truth)
+    truth = apply_bernoulli(source, config.reconstruct_eta)
+    result = compare(result, truth)
     extra = {
         "gamma_bar_source": gamma_source,
         "tv_distance": result.tv_distance,

@@ -63,23 +63,6 @@ class SelfConsistencyReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionMetrics:
-    """Distance of a reconstruction from a reference PMF."""
-
-    tv_distance: float
-    fidelity: float
-    z_scores: np.ndarray
-    max_abs_z: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tv_distance": self.tv_distance,
-            "fidelity": self.fidelity,
-            "max_abs_z": self.max_abs_z,
-        }
-
-
 def subtract_offset(ensemble: VoltageEnsemble, dark_mean: float) -> VoltageEnsemble:
     """Shift every sample by the measured dark mean (zero-setting)."""
     dark_mean = float(dark_mean)
@@ -173,29 +156,13 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 def compare(
     result: ReconstructionResult, reference: DetectedPhotonDistribution
-) -> ReconstructionMetrics:
-    """Total-variation distance, overlap fidelity and per-bin z-scores."""
-    p_hat, p_ref = _pad_common(result.pmf_hat, reference.pmf)
-    tv = total_variation(p_hat, p_ref)
-    fidelity = float(np.sqrt(p_hat * p_ref).sum())
-    n = result.n_samples
-    z = np.full(p_ref.size, np.nan)
-    var = p_ref * (1.0 - p_ref) / n
-    mask = var > 0  # also drops reference bins whose variance underflows
-    z[mask] = (p_hat[mask] - p_ref[mask]) / np.sqrt(var[mask])
-    max_abs_z = float(np.nanmax(np.abs(z))) if np.any(mask) else 0.0
-    return ReconstructionMetrics(
-        tv_distance=tv, fidelity=fidelity, z_scores=z, max_abs_z=max_abs_z
-    )
-
-
-def with_reference_metrics(
-    result: ReconstructionResult, reference: DetectedPhotonDistribution
 ) -> ReconstructionResult:
-    """Copy of ``result`` with the reference-distance fields filled in."""
-    metrics = compare(result, reference)
+    """Copy of ``result`` with its TV distance and fidelity to ``reference``."""
+    p_hat, p_ref = _pad_common(result.pmf_hat, reference.pmf)
     return replace(
-        result, tv_distance=metrics.tv_distance, fidelity=metrics.fidelity
+        result,
+        tv_distance=total_variation(p_hat, p_ref),
+        fidelity=float(np.sqrt(p_hat * p_ref).sum()),
     )
 
 

@@ -174,7 +174,7 @@ def test_criterion_3_exact_moment_oracle():
         gain = make_gain("gaussian", GAIN, 2.0)
         dark = DarkNoiseModel(10.0)
         ens = simulate_ensemble(make_poisson(100.0), 0.25, gain, dark, 10**6, seed=301)
-        exact = analytic_voltage_moments(ens.truth, gain, dark, 4)
+        exact = analytic_voltage_moments(det, gain, dark, 4)
         sampled = sample_moments(ens.samples, 4)
         se_mean = float(ens.samples.std(ddof=1)) / 1000.0
         assert sampled.mean == pytest.approx(exact.mean, abs=5 * se_mean)
@@ -280,11 +280,10 @@ def test_criterion_7_reconstruction():
         for i, (name, src, eta) in enumerate(cases):
             ens = simulate_ensemble(src, eta, gain, dark, 10**6, seed=701 + i)
             result = rebin(ens, GAIN)
-            metrics = compare(result, ens.truth)
+            det = apply_bernoulli(src, eta)
+            metrics = compare(result, det)
             # pilot oracle: misassignment alone must sit far below the budget
-            pilot = pad_tv(
-                expected_rebinned_pmf(ens.truth, gain, dark, GAIN), ens.truth.pmf
-            )
+            pilot = pad_tv(expected_rebinned_pmf(det, gain, dark, GAIN), det.pmf)
             assert pilot < 0.01
             assert metrics.tv_distance < 0.02
             print(

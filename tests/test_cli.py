@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -119,6 +120,19 @@ class TestConfig:
             from_dict({**BASE, "eta_series": [0.1, 0.5, 0.5], "gain_scale_factors": [2.0]})
         # without the check the same sample count is a valid run
         from_dict({**BASE, "n_samples": 9_999})
+
+    @pytest.mark.parametrize("family", ["empirical", "lognormal"])
+    def test_unknown_gain_family_names_field(self, family):
+        with pytest.raises(ConfigError, match="gain.family"):
+            from_dict({**BASE, "gain": {**BASE["gain"], "family": family}})
+
+    @pytest.mark.parametrize("family", ["empirical", "lognormal"])
+    def test_unknown_gain_family_exits_2(self, tmp_path, capsys, family):
+        cfg = write_config(tmp_path, {"gain": {**BASE["gain"], "family": family}})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "gain.family" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_design_error_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n_samples": 2000, "gain_scale_factors": [2.0]})
@@ -323,6 +337,33 @@ class TestCliCommands:
         cfg = write_config(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 2
         assert "out_dir" in capsys.readouterr().err
+
+
+# SHA-256 of every artifact of ``run_experiment`` on BASE.  The pins pin the
+# random stream: they change only in a change that means to move it, and
+# CHANGES.md then says so.  They assume the draws of the numpy release the
+# suite runs with (PCG64 uniform, binomial, normal and gamma), which numpy
+# may change between releases.
+ARTIFACT_SHA256 = {
+    "calibration.json": "390acf2a6f16c9847a7594dcb7fe049825474ea6e9e031fcb973524a18453cbd",
+    "config.json": "8eda591e739779df11b5006369ad862fff24dd806eca67b1bb12d53f19a19996",
+    "dark.csv": "b9b5f79037510310b89e21cbb3fb3cfaf8f667cf6d5f40977e16cfd9c3a1cd0f",
+    "ensemble_00_eta_0.100000.csv": "24acd7f1598e275146b683b19693612fc61b9a99cdc66ac7522cb2418c21e729",
+    "ensemble_01_eta_0.300000.csv": "45b36d36690324c80a10ef3b0c165ff0aa5e1681486132a17feeaa915d7401c8",
+    "ensemble_02_eta_0.500000.csv": "d20d757283b1f2306d4e6068732530cf0b00bd393eaa03c7594e28f8c6ebda7e",
+    "pm.csv": "aaad6a6071ac87d3f89cd0415ec95d1665ddbcca990c9b801d81834a8e1ac901",
+    "pm_metrics.json": "13e9011b35a1229ceed863fb2bd6fa2b68d487e38e1701ff60c6efb071fa391e",
+    "reconstruction_eta_0.500000.csv": "92ab91f927f1320f326205f0c09d667eae497a001673a7bb91a5d818144b2db3",
+    "report.md": "f52f8c18b34c2d0cd3d32996e3d88be71fb3fa461cfeeaf30eba914f7c4744f7",
+}
+
+
+def test_artifacts_match_pinned_hashes(tmp_path):
+    result = run_experiment(from_dict(BASE), tmp_path / "out")
+    written = {path.name: path for path in result.files.values()}
+    assert sorted(written) == sorted(ARTIFACT_SHA256)
+    for name, path in written.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ARTIFACT_SHA256[name], name
 
 
 def test_two_cli_runs_are_byte_identical(tmp_path):

@@ -17,10 +17,8 @@ from linphot import (
     make_poisson,
     make_thermal,
     sample_moments,
-    sample_voltage,
     simulate_ensemble,
 )
-from linphot.detector import _segment_sums
 from linphot.streams import substream
 
 
@@ -44,29 +42,6 @@ class TestMakeGain:
         assert g.cumulants == (100.0, 4.0, 0.0, 0.0, 0.0)
         assert g.central_moments == pytest.approx((4.0, 0.0, 48.0, 0.0))
 
-    def test_empirical_matches_gaussian_shape(self):
-        x = np.linspace(40.0, 160.0, 4001)
-        dens = np.exp(-0.5 * (x - 100.0) ** 2 / 7.0**2)
-        g = make_gain("empirical", 100.0, empirical_table=(x, dens))
-        assert g.gamma_bar == pytest.approx(100.0, rel=1e-12)
-        assert g.sigma2 == pytest.approx(49.0, rel=1e-5)
-        assert g.cumulants[2] == pytest.approx(0.0, abs=1e-3)
-
-    def test_empirical_rescales_to_requested_mean(self):
-        x = np.linspace(0.0, 10.0, 2001)
-        dens = np.where(x < 5.0, x, 10.0 - x)  # triangle, mean 5
-        g = make_gain("empirical", 80.0, empirical_table=(x, dens))
-        assert g.gamma_bar == pytest.approx(80.0, rel=1e-12)
-
-    def test_empirical_sampling_moments(self):
-        x = np.linspace(0.0, 10.0, 2001)
-        dens = np.where(x < 5.0, x, 10.0 - x)
-        g = make_gain("empirical", 5.0, empirical_table=(x, dens))
-        draws = g.sample(substream(21), 10**5)
-        assert draws.mean() == pytest.approx(5.0, abs=5 * draws.std() / math.sqrt(draws.size))
-        mset = sample_moments(draws, 3)
-        assert mset.central_moment(2) == pytest.approx(g.sigma2, rel=0.02)
-
     def test_errors(self):
         with pytest.raises(InvalidParameterError):
             make_gain("lognormal", 100.0, 1.0)
@@ -76,58 +51,12 @@ class TestMakeGain:
             make_gain("gaussian", 100.0, -1.0)
         with pytest.raises(InvalidParameterError):
             make_gain("empirical", 100.0)
-        with pytest.raises(InvalidParameterError):
-            make_gain("empirical", 100.0, empirical_table=([0, 1], [1, -1]))
 
 
 def test_dark_noise_validation():
     with pytest.raises(InvalidParameterError):
         DarkNoiseModel(sigma0=-1.0)
     assert DarkNoiseModel(sigma0=0.0).sample(substream(1), 5).tolist() == [0.0] * 5
-
-
-class TestSampleVoltage:
-    def test_dark_only_zero(self):
-        v = sample_voltage(0, make_gain("gaussian", 100.0, 2.0), DarkNoiseModel(0.0), substream(2))
-        assert v == 0.0
-
-    def test_degenerate_chain_exact(self):
-        v = sample_voltage(3, make_gain("gaussian", 100.0, 0.0), DarkNoiseModel(0.0), substream(3))
-        assert v == 300.0
-
-    def test_single_photon_mean(self):
-        gain = make_gain("gaussian", 100.0, 2.0)
-        dark = DarkNoiseModel(0.0)
-        rng = substream(4)
-        n = 20000
-        vals = np.array([sample_voltage(1, gain, dark, rng) for _ in range(n)])
-        assert vals.mean() == pytest.approx(100.0, abs=5 * 2.0 / math.sqrt(n))
-
-    def test_single_photon_mean_million_shots(self):
-        # one gain draw per shot: fock(1) at full efficiency
-        ens = simulate_ensemble(
-            make_fock(1), 1.0, make_gain("gaussian", 100.0, 2.0),
-            DarkNoiseModel(0.0), 10**6, seed=30,
-        )
-        assert ens.samples.mean() == pytest.approx(100.0, abs=5 * 2.0 / 10**3)
-
-    def test_invalid_m(self):
-        with pytest.raises(InvalidParameterError):
-            sample_voltage(-1, make_gain("gaussian", 1.0, 0.0), DarkNoiseModel(0.0), substream(5))
-
-
-def test_segment_sums_against_loop():
-    rng = np.random.default_rng(6)
-    counts = rng.integers(0, 5, 200)
-    counts[::7] = 0  # exercise empty segments
-    draws = rng.normal(0, 1, int(counts.sum()))
-    got = _segment_sums(draws, counts)
-    pos = 0
-    for i, c in enumerate(counts):
-        expected = draws[pos : pos + c].sum()
-        pos += c
-        assert got[i] == pytest.approx(expected, abs=1e-12)
-    assert _segment_sums(np.array([]), np.zeros(3, dtype=int)).tolist() == [0, 0, 0]
 
 
 class TestSimulateEnsemble:
@@ -140,12 +69,14 @@ class TestSimulateEnsemble:
         assert ens.samples.std() == pytest.approx(10.0, rel=0.05)
 
     def test_vacuum_source_with_gamma_gain_is_all_zero(self):
-        # zero photons give a gamma sum of shape 0, which numpy draws as exactly 0
-        ens = simulate_ensemble(
-            make_poisson(0.0), 0.5, make_gain("gamma", 100.0, 10.0),
-            DarkNoiseModel(0.0), 10_000, seed=41,
-        )
-        assert np.all(ens.samples == 0.0)
+        # zero photons give a gamma sum of shape 0, which numpy draws as
+        # exactly 0; a gaussian sum of scale 0 is drawn as its mean, 0
+        for gain in (make_gain("gamma", 100.0, 10.0), make_gain("gaussian", 100.0, 2.0)):
+            ens = simulate_ensemble(
+                make_poisson(0.0), 0.5, gain,
+                DarkNoiseModel(0.0), 10_000, seed=41,
+            )
+            assert np.all(ens.samples == 0.0)
 
     def test_noiseless_single_photon(self):
         ens = simulate_ensemble(
@@ -153,6 +84,21 @@ class TestSimulateEnsemble:
             DarkNoiseModel(0.0), 1000, seed=32,
         )
         assert np.all(ens.samples == 100.0)
+
+    def test_degenerate_chain_exact(self):
+        ens = simulate_ensemble(
+            make_fock(3), 1.0, make_gain("gaussian", 100.0, 0.0),
+            DarkNoiseModel(0.0), 1000, seed=3,
+        )
+        assert np.all(ens.samples == 300.0)
+
+    def test_single_photon_mean_million_shots(self):
+        # one gain draw per shot: fock(1) at full efficiency
+        ens = simulate_ensemble(
+            make_fock(1), 1.0, make_gain("gaussian", 100.0, 2.0),
+            DarkNoiseModel(0.0), 10**6, seed=30,
+        )
+        assert ens.samples.mean() == pytest.approx(100.0, abs=5 * 2.0 / 10**3)
 
     def test_mean_identity_reference(self):
         ens = simulate_ensemble(
@@ -197,21 +143,13 @@ class TestSimulateEnsemble:
         gain = make_gain(family, 100.0, sigma)
         dark = DarkNoiseModel(sigma0)
         ens = simulate_ensemble(src, eta, gain, dark, 2 * 10**5, seed=37)
-        det = ens.truth
+        det = apply_bernoulli(src, eta)
         x = ens.samples
         se_mean = x.std(ddof=1) / math.sqrt(x.size)
         assert x.mean() == pytest.approx(det.mean_m * 100.0, abs=5 * se_mean)
         var_expected = 100.0**2 * det.central_moments[0] + det.mean_m * sigma**2 + sigma0**2
         se_var = block_jackknife_se(x, np.var, n_blocks=20)
         assert np.var(x) == pytest.approx(var_expected, abs=5 * se_var)
-
-    def test_empirical_gain_chain_runs(self):
-        grid = np.linspace(20.0, 180.0, 1001)
-        dens = np.exp(-0.5 * (grid - 100.0) ** 2 / 15.0**2)
-        gain = make_gain("empirical", 100.0, empirical_table=(grid, dens))
-        ens = simulate_ensemble(make_poisson(10.0), 0.5, gain, DarkNoiseModel(5.0), 50_000, seed=38)
-        se = ens.samples.std(ddof=1) / math.sqrt(ens.n_samples)
-        assert ens.samples.mean() == pytest.approx(500.0, abs=5 * se)
 
     def test_invalid_args(self):
         src = make_poisson(1.0)
@@ -284,7 +222,7 @@ class TestAnalyticPv:
         n = 10**6
         ens = simulate_ensemble(src, eta, gain, dark, n, seed=39)
         x = np.sort(ens.samples)
-        cdf = analytic_pv_cdf_gaussian(ens.truth, gain, dark, x)
+        cdf = analytic_pv_cdf_gaussian(apply_bernoulli(src, eta), gain, dark, x)
         ecdf_hi = np.arange(1, n + 1) / n
         ecdf_lo = np.arange(0, n) / n
         ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
@@ -301,9 +239,10 @@ class TestCompoundSumSampler:
         gain = make_gain("gaussian", 100.0, 100.0)
         dark = DarkNoiseModel(10.0)
         n = 20_000
-        ens = simulate_ensemble(make_poisson(1e4), 0.5, gain, dark, n, seed=42)
+        src = make_poisson(1e4)
+        ens = simulate_ensemble(src, 0.5, gain, dark, n, seed=42)
         x = np.sort(ens.samples)
-        cdf = analytic_pv_cdf_gaussian(ens.truth, gain, dark, x)
+        cdf = analytic_pv_cdf_gaussian(apply_bernoulli(src, 0.5), gain, dark, x)
         ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
         assert ks < math.sqrt(math.log(2 / 0.001) / (2 * n))
 
@@ -316,7 +255,7 @@ class TestCompoundSumSampler:
         gain = make_gain("gamma", 100.0, sigma)
         dark = DarkNoiseModel(10.0)
         ens = simulate_ensemble(source, 0.5, gain, dark, 10**5, seed=43)
-        exact = analytic_voltage_moments(ens.truth, gain, dark, 4)
+        exact = analytic_voltage_moments(apply_bernoulli(source, 0.5), gain, dark, 4)
         sampled = sample_moments(ens.samples, 4)
         for r in (2, 3, 4):
             se = block_jackknife_se(
