@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidParameterError, UnsupportedOracleError
-from .loss import DetectedPhotonDistribution, sample_m
+from .loss import DetectedPhotonDistribution, _check_eta, sample_m
 from .moments import central_from_raw, raw_moments_from_cumulants
 from .sources import PhotonNumberDistribution
 from .streams import chunk_sizes, substream
@@ -174,9 +173,7 @@ def simulate_ensemble(
     voltage; the raw offset is added last.  The detected-count PMF the
     shots are drawn from is ``loss.apply_bernoulli(source, eta)``.
     """
-    eta = float(eta)
-    if not (0.0 <= eta <= 1.0):
-        raise InvalidParameterError(f"eta must lie in [0, 1], got {eta}")
+    eta = _check_eta(eta)
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
     gain_scale = float(gain_scale)
@@ -261,5 +258,7 @@ def analytic_pv_cdf_gaussian(
     v,
 ) -> np.ndarray:
     """CDF of the gaussian-mixture voltage density (for distribution tests)."""
+    from scipy.special import ndtr
+
     p, centers, var = _gaussian_components(detected, gain, dark)
     return _mixture_eval(v, p, centers, var, lambda z, sd: ndtr(z))

@@ -1,14 +1,18 @@
 """On-disk interchange formats: ensemble CSV, P_m CSV and JSON artifacts.
 
-Ensemble CSV: ``# key=value`` header lines (eta, required, then seed and
-gain_scale), then one voltage per line in full-precision scientific
-notation.  JSON artifacts are written with sorted keys so repeated runs
-are byte-identical.
+Ensemble CSV: ``# key=value`` header lines (eta, required, then seed,
+gain_scale and n_samples), then one voltage per line.  The sample format
+is fixed byte for byte: each line is ``"%.17e\n" % v``, exactly what
+``np.savetxt(fmt="%.17e")`` writes, so every sample reads back bit for bit.
+A file whose ``n_samples`` header disagrees with its sample lines, or
+whose last line is unterminated, is rejected as truncated.  JSON artifacts are written with sorted keys so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,9 @@ import numpy as np
 from .detector import VoltageEnsemble
 from .errors import InvalidParameterError
 from .reconstruction import ReconstructionResult
+
+# samples formatted per write: bounds the memory of the Python floats
+CSV_BLOCK = 4096
 
 
 def write_ensemble_csv(path, ensemble: VoltageEnsemble, extra_header: dict | None = None) -> None:
@@ -31,7 +38,10 @@ def write_ensemble_csv(path, ensemble: VoltageEnsemble, extra_header: dict | Non
     with open(path, "w") as fh:
         for key, value in headers:
             fh.write(f"# {key}={value}\n")
-        np.savetxt(fh, ensemble.samples, fmt="%.17e")
+        samples = ensemble.samples
+        for lo in range(0, samples.size, CSV_BLOCK):
+            block = samples[lo : lo + CSV_BLOCK].tolist()
+            fh.write("".join(["%.17e\n" % v for v in block]))
 
 
 def read_ensemble_csv(path) -> VoltageEnsemble:
@@ -49,9 +59,23 @@ def read_ensemble_csv(path) -> VoltageEnsemble:
                 meta[key.strip()] = value.strip()
     if "eta" not in meta:
         raise InvalidParameterError(f"ensemble file has no '# eta=' header: {path}")
-    samples = np.loadtxt(path, comments="#", ndmin=1)
+    try:
+        samples = np.loadtxt(path, comments="#", ndmin=1)
+    except ValueError as exc:
+        raise InvalidParameterError(f"ensemble file has a malformed voltage line: {path}: {exc}") from exc
     if samples.size == 0:
         raise InvalidParameterError(f"ensemble file has no samples: {path}")
+    if "n_samples" in meta:
+        # a file cut inside its last line still holds n_samples numbers
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            complete = fh.read(1) == b"\n"
+        if meta["n_samples"] != str(samples.size) or not complete:
+            raise InvalidParameterError(
+                f"ensemble file is truncated: header n_samples={meta['n_samples']}, "
+                f"{samples.size} voltage lines read"
+                f"{'' if complete else ', the last one unterminated'}: {path}"
+            )
     return VoltageEnsemble(
         samples=samples,
         eta=float(meta["eta"]),

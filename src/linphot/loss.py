@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidParameterError, UndefinedStatisticError
 from .moments import pmf_moments
@@ -61,6 +60,8 @@ def _binomial_mix(pn: np.ndarray, eta: float) -> np.ndarray:
     columns n at a time, on the rows between the KERNEL_EPS lower quantile
     of the block's first column and the upper quantile of its last one.
     """
+    from scipy import stats
+
     n_max = pn.size - 1
     pm = np.zeros(n_max + 1)
     starts = np.arange(0, n_max + 1, KERNEL_BLOCK)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .detector import DarkNoiseModel, GainModel, VoltageEnsemble, _gaussian_components
 from .errors import InvalidParameterError
@@ -180,6 +179,8 @@ def expected_rebinned_pmf(
     :func:`rebin`.  Requires a gaussian gain family with no zero-variance
     component.
     """
+    from scipy.special import ndtr
+
     gamma_bar_used = float(gamma_bar_used)
     if not (math.isfinite(gamma_bar_used) and gamma_bar_used > 0):
         raise InvalidParameterError(f"gamma_bar_used must be positive, got {gamma_bar_used}")

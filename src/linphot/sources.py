@@ -9,6 +9,11 @@ The named families also carry their law under binomial loss, which stays
 in the family: Poisson(mu) thins to Poisson(eta mu), the ``modes``-mode
 thermal NB(M, mu/M) to NB(M, eta mu/M) and Fock(n) to Binomial(n, eta).
 ``loss.apply_bernoulli`` evaluates that rule instead of a kernel sum.
+
+``scipy.stats`` (about a second to import) is imported inside the
+functions that evaluate a law, here and in ``loss``, as is
+``scipy.special`` in ``detector`` and ``reconstruction``: commands that
+only read artifacts, such as ``linphot check``, never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidParameterError
 from .moments import pmf_moments
@@ -79,14 +83,20 @@ def _finalize(pmf: np.ndarray, label: str, thin=None) -> PhotonNumberDistributio
 
 
 def _thin_poisson(mean, k, eta):
+    from scipy import stats
+
     return stats.poisson.pmf(k, eta * mean)
 
 
 def _thin_nbinom(mean, modes, k, eta):
+    from scipy import stats
+
     return stats.nbinom.pmf(k, modes, 1.0 / (1.0 + eta * mean / modes))
 
 
 def _thin_fock(n, k, eta):
+    from scipy import stats
+
     return stats.binom.pmf(k, n, eta)
 
 
@@ -118,6 +128,8 @@ def make_poisson(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistri
     thin = partial(_thin_poisson, mean)
     if mean == 0:
         return _finalize(np.array([1.0]), label, thin)
+    from scipy import stats
+
     n_hi = int(stats.poisson.isf(tail_eps, mean)) + 2
     pmf = stats.poisson.pmf(np.arange(n_hi + 1), mean)
     return _finalize(_truncate(pmf, tail_eps), label, thin)
@@ -140,6 +152,8 @@ def make_multimode_thermal(
     thin = partial(_thin_nbinom, mean, modes)
     if mean == 0:
         return _finalize(np.array([1.0]), label, thin)
+    from scipy import stats
+
     x = mean / modes  # per-mode mean
     p = 1.0 / (1.0 + x)
     n_hi = int(stats.nbinom.isf(tail_eps, modes, p)) + 2

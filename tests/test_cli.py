@@ -1,10 +1,20 @@
 import hashlib
+import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+import linphot
 from linphot import ConfigError, InvalidParameterError, VoltageEnsemble, run_experiment
 from linphot.cli import main
 from linphot.config import (
@@ -13,7 +23,7 @@ from linphot.config import (
     from_dict,
     load,
 )
-from linphot.files import read_ensemble_csv, write_ensemble_csv
+from linphot.files import CSV_BLOCK, read_ensemble_csv, write_ensemble_csv
 
 BASE = {
     "schema_version": 1,
@@ -24,6 +34,19 @@ BASE = {
     "n_samples": 10_000,
     "seed": 99,
 }
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """Output directory of one ``run_experiment(BASE)``; copy it before editing."""
+    out = tmp_path_factory.mktemp("finished") / "run"
+    run_experiment(from_dict(BASE), out)
+    return out
+
+
+def drop_last_line(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -161,6 +184,70 @@ class TestEnsembleCsv:
         assert back.gain_scale == ens.gain_scale
         header = path.read_text().splitlines()[0]
         assert header == "# eta=0.35"
+
+    # -0.0, the smallest subnormal, the largest subnormal and +-max double
+    EDGE_VALUES = np.array(
+        [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        samples=hnp.arrays(
+            np.float64,
+            st.one_of(
+                st.sampled_from([1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1]),
+                st.integers(1, 3 * CSV_BLOCK),
+            ),
+            elements=st.one_of(
+                st.sampled_from(EDGE_VALUES.tolist()),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        )
+    )
+    @example(samples=np.resize(EDGE_VALUES, 1))
+    @example(samples=np.resize(EDGE_VALUES, CSV_BLOCK - 1))
+    @example(samples=np.resize(EDGE_VALUES, CSV_BLOCK))
+    @example(samples=np.resize(EDGE_VALUES, CSV_BLOCK + 1))
+    def test_sample_lines_are_savetxt_bytes(self, tmp_path_factory, samples):
+        path = tmp_path_factory.mktemp("csv") / "ens.csv"
+        write_ensemble_csv(
+            path, VoltageEnsemble(samples=samples, eta=0.5, n_samples=samples.size, seed=1)
+        )
+        reference = io.StringIO()
+        np.savetxt(reference, samples, fmt="%.17e")
+        lines = path.read_text().splitlines(keepends=True)
+        assert "".join(line for line in lines if not line.startswith("#")) == reference.getvalue()
+        back = read_ensemble_csv(path)
+        assert back.samples.tobytes() == samples.tobytes()  # bit for bit, signed zeros too
+
+    # bytes cut from the end: the newline, inside the exponent, inside the
+    # mantissa, and the whole last line "9.00000000000000000e+00\n"
+    @pytest.mark.parametrize("cut", [1, 3, 10, 24])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(path, VoltageEnsemble(samples=np.arange(10.0), eta=0.5, n_samples=10, seed=1))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(InvalidParameterError, match="truncated|malformed"):
+            read_ensemble_csv(path)
+
+    def test_check_rejects_truncated_dark_record(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        drop_last_line(out / "dark.csv")
+        assert main(["check", "--out", str(out)]) == 2
+        assert "truncated: header n_samples=10000, 9999 voltage lines" in capsys.readouterr().err
+
+    def test_blind_calibrate_rejects_truncated_ensemble(self, finished_run, tmp_path, capsys):
+        ens_dir = tmp_path / "ens"
+        ens_dir.mkdir()
+        for path in finished_run.glob("*.csv"):
+            if path.name == "dark.csv" or path.name.startswith("ensemble_"):
+                shutil.copy(path, ens_dir)
+        drop_last_line(sorted(ens_dir.glob("ensemble_*.csv"))[-1])
+        code = main(["calibrate", "--ensembles", str(ens_dir), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "truncated: header n_samples=10000, 9999 voltage lines" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_non_finite_samples_rejected(self, tmp_path):
         path = tmp_path / "ens.csv"
@@ -446,3 +533,36 @@ class TestGainScalingInRun:
         assert doc["fit"] is None and doc["fit_error"]
         assert doc["checks"]["gain_scaling"] is None
         assert result.verdicts["gain_scaling"] is None
+
+
+SCIPY_PROBE = """
+import sys
+{body}
+print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+"""
+
+
+def loaded_scipy(body, *args):
+    """Run ``body`` in a fresh interpreter; return which scipy modules it loaded."""
+    src = str(Path(linphot.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(body=body), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+class TestStartupImports:
+    """Commands that evaluate no law start without scipy.stats or scipy.special."""
+
+    def test_import_cli_and_load_config(self, tmp_path):
+        cfg = write_config(tmp_path)
+        body = "import linphot.cli, linphot.config\nlinphot.config.load(sys.argv[1])"
+        assert loaded_scipy(body, str(cfg)) == "[]"
+
+    def test_check_a_finished_run(self, finished_run):
+        body = "from linphot import cli\nassert cli.main(['check', '--out', sys.argv[1]]) == 0"
+        assert loaded_scipy(body, str(finished_run)) == "[]"

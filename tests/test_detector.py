@@ -160,8 +160,9 @@ class TestSimulateEnsemble:
     def test_invalid_args(self):
         src = make_poisson(1.0)
         gain = make_gain("gaussian", 1.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            simulate_ensemble(src, 1.5, gain, DarkNoiseModel(0.0), 100, seed=1)
+        for eta in (1.5, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match=r"eta must lie in \[0, 1\]"):
+                simulate_ensemble(src, eta, gain, DarkNoiseModel(0.0), 100, seed=1)
         with pytest.raises(InvalidParameterError):
             simulate_ensemble(src, 0.5, gain, DarkNoiseModel(0.0), 0, seed=1)
 
