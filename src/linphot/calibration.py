@@ -43,16 +43,6 @@ class EtaSeriesPoint:
     se_fano_v: float
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "mean_v": self.mean_v,
-            "fano_v": self.fano_v,
-            "se_mean_v": self.se_mean_v,
-            "se_fano_v": self.se_fano_v,
-            "n_samples": self.n_samples,
-        }
-
 
 @dataclass(frozen=True)
 class CalibrationFit:
@@ -72,19 +62,6 @@ class CalibrationFit:
     points: tuple
     valid: bool
     gamma_bar_corrected: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "slope_se": self.slope_se,
-            "intercept": self.intercept,
-            "intercept_se": self.intercept_se,
-            "gamma_bar_est": self.gamma_bar_est,
-            "gamma_bar_corrected": self.gamma_bar_corrected,
-            "r_squared": self.r_squared,
-            "valid": self.valid,
-            "points": [p.to_dict() for p in self.points],
-        }
 
 
 @dataclass(frozen=True)
@@ -106,24 +83,6 @@ class MeanConstancyReport:
     gamma_bar_est: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "pooled_ratio": self.pooled_ratio,
-            "gamma_bar_est": self.gamma_bar_est,
-            "rows": [
-                {
-                    "eta": r.eta,
-                    "ratio": r.ratio,
-                    "se_ratio": r.se_ratio,
-                    "z_vs_pooled": r.z_vs_pooled,
-                    "z_vs_gamma": r.z_vs_gamma,
-                    "passed": r.passed,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class GainScalingRow:
@@ -140,30 +99,11 @@ class GainScalingRow:
 class GainScalingReport:
     """Intercepts measured under known output-gain factors, vs the baseline."""
 
-    baseline: CalibrationFit
+    baseline_intercept: float
+    baseline_intercept_se: float
     rows: tuple
     mean_constancy: tuple
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "baseline_intercept": self.baseline.intercept,
-            "baseline_intercept_se": self.baseline.intercept_se,
-            "rows": [
-                {
-                    "factor": r.factor,
-                    "intercept": r.intercept,
-                    "intercept_se": r.intercept_se,
-                    "ratio": r.ratio,
-                    "ratio_se": r.ratio_se,
-                    "z": r.z,
-                    "passed": r.passed,
-                }
-                for r in self.rows
-            ],
-            "mean_constancy": [m.to_dict() for m in self.mean_constancy],
-        }
 
 
 def eta_point_from_samples(
@@ -474,7 +414,8 @@ def gain_scaling_check(
         )
     passed = all(r.passed for r in rows) and all(c.passed for c in constancy)
     return GainScalingReport(
-        baseline=baseline,
+        baseline_intercept=baseline.intercept,
+        baseline_intercept_se=baseline.intercept_se,
         rows=tuple(rows),
         mean_constancy=tuple(constancy),
         passed=passed,

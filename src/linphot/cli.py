@@ -17,7 +17,7 @@ import numpy as np
 from . import config as cfgmod
 from .calibration import eta_point_from_samples, fit_fano_line, iter_eta_series
 from .errors import ConfigError, LinphotError
-from .files import read_ensemble_csv, read_json
+from .files import read_ensemble_csv, read_json, read_pm_csv
 from .moments import sample_moments
 from .pipeline import (
     calibrate,
@@ -124,20 +124,22 @@ def _cmd_reconstruct(args) -> int:
     ens = read_ensemble_csv(args.input)
     if args.gamma_bar is not None:
         gamma_bar = args.gamma_bar
+        se_gamma_bar = 0.0
     else:
         doc = read_json(args.from_calibration)
         fit = doc.get("fit") or {}
         gamma_bar = fit.get("gamma_bar_est")
-        if gamma_bar is None or not fit.get("valid", False):
+        se_gamma_bar = fit.get("intercept_se")
+        if gamma_bar is None or se_gamma_bar is None or not fit.get("valid", False):
             print(
-                f"error: no valid gamma_bar_est in {args.from_calibration}",
+                f"error: no valid gamma_bar_est and intercept_se in {args.from_calibration}",
                 file=sys.stderr,
             )
             return 1
     dark_mean = 0.0
     if args.dark:
         dark_mean = float(read_ensemble_csv(args.dark).samples.mean())
-    _, result, mean_v, consistency = reconstruct(ens, dark_mean, gamma_bar, 0.0)
+    _, result, mean_v, consistency = reconstruct(ens, dark_mean, gamma_bar, se_gamma_bar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = write_reconstruction(out, result, mean_v, consistency, {}, {})
@@ -194,13 +196,7 @@ def _cmd_check(args) -> int:
             )
     pm_path = out / "pm.csv"
     if pm_path.exists():
-        rows = [
-            line.strip().split(",")
-            for line in pm_path.read_text().splitlines()
-            if line and not line.startswith("#") and not line.startswith("m,")
-        ]
-        pmf = np.array([float(r[1]) for r in rows])
-        counts = np.array([int(r[2]) for r in rows])
+        pmf, counts = read_pm_csv(pm_path)
         verdict("pm.csv pmf normalized", abs(pmf.sum() - 1.0) < 1e-9)
         verdict(
             "pm.csv counts consistent", bool(np.allclose(counts / counts.sum(), pmf))

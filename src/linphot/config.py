@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .calibration import MIN_ETA_POINTS, MIN_SAMPLES_PER_POINT, default_eta_series
@@ -49,16 +49,7 @@ class SourceSpec:
     pmf: tuple | None = None
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.mean is not None:
-            out["mean"] = self.mean
-        if self.modes is not None:
-            out["modes"] = self.modes
-        if self.n is not None:
-            out["n"] = self.n
-        if self.pmf is not None:
-            out["pmf"] = list(self.pmf)
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -67,16 +58,10 @@ class GainSpec:
     sigma: float
     family: str = "gaussian"
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "gamma_bar": self.gamma_bar, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class DarkSpec:
     sigma0: float
-
-    def to_dict(self) -> dict:
-        return {"sigma0": self.sigma0}
 
 
 @dataclass(frozen=True)
@@ -98,21 +83,7 @@ class RunConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "source": self.source.to_dict(),
-            "gain": self.gain.to_dict(),
-            "dark": self.dark.to_dict(),
-            "eta_series": list(self.eta_series),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "gain_scale_factors": list(self.gain_scale_factors),
-            "moment_order": self.moment_order,
-            "tail_epsilon": self.tail_epsilon,
-            "reconstruct_eta": self.reconstruct_eta,
-            "reconstruction_n_samples": self.reconstruction_n_samples,
-            "out_dir": self.out_dir,
-        }
+        return {**asdict(self), "source": self.source.to_dict()}
 
 
 def _parse_source(raw: dict) -> SourceSpec:

@@ -1,10 +1,10 @@
 """Linear detector and electronics chain: voltage ensembles.
 
 A shot with m detected photons produces v = g * (sum of m independent
-single-photon gain draws + baseline noise) + raw offset.  The gain draw
+single-photon gain draws + baseline noise).  The gain draw
 distribution is gaussian or gamma, parameterized by its mean
 ``gamma_bar`` and spread ``sigma``; the baseline (dark) noise is
-zero-mean gaussian after the offset convention is applied.
+zero-mean gaussian, so the zero of the voltage scale is already set.
 
 Each random draw has one owner: ``loss.sample_m`` draws the detected
 counts, :meth:`GainModel.sample_sums` each shot's summed gain and
@@ -69,20 +69,13 @@ class GainModel:
 
 @dataclass(frozen=True)
 class DarkNoiseModel:
-    """Zero-light voltage statistics: gaussian of width sigma0.
-
-    ``offset_raw`` is the mean of the raw record before the zero of the
-    voltage scale is set; the working distribution is zero-mean.
-    """
+    """Zero-light voltage statistics: zero-mean gaussian of width sigma0."""
 
     sigma0: float
-    offset_raw: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma0) and self.sigma0 >= 0):
             raise InvalidParameterError(f"sigma0 must be >= 0, got {self.sigma0}")
-        if not math.isfinite(self.offset_raw):
-            raise InvalidParameterError("offset_raw must be finite")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.sigma0 == 0.0:
@@ -170,8 +163,8 @@ def simulate_ensemble(
     (:meth:`GainModel.sample_sums`) and the dark noise
     (:meth:`DarkNoiseModel.sample`).  ``gain_scale`` models a known
     post-detector amplification / digitizer-scale factor applied to every
-    voltage; the raw offset is added last.  The detected-count PMF the
-    shots are drawn from is ``loss.apply_bernoulli(source, eta)``.
+    voltage.  The detected-count PMF the shots are drawn from is
+    ``loss.apply_bernoulli(source, eta)``.
     """
     eta = _check_eta(eta)
     if n_samples < 1:
@@ -188,8 +181,6 @@ def simulate_ensemble(
     )
     if gain_scale != 1.0:
         v = v * gain_scale
-    if dark.offset_raw != 0.0:
-        v = v + dark.offset_raw
     return VoltageEnsemble(
         samples=v,
         eta=eta,
@@ -213,7 +204,7 @@ def _gaussian_components(
         raise UnsupportedOracleError(
             "mixture has a zero-variance component; need sigma > 0 or sigma0 > 0"
         )
-    centers = k * gain.gamma_bar + dark.offset_raw
+    centers = k * gain.gamma_bar
     return detected.pmf[mask], centers[mask], var[mask]
 
 

@@ -5,14 +5,15 @@ gain_scale and n_samples), then one voltage per line.  The sample format
 is fixed byte for byte: each line is ``"%.17e\n" % v``, exactly what
 ``np.savetxt(fmt="%.17e")`` writes, so every sample reads back bit for bit.
 A file whose ``n_samples`` header disagrees with its sample lines, or
-whose last line is unterminated, is rejected as truncated.  JSON artifacts are written with sorted keys so
-repeated runs are byte-identical.
+whose last line is unterminated, is rejected as truncated.  P_m CSV:
+``# key=value`` headers, then ``m,pmf_hat,count`` rows.  In a JSON
+artifact each result's keys are its dataclass's fields
+(``dataclasses.asdict``), written sorted so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -44,32 +45,37 @@ def write_ensemble_csv(path, ensemble: VoltageEnsemble, extra_header: dict | Non
             fh.write("".join(["%.17e\n" % v for v in block]))
 
 
+def _split_header(lines) -> tuple[dict, list]:
+    """The leading ``# key=value`` lines as a dict, and the lines after them."""
+    meta = {}
+    for i, line in enumerate(lines):
+        if not line.startswith("#"):
+            return meta, lines[i:]
+        key, sep, value = line[1:].partition("=")
+        if sep:
+            meta[key.strip()] = value.strip()
+    return meta, []
+
+
 def read_ensemble_csv(path) -> VoltageEnsemble:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"ensemble file not found: {path}")
-    meta = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
+    # newline="" splits lines as text mode does but keeps each terminator
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    meta, body = _split_header(lines)
     if "eta" not in meta:
         raise InvalidParameterError(f"ensemble file has no '# eta=' header: {path}")
     try:
-        samples = np.loadtxt(path, comments="#", ndmin=1)
+        samples = np.loadtxt(body, comments="#", ndmin=1)
     except ValueError as exc:
         raise InvalidParameterError(f"ensemble file has a malformed voltage line: {path}: {exc}") from exc
     if samples.size == 0:
         raise InvalidParameterError(f"ensemble file has no samples: {path}")
     if "n_samples" in meta:
         # a file cut inside its last line still holds n_samples numbers
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            complete = fh.read(1) == b"\n"
+        complete = lines[-1].endswith("\n")
         if meta["n_samples"] != str(samples.size) or not complete:
             raise InvalidParameterError(
                 f"ensemble file is truncated: header n_samples={meta['n_samples']}, "
@@ -95,6 +101,32 @@ def write_pm_csv(path, result: ReconstructionResult, extra_header: dict) -> None
         fh.write("m,pmf_hat,count\n")
         for m, (p, c) in enumerate(zip(result.pmf_hat, result.counts)):
             fh.write(f"{m},{p:.17e},{c}\n")
+
+
+def read_pm_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a P_m table back as ``(pmf_hat, counts)``.
+
+    A row other than ``m,pmf_hat,count`` with m = 0, 1, ..., or counts that
+    do not sum to the ``# n_samples=`` header, raise InvalidParameterError.
+    """
+    meta, body = _split_header(Path(path).read_text().splitlines())
+    rows = [line.split(",") for line in body[1:]]
+    try:
+        if body[:1] != ["m,pmf_hat,count"]:
+            raise ValueError("no m,pmf_hat,count line after the header")
+        for m, row in enumerate(rows):
+            if len(row) != 3 or int(row[0]) != m:
+                raise ValueError(f"row {m} is {','.join(row)!r}, not {m},pmf_hat,count")
+        pmf_hat = np.array([float(row[1]) for row in rows])
+        counts = np.array([int(row[2]) for row in rows], dtype=np.int64)
+    except ValueError as exc:
+        raise InvalidParameterError(f"pm file has a malformed row: {path}: {exc}") from exc
+    if meta.get("n_samples") != str(counts.sum()):
+        raise InvalidParameterError(
+            f"pm file is truncated: header n_samples={meta.get('n_samples')}, "
+            f"counts sum to {counts.sum()}: {path}"
+        )
+    return pmf_hat, counts
 
 
 def write_json(path, obj) -> None:

@@ -144,9 +144,6 @@ class CumulantSet:
         order = _check_order(len(kappa))
         return cls(order=order, kappa=tuple(float(k) for k in kappa))
 
-    def to_dict(self) -> dict:
-        return {f"kappa{r}": self.kappa[r - 1] for r in range(1, self.order + 1)}
-
 
 # ---------------------------------------------------------------------------
 # operations

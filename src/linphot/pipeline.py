@@ -8,7 +8,7 @@ outputs are byte-identical for a fixed (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import config as cfgmod
@@ -89,11 +89,11 @@ def write_calibration(path, config_sha256, dark_variance, fit, fit_error, consta
             "schema_version": 1,
             "config_sha256": config_sha256,
             "dark_variance_subtracted": dark_variance,
-            "fit": fit.to_dict() if fit is not None else None,
+            "fit": asdict(fit) if fit is not None else None,
             "fit_error": fit_error,
             "checks": {
-                "mean_constancy": constancy.to_dict() if constancy is not None else None,
-                "gain_scaling": scaling.to_dict() if scaling is not None else None,
+                "mean_constancy": asdict(constancy) if constancy is not None else None,
+                "gain_scaling": asdict(scaling) if scaling is not None else None,
             },
         },
     )
@@ -130,7 +130,7 @@ def write_reconstruction(out: Path, result, mean_v, consistency, header: dict, e
             "underflow_fraction": result.underflow_fraction,
             "mean_m_hat": result.mean_m_hat,
             "mean_v": mean_v,
-            "self_consistency": consistency.to_dict(),
+            "self_consistency": asdict(consistency),
             **extra,
         },
     )

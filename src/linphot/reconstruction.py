@@ -51,16 +51,6 @@ class SelfConsistencyReport:
     underflow_fraction: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_m_hat": self.mean_m_hat,
-            "mean_v_over_gamma": self.mean_v_over_gamma,
-            "difference": self.difference,
-            "tolerance": self.tolerance,
-            "underflow_fraction": self.underflow_fraction,
-            "passed": self.passed,
-        }
-
 
 def subtract_offset(ensemble: VoltageEnsemble, dark_mean: float) -> VoltageEnsemble:
     """Shift every sample by the measured dark mean (zero-setting)."""

@@ -23,7 +23,7 @@ from linphot.config import (
     from_dict,
     load,
 )
-from linphot.files import CSV_BLOCK, read_ensemble_csv, write_ensemble_csv
+from linphot.files import CSV_BLOCK, read_ensemble_csv, read_pm_csv, write_ensemble_csv
 
 BASE = {
     "schema_version": 1,
@@ -270,6 +270,44 @@ class TestEnsembleCsv:
         assert not (tmp_path / "c").exists()
 
 
+class TestPmCsv:
+    def test_reads_back_the_run_result(self, finished_run):
+        pmf_hat, counts = read_pm_csv(finished_run / "pm.csv")
+        metrics = json.loads((finished_run / "pm_metrics.json").read_text())
+        assert counts.sum() == BASE["n_samples"]
+        assert np.array_equal(pmf_hat, counts / counts.sum())
+        assert counts @ np.arange(counts.size) / counts.sum() == metrics["mean_m_hat"]
+
+    # bytes cut from the end: the last count, then inside the pmf value
+    @pytest.mark.parametrize("cut", [2, 10])
+    def test_cut_last_row_is_malformed(self, finished_run, tmp_path, cut):
+        path = tmp_path / "pm.csv"
+        path.write_bytes((finished_run / "pm.csv").read_bytes()[:-cut])
+        with pytest.raises(InvalidParameterError, match="malformed row"):
+            read_pm_csv(path)
+
+    def test_dropped_last_row_is_truncated(self, finished_run, tmp_path):
+        path = tmp_path / "pm.csv"
+        shutil.copy(finished_run / "pm.csv", path)
+        drop_last_line(path)
+        with pytest.raises(InvalidParameterError, match="truncated: header n_samples=10000"):
+            read_pm_csv(path)
+
+    def test_rows_must_count_up_from_zero(self, tmp_path):
+        path = tmp_path / "pm.csv"
+        path.write_text("# n_samples=2\nm,pmf_hat,count\n0,0.5,1\n2,0.5,1\n")
+        with pytest.raises(InvalidParameterError, match="row 1 is '2,0.5,1'"):
+            read_pm_csv(path)
+
+    def test_check_rejects_a_cut_pm_table(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        lines = (out / "pm.csv").read_text().splitlines(keepends=True)
+        (out / "pm.csv").write_text("".join(lines[:-1]) + lines[-1][:6])
+        assert main(["check", "--out", str(out)]) == 2
+        assert f"malformed row: {out / 'pm.csv'}" in capsys.readouterr().err
+
+
 class TestRunExperiment:
     def test_vacuum_config(self, tmp_path):
         raw = {
@@ -453,6 +491,18 @@ def test_artifacts_match_pinned_hashes(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ARTIFACT_SHA256[name], name
 
 
+# SHA-256 of calibration.json for BASE with the gain-scaling check on; the
+# one pinned document that holds a GainScalingReport.
+GAIN_SCALING_CALIBRATION_SHA256 = "02dd5f60fc75718001bdd40aa5341776d7d7db59a7486cb76f48bb009c6add74"
+
+
+def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
+    result = run_experiment(from_dict({**BASE, "gain_scale_factors": [0.5, 2.0]}), tmp_path / "out")
+    assert result.verdicts["gain_scaling"] is not None
+    digest = hashlib.sha256(result.files["calibration"].read_bytes()).hexdigest()
+    assert digest == GAIN_SCALING_CALIBRATION_SHA256
+
+
 def test_two_cli_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {"n_samples": 10_000})
     out1 = tmp_path / "r1"
@@ -514,6 +564,17 @@ class TestSubcommandsAreStagesOfRun:
             return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
         assert rows(rec / "pm.csv") == rows(run / "pm.csv")
+
+    def test_reconstruct_from_calibration_gives_the_run_metrics(self, run_dir, tmp_path):
+        _, run = run_dir
+        (ensemble,) = run.glob("reconstruction_eta_*.csv")
+        rec = tmp_path / "rec"
+        args = ["reconstruct", "--input", str(ensemble), "--from-calibration"]
+        args += [str(run / "calibration.json"), "--dark", str(run / "dark.csv")]
+        assert main(args + ["--out", str(rec)]) == 0
+        doc = json.loads((rec / "pm_metrics.json").read_text())
+        run_doc = json.loads((run / "pm_metrics.json").read_text())
+        assert doc["self_consistency"] == run_doc["self_consistency"]
 
 
 class TestGainScalingInRun:

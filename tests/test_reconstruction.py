@@ -44,10 +44,11 @@ class TestSubtractOffset:
         assert ens.samples.tolist() == [0.0, 1.0]
 
     def test_simulated_offset_recovered(self):
-        dark = DarkNoiseModel(sigma0=8.0, offset_raw=12.3)
-        ens = simulate_ensemble(
+        dark = DarkNoiseModel(sigma0=8.0)
+        dark_only = simulate_ensemble(
             make_poisson(0.0), 1.0, make_gain("gaussian", GAIN, 2.0), dark, 50_000, seed=50
         )
+        ens = ensemble_from(dark_only.samples + 12.3)
         measured = float(ens.samples.mean())
         assert measured == pytest.approx(12.3, abs=5 * 8.0 / math.sqrt(50_000))
         fixed = subtract_offset(ens, measured)
