@@ -6,8 +6,8 @@ the detection efficiency is swept.  A weighted straight-line fit of that
 ratio against the mean voltage estimates the mean single-photon response
 from the intercept and the normalized photon-number excess noise from the
 slope.  Two consistency checks accompany the fit: the intercept must scale
-with a known output-gain factor, and the mean voltage per detected photon
-must be constant across the sweep.
+by g when an output gain g multiplies every voltage, and the mean voltage
+per detected photon must be constant across the sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DarkNoiseModel, GainModel, simulate_ensemble
+from .detector import DarkNoiseModel, GainModel, make_gain, simulate_ensemble
 from .errors import (
     InsufficientDesignError,
     InvalidParameterError,
@@ -110,7 +110,6 @@ def eta_point_from_samples(
     eta: float,
     samples,
     dark_variance: float = 0.0,
-    n_blocks: int = JACKKNIFE_BLOCKS,
 ) -> EtaSeriesPoint:
     """Reduce one voltage ensemble to its sweep-point statistics.
 
@@ -133,7 +132,7 @@ def eta_point_from_samples(
         m = sub.mean()
         return (np.mean((sub - m) ** 2) - dark_variance) / m
 
-    se_fano = block_jackknife_se(x, _fano, n_blocks=min(n_blocks, n))
+    se_fano = block_jackknife_se(x, _fano, n_blocks=JACKKNIFE_BLOCKS)
     return EtaSeriesPoint(
         eta=float(eta),
         mean_v=mean,
@@ -173,11 +172,10 @@ def iter_eta_series(
     n_samples: int,
     seed: int,
     *,
-    gain_scale: float = 1.0,
     stream_tag: tuple = (ETA_SERIES,),
 ):
     """Yield (point, ensemble) pairs for each efficiency in the sweep, unchecked."""
-    dark_var = (gain_scale * dark.sigma0) ** 2
+    dark_var = dark.sigma0**2
     for i, eta in enumerate(eta_list):
         ens = simulate_ensemble(
             source,
@@ -187,7 +185,6 @@ def iter_eta_series(
             n_samples,
             seed,
             stream_key=tuple(stream_tag) + (i,),
-            gain_scale=gain_scale,
         )
         yield eta_point_from_samples(eta, ens.samples, dark_variance=dark_var), ens
 
@@ -200,7 +197,6 @@ def run_eta_series(
     n_samples: int,
     seed: int,
     *,
-    gain_scale: float = 1.0,
     stream_tag: tuple = (ETA_SERIES,),
 ) -> list[EtaSeriesPoint]:
     """Check the sweep design, simulate it and return one point per eta."""
@@ -212,14 +208,7 @@ def run_eta_series(
     return [
         point
         for point, _ in iter_eta_series(
-            source,
-            gain,
-            dark,
-            etas,
-            n_samples,
-            seed,
-            gain_scale=gain_scale,
-            stream_tag=stream_tag,
+            source, gain, dark, etas, n_samples, seed, stream_tag=stream_tag
         )
     ]
 
@@ -288,14 +277,14 @@ def mean_constancy_check(
     *,
     gamma_bar_se: float = 0.0,
     sigma2_rel: float = 0.0,
-    n_se: float = 5.0,
 ) -> MeanConstancyReport:
     """Check that mean_v per detected photon is flat and equals the intercept.
 
     ``reference_mean_m_per_eta`` supplies <m> for each point (eta times the
     known source mean).  ``gamma_bar_se`` folds the intercept's own
     uncertainty into the comparison; ``sigma2_rel`` widens it further by the
-    known intercept inflation when the gain spread is known.
+    known intercept inflation when the gain spread is known.  A point
+    passes within 5 standard errors.
     """
     points = tuple(points)
     refs = [float(r) for r in reference_mean_m_per_eta]
@@ -311,8 +300,8 @@ def mean_constancy_check(
         se_g = math.sqrt(se_r**2 + float(gamma_bar_se) ** 2)
         z_pooled = (ratio - pooled) / se_r
         z_gamma = (ratio - gamma_bar_est) / se_g
-        ok = abs(ratio - pooled) <= n_se * se_r and (
-            abs(ratio - gamma_bar_est) <= n_se * se_g + bias_allow
+        ok = abs(ratio - pooled) <= 5.0 * se_r and (
+            abs(ratio - gamma_bar_est) <= 5.0 * se_g + bias_allow
         )
         rows.append(
             MeanConstancyRow(
@@ -342,14 +331,15 @@ def gain_scaling_check(
     seed: int,
     *,
     baseline: CalibrationFit,
-    n_se: float = 3.0,
 ) -> GainScalingReport:
     """Re-run the sweep under known output-gain factors and compare intercepts.
 
-    Scaling every voltage by g leaves the relative gain spread untouched,
-    so the fitted intercept must scale by exactly g.  ``baseline`` is the
-    unscaled fit of the same sweep, normally the main one.  Each factor uses
-    an independent substream; a factor of exactly 1 reuses the baseline fit.
+    An output gain g multiplying every voltage is the same chain with
+    gamma_bar, sigma and sigma0 each multiplied by g; it leaves the relative
+    gain spread untouched, so the fitted intercept must scale by exactly g,
+    within 3 standard errors.  ``baseline`` is the unscaled
+    fit of the same sweep, normally the main one.  Each factor uses an
+    independent substream; a factor of exactly 1 reuses the baseline fit.
     """
     factors = [float(g) for g in factors]
     for i, g in enumerate(factors):
@@ -366,12 +356,11 @@ def gain_scaling_check(
     def _series(factor_index: int, g: float) -> CalibrationFit:
         pts = run_eta_series(
             source,
-            gain,
-            dark,
+            make_gain(gain.family, g * gain.gamma_bar, g * gain.sigma),
+            DarkNoiseModel(g * dark.sigma0),
             etas,
             n_samples,
             seed,
-            gain_scale=g,
             stream_tag=(GAIN_SCALING, factor_index),
         )
         return fit_fano_line(pts, sigma2_rel=sigma2_rel)
@@ -391,7 +380,7 @@ def gain_scaling_check(
                 + (baseline.intercept_se / baseline.intercept) ** 2
             )
             z = (ratio - g) / ratio_se
-            ok = abs(ratio - g) <= n_se * ratio_se
+            ok = abs(ratio - g) <= 3.0 * ratio_se
         rows.append(
             GainScalingRow(
                 factor=g,

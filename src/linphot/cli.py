@@ -16,8 +16,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .calibration import eta_point_from_samples, fit_fano_line, iter_eta_series
-from .errors import ConfigError, LinphotError
-from .files import read_ensemble_csv, read_json, read_pm_csv
+from .errors import ConfigError, InvalidParameterError, LinphotError
+from .files import canonical_json, read_ensemble_csv, read_json, read_pm_csv
 from .moments import sample_moments
 from .pipeline import (
     calibrate,
@@ -72,7 +72,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_moments(args) -> int:
     ens = read_ensemble_csv(args.input)
     mset = sample_moments(ens.samples, order=args.order)
-    print(cfgmod.canonical_json(mset.to_dict()), end="")
+    print(canonical_json(mset.to_dict()), end="")
     return 0
 
 
@@ -162,37 +162,38 @@ def _cmd_check(args) -> int:
         print(f"error: {cal_path} not found", file=sys.stderr)
         return 1
     doc = read_json(cal_path)
-    fit = doc.get("fit")
+    try:
+        # recompute with the recorded subtraction constant so the statistics
+        # pipeline is replayed bit-for-bit
+        dark_var = float(doc.get("dark_variance_subtracted", 0.0))
+        fit = doc.get("fit")
+        if fit is not None:
+            slope, intercept = float(fit["slope"]), float(fit["intercept"])
+            recorded = [(float(p["eta"]), float(p["mean_v"]), float(p["fano_v"])) for p in fit["points"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"calibration file is malformed: {cal_path}: {exc!r}") from exc
     dark_path = out / "dark.csv"
     if dark_path.exists():
         verdict("dark record readable", read_ensemble_csv(dark_path).samples.size > 0)
-    # recompute with the recorded subtraction constant so the statistics
-    # pipeline is replayed bit-for-bit
-    dark_var = float(doc.get("dark_variance_subtracted", 0.0))
     if fit is not None:
         points = []
-        for raw in fit["points"]:
-            eta = raw["eta"]
+        for eta, mean_v, fano_v in recorded:
             matches = sorted(out.glob(f"ensemble_*_eta_{eta:.6f}.csv"))
             if not matches:
                 verdict(f"ensemble for eta={eta:.6f} present", False)
                 continue
             ens = read_ensemble_csv(matches[0])
             point = eta_point_from_samples(eta, ens.samples, dark_variance=dark_var)
-            ok = math.isclose(point.mean_v, raw["mean_v"], rel_tol=1e-9, abs_tol=1e-12)
-            ok = ok and math.isclose(
-                point.fano_v, raw["fano_v"], rel_tol=1e-9, abs_tol=1e-12
-            )
+            ok = math.isclose(point.mean_v, mean_v, rel_tol=1e-9, abs_tol=1e-12)
+            ok = ok and math.isclose(point.fano_v, fano_v, rel_tol=1e-9, abs_tol=1e-12)
             verdict(f"eta={eta:.6f} point statistics reproduce", ok)
             points.append(point)
-        if len(points) == len(fit["points"]):
+        if len(points) == len(recorded):
             refit = fit_fano_line(points)
             verdict(
                 "fano-line fit reproduces",
-                math.isclose(refit.slope, fit["slope"], rel_tol=1e-6, abs_tol=1e-12)
-                and math.isclose(
-                    refit.intercept, fit["intercept"], rel_tol=1e-6, abs_tol=1e-12
-                ),
+                math.isclose(refit.slope, slope, rel_tol=1e-6, abs_tol=1e-12)
+                and math.isclose(refit.intercept, intercept, rel_tol=1e-6, abs_tol=1e-12),
             )
     pm_path = out / "pm.csv"
     if pm_path.exists():

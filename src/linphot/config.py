@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .calibration import MIN_ETA_POINTS, MIN_SAMPLES_PER_POINT, default_eta_series
 from .detector import GAIN_FAMILIES, DarkNoiseModel, GainModel, make_gain
 from .errors import ConfigError
+from .files import canonical_json
 from .sources import (
     DEFAULT_TAIL_EPS,
     PhotonNumberDistribution,
@@ -38,6 +39,11 @@ def _is_int(x) -> bool:
 
 def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, float)
+
+
+def _reject_unknown(raw: dict, known, prefix: str = "") -> None:
+    for key in raw:
+        _require(key in known, f"{prefix}{key}", "unknown key")
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,7 @@ class RunConfig:
 
 def _parse_source(raw: dict) -> SourceSpec:
     _require(isinstance(raw, dict), "source", "must be an object")
+    _reject_unknown(raw, [f.name for f in fields(SourceSpec)], "source.")
     kind = raw.get("kind")
     _require(kind in SOURCE_KINDS, "source.kind", f"must be one of {SOURCE_KINDS}, got {kind!r}")
     spec = SourceSpec(
@@ -128,6 +135,8 @@ def _parse_source(raw: dict) -> SourceSpec:
 def from_dict(raw: dict) -> RunConfig:
     """Parse and validate a config document; errors name the field."""
     _require(isinstance(raw, dict), "config", "must be a JSON object")
+    # eta_max and eta_count stand in for eta_series
+    _reject_unknown(raw, [f.name for f in fields(RunConfig)] + ["eta_max", "eta_count"])
     version = raw.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, "schema_version", f"unsupported version {version!r}")
 
@@ -135,6 +144,7 @@ def from_dict(raw: dict) -> RunConfig:
 
     g = raw.get("gain")
     _require(isinstance(g, dict), "gain", "must be an object")
+    _reject_unknown(g, [f.name for f in fields(GainSpec)], "gain.")
     family = g.get("family", "gaussian")
     _require(
         family in GAIN_FAMILIES,
@@ -157,6 +167,7 @@ def from_dict(raw: dict) -> RunConfig:
 
     d = raw.get("dark", {})
     _require(isinstance(d, dict), "dark", "must be an object")
+    _reject_unknown(d, [f.name for f in fields(DarkSpec)], "dark.")
     sigma0 = d.get("sigma0", 0.1 * gain.gamma_bar)
     _require(
         _is_number(sigma0) and math.isfinite(sigma0) and sigma0 >= 0,
@@ -284,10 +295,6 @@ def load(path) -> RunConfig:
 
 def save(config: RunConfig, path) -> None:
     Path(path).write_text(canonical_json(config.to_dict()))
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def config_hash(config: RunConfig) -> str:

@@ -1,10 +1,12 @@
 """Linear detector and electronics chain: voltage ensembles.
 
-A shot with m detected photons produces v = g * (sum of m independent
-single-photon gain draws + baseline noise).  The gain draw
+A shot with m detected photons produces v = (sum of m independent
+single-photon gain draws) + baseline noise.  The gain draw
 distribution is gaussian or gamma, parameterized by its mean
 ``gamma_bar`` and spread ``sigma``; the baseline (dark) noise is
 zero-mean gaussian, so the zero of the voltage scale is already set.
+An amplifier of gain g after the detector is the same chain with
+``gamma_bar``, ``sigma`` and ``sigma0`` each multiplied by g.
 
 Each random draw has one owner: ``loss.sample_m`` draws the detected
 counts, :meth:`GainModel.sample_sums` each shot's summed gain and
@@ -91,7 +93,6 @@ class VoltageEnsemble:
     eta: float
     n_samples: int
     seed: int
-    gain_scale: float = 1.0
 
     def __post_init__(self):
         bad = np.count_nonzero(~np.isfinite(self.samples))
@@ -151,7 +152,6 @@ def simulate_ensemble(
     seed: int,
     *,
     stream_key: tuple = (),
-    gain_scale: float = 1.0,
 ) -> VoltageEnsemble:
     """Simulate n_samples independent voltage shots.
 
@@ -161,33 +161,19 @@ def simulate_ensemble(
     counts (:func:`loss.sample_m`: n from the source, then Binomial(n,
     eta)), each shot's summed gain in one draw
     (:meth:`GainModel.sample_sums`) and the dark noise
-    (:meth:`DarkNoiseModel.sample`).  ``gain_scale`` models a known
-    post-detector amplification / digitizer-scale factor applied to every
-    voltage.  The detected-count PMF the shots are drawn from is
-    ``loss.apply_bernoulli(source, eta)``.
+    (:meth:`DarkNoiseModel.sample`).  The detected-count PMF the shots are
+    drawn from is ``loss.apply_bernoulli(source, eta)``.
     """
     eta = _check_eta(eta)
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
-    gain_scale = float(gain_scale)
-    if not (math.isfinite(gain_scale) and gain_scale > 0):
-        raise InvalidParameterError(f"gain_scale must be positive, got {gain_scale}")
-
     v = np.concatenate(
         [
             _simulate_chunk(source, eta, gain, dark, size, seed, tuple(stream_key) + (ci,))
             for ci, size in enumerate(chunk_sizes(n_samples))
         ]
     )
-    if gain_scale != 1.0:
-        v = v * gain_scale
-    return VoltageEnsemble(
-        samples=v,
-        eta=eta,
-        n_samples=int(n_samples),
-        seed=int(seed),
-        gain_scale=gain_scale,
-    )
+    return VoltageEnsemble(samples=v, eta=eta, n_samples=int(n_samples), seed=int(seed))
 
 
 def _gaussian_components(

@@ -1,18 +1,21 @@
 """On-disk interchange formats: ensemble CSV, P_m CSV and JSON artifacts.
 
-Ensemble CSV: ``# key=value`` header lines (eta, required, then seed,
-gain_scale and n_samples), then one voltage per line.  The sample format
+Ensemble CSV: ``# key=value`` header lines (eta, required, then seed and
+n_samples), then one voltage per line; a ``gain_scale`` line in a file
+written by an earlier version is read and ignored.  The sample format
 is fixed byte for byte: each line is ``"%.17e\n" % v``, exactly what
 ``np.savetxt(fmt="%.17e")`` writes, so every sample reads back bit for bit.
 A file whose ``n_samples`` header disagrees with its sample lines, or
 whose last line is unterminated, is rejected as truncated.  P_m CSV:
 ``# key=value`` headers, then ``m,pmf_hat,count`` rows.  In a JSON
 artifact each result's keys are its dataclass's fields
-(``dataclasses.asdict``), written sorted so repeated runs are byte-identical.
+(``dataclasses.asdict``), written by :func:`canonical_json` (sorted keys) so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -31,7 +34,6 @@ def write_ensemble_csv(path, ensemble: VoltageEnsemble, extra_header: dict | Non
     headers = [
         ("eta", repr(ensemble.eta)),
         ("seed", str(ensemble.seed)),
-        ("gain_scale", repr(ensemble.gain_scale)),
         ("n_samples", str(ensemble.n_samples)),
     ]
     for key, value in (extra_header or {}).items():
@@ -63,19 +65,21 @@ def read_ensemble_csv(path) -> VoltageEnsemble:
         raise FileNotFoundError(f"ensemble file not found: {path}")
     # newline="" splits lines as text mode does but keeps each terminator
     with open(path, newline="") as fh:
-        lines = fh.readlines()
-    meta, body = _split_header(lines)
+        meta, _ = _split_header(list(itertools.takewhile(lambda line: line.startswith("#"), fh)))
     if "eta" not in meta:
         raise InvalidParameterError(f"ensemble file has no '# eta=' header: {path}")
     try:
-        samples = np.loadtxt(body, comments="#", ndmin=1)
+        # loadtxt streams a path through its C reader; the header lines are comments
+        samples = np.loadtxt(path, comments="#", ndmin=1)
     except ValueError as exc:
         raise InvalidParameterError(f"ensemble file has a malformed voltage line: {path}: {exc}") from exc
     if samples.size == 0:
         raise InvalidParameterError(f"ensemble file has no samples: {path}")
     if "n_samples" in meta:
         # a file cut inside its last line still holds n_samples numbers
-        complete = lines[-1].endswith("\n")
+        with open(path, "rb") as fh:
+            fh.seek(-1, 2)
+            complete = fh.read(1) == b"\n"
         if meta["n_samples"] != str(samples.size) or not complete:
             raise InvalidParameterError(
                 f"ensemble file is truncated: header n_samples={meta['n_samples']}, "
@@ -87,7 +91,6 @@ def read_ensemble_csv(path) -> VoltageEnsemble:
         eta=float(meta["eta"]),
         n_samples=samples.size,
         seed=int(meta.get("seed", 0)),
-        gain_scale=float(meta.get("gain_scale", 1.0)),
     )
 
 
@@ -129,12 +132,20 @@ def read_pm_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return pmf_hat, counts
 
 
+def canonical_json(obj) -> str:
+    """The one JSON text form of every artifact: sorted keys, 2-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(canonical_json(obj))
 
 
 def read_json(path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"file not found: {path}")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc

@@ -105,14 +105,11 @@ def apply_bernoulli(
 
 
 def sample_m(
-    source: PhotonNumberDistribution, eta, rng: np.random.Generator, size=None
-):
-    """Draw detected counts: sample n, then binomial-thin with probability eta."""
+    source: PhotonNumberDistribution, eta, rng: np.random.Generator, size
+) -> np.ndarray:
+    """Draw ``size`` detected counts: sample n, then binomial-thin with probability eta."""
     eta = _check_eta(eta)
-    n = sample_n(source, rng, size=size)
-    if size is None:
-        return int(rng.binomial(n, eta))
-    return rng.binomial(n, eta)
+    return rng.binomial(sample_n(source, rng, size), eta)
 
 
 def detected_fano(dist: DetectedPhotonDistribution) -> float:

@@ -104,13 +104,12 @@ def self_consistency_check(
     ensemble_mean_v: float,
     se_mean_v: float = 0.0,
     se_gamma_bar: float = 0.0,
-    n_se: float = 5.0,
 ) -> SelfConsistencyReport:
     """Check the reconstructed mean against mean_v / gamma_bar.
 
-    The default tolerance is n_se standard errors of mean_v / gamma_bar
-    plus half the underflow fraction (the folding-bias allowance); a
-    nonzero ``se_gamma_bar`` widens it by the bin-width uncertainty.
+    The tolerance is 5 standard errors of mean_v / gamma_bar plus half
+    the underflow fraction (the folding-bias allowance); a nonzero
+    ``se_gamma_bar`` widens it by the bin-width uncertainty.
     """
     g = result.gamma_bar_used
     target = ensemble_mean_v / g
@@ -118,7 +117,7 @@ def self_consistency_check(
     se = math.sqrt(
         (se_mean_v / g) ** 2 + (ensemble_mean_v * se_gamma_bar / g**2) ** 2
     )
-    tol = n_se * se + 0.5 * result.underflow_fraction
+    tol = 5.0 * se + 0.5 * result.underflow_fraction
     return SelfConsistencyReport(
         mean_m_hat=result.mean_m_hat,
         mean_v_over_gamma=target,
@@ -160,12 +159,12 @@ def expected_rebinned_pmf(
     gain: GainModel,
     dark: DarkNoiseModel,
     gamma_bar_used: float,
-    n_bins: int | None = None,
 ) -> np.ndarray:
     """Infinite-sample PMF the rebinning converges to (misassignment oracle).
 
     Integrates each gaussian voltage component over the bin edges of the
-    chosen bin width; mass below the zero bin folds into bin 0, matching
+    chosen bin width, out to ten standard deviations above the top
+    component; mass below the zero bin folds into bin 0, matching
     :func:`rebin`.  Requires a gaussian gain family with no zero-variance
     component.
     """
@@ -176,9 +175,8 @@ def expected_rebinned_pmf(
         raise InvalidParameterError(f"gamma_bar_used must be positive, got {gamma_bar_used}")
     p, centers, var = _gaussian_components(detected, gain, dark)
     sd = np.sqrt(var)
-    if n_bins is None:
-        top = float(np.max(centers + 10.0 * sd))
-        n_bins = max(1, int(math.ceil(top / gamma_bar_used + 0.5)))
+    top = float(np.max(centers + 10.0 * sd))
+    n_bins = max(1, int(math.ceil(top / gamma_bar_used + 0.5)))
     edges = (np.arange(n_bins + 1) + 0.5) * gamma_bar_used
     upper = ndtr((edges[:, None] - centers[None, :]) / sd) @ p
     pmf = np.empty(n_bins + 1)

@@ -194,10 +194,7 @@ def from_pmf(table) -> PhotonNumberDistribution:
     return _finalize(arr[: last + 1], f"pmf(len={last + 1})")
 
 
-def sample_n(dist: PhotonNumberDistribution, rng: np.random.Generator, size=None):
-    """Draw photon numbers by inverse-CDF lookup over the truncated PMF."""
-    if size is None:
-        u = rng.random()
-        return int(min(np.searchsorted(dist.cdf, u, side="right"), dist.n_max))
+def sample_n(dist: PhotonNumberDistribution, rng: np.random.Generator, size) -> np.ndarray:
+    """Draw ``size`` photon numbers by inverse-CDF lookup over the truncated PMF."""
     u = rng.random(size)
     return np.minimum(np.searchsorted(dist.cdf, u, side="right"), dist.n_max)

@@ -26,7 +26,7 @@ def substream(seed: int, stream_key: tuple = ()) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def chunk_sizes(n_samples: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
-    """Split a sample count over the fixed chunk grid."""
-    full, rest = divmod(int(n_samples), int(chunk_size))
-    return [chunk_size] * full + ([rest] if rest else [])
+def chunk_sizes(n_samples: int) -> list[int]:
+    """Split a sample count over the fixed chunk grid of CHUNK_SIZE shots."""
+    full, rest = divmod(int(n_samples), CHUNK_SIZE)
+    return [CHUNK_SIZE] * full + ([rest] if rest else [])

@@ -41,7 +41,7 @@ def synthetic_points(slope, intercept, xs, se=1.0):
 
 class TestEtaPoint:
     def test_hand_statistics(self):
-        point = eta_point_from_samples(0.5, [100.0, 200.0, 300.0], dark_variance=0.0, n_blocks=3)
+        point = eta_point_from_samples(0.5, [100.0, 200.0, 300.0], dark_variance=0.0)
         assert point.mean_v == pytest.approx(200.0)
         # mu2 = (100^2 + 0 + 100^2)/3
         assert point.fano_v == pytest.approx((20000.0 / 3) / 200.0)

@@ -94,6 +94,7 @@ class TestConfig:
         assert len(config.eta_series) == 10
         assert config.eta_series[0] == pytest.approx(0.025)
         assert config.eta_series[-1] == pytest.approx(0.5)
+        assert len(from_dict({**raw, "eta_count": 4}).eta_series) == 4
 
     def test_build_source_kinds(self):
         for kind, extra, mean in [
@@ -157,6 +158,24 @@ class TestConfig:
         assert "gain.family" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides,name",
+        [
+            ({"gain_scale_factor": [2.0]}, "gain_scale_factor"),
+            ({"source": {"kind": "poisson", "mean": 20.0, "meen": 5.0}}, "source.meen"),
+            ({"gain": {**BASE["gain"], "sigma0": 10.0}}, "gain.sigma0"),
+            ({"dark": {"sigma": 10.0}}, "dark.sigma"),
+        ],
+    )
+    def test_unknown_key_names_it_and_writes_nothing(self, tmp_path, capsys, overrides, name):
+        with pytest.raises(ConfigError, match=f"{name}: unknown key"):
+            from_dict({**BASE, **overrides})
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{name}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_design_error_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n_samples": 2000, "gain_scale_factors": [2.0]})
         out = tmp_path / "o"
@@ -173,7 +192,6 @@ class TestEnsembleCsv:
             eta=0.35,
             n_samples=500,
             seed=7,
-            gain_scale=2.0,
         )
         path = tmp_path / "ens.csv"
         write_ensemble_csv(path, ens, extra_header={"config_sha256": "abc"})
@@ -181,7 +199,6 @@ class TestEnsembleCsv:
         assert np.array_equal(back.samples, ens.samples)  # %.17e round-trips
         assert back.eta == ens.eta
         assert back.seed == ens.seed
-        assert back.gain_scale == ens.gain_scale
         header = path.read_text().splitlines()[0]
         assert header == "# eta=0.35"
 
@@ -261,6 +278,16 @@ class TestEnsembleCsv:
         with pytest.raises(InvalidParameterError, match="eta"):
             read_ensemble_csv(path)
 
+    def test_legacy_gain_scale_header_is_ignored(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(path, VoltageEnsemble(samples=np.arange(10.0), eta=0.5, n_samples=10, seed=1))
+        legacy = tmp_path / "legacy.csv"
+        legacy.write_text(path.read_text().replace("# n_samples=", "# gain_scale=2.0\n# n_samples="))
+        assert "# gain_scale=2.0\n" in legacy.read_text()
+        back = read_ensemble_csv(legacy)
+        assert back.samples.tobytes() == read_ensemble_csv(path).samples.tobytes()
+        assert (back.eta, back.seed, back.n_samples) == (0.5, 1, 10)
+
     def test_blind_calibrate_reports_missing_eta(self, tmp_path, capsys):
         for name in ("dark.csv", "ensemble_00.csv"):
             (tmp_path / name).write_text("# seed=1\n1.0\n2.0\n")
@@ -306,6 +333,25 @@ class TestPmCsv:
         (out / "pm.csv").write_text("".join(lines[:-1]) + lines[-1][:6])
         assert main(["check", "--out", str(out)]) == 2
         assert f"malformed row: {out / 'pm.csv'}" in capsys.readouterr().err
+
+class TestCheckCalibrationFile:
+    def test_invalid_json_exits_2_naming_the_file(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        (out / "calibration.json").write_text("{")
+        assert main(["check", "--out", str(out)]) == 2
+        assert f"invalid JSON in {out / 'calibration.json'}" in capsys.readouterr().err
+
+    def test_point_without_mean_v_exits_2_naming_the_file(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        doc = json.loads((out / "calibration.json").read_text())
+        del doc["fit"]["points"][1]["mean_v"]
+        (out / "calibration.json").write_text(json.dumps(doc))
+        assert main(["check", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"calibration file is malformed: {out / 'calibration.json'}" in err
+        assert "mean_v" in err
 
 
 class TestRunExperiment:
@@ -472,13 +518,13 @@ class TestCliCommands:
 ARTIFACT_SHA256 = {
     "calibration.json": "390acf2a6f16c9847a7594dcb7fe049825474ea6e9e031fcb973524a18453cbd",
     "config.json": "8eda591e739779df11b5006369ad862fff24dd806eca67b1bb12d53f19a19996",
-    "dark.csv": "b9b5f79037510310b89e21cbb3fb3cfaf8f667cf6d5f40977e16cfd9c3a1cd0f",
-    "ensemble_00_eta_0.100000.csv": "24acd7f1598e275146b683b19693612fc61b9a99cdc66ac7522cb2418c21e729",
-    "ensemble_01_eta_0.300000.csv": "45b36d36690324c80a10ef3b0c165ff0aa5e1681486132a17feeaa915d7401c8",
-    "ensemble_02_eta_0.500000.csv": "d20d757283b1f2306d4e6068732530cf0b00bd393eaa03c7594e28f8c6ebda7e",
+    "dark.csv": "9464b2933d81f00bce8e54cf24545e7cc94c8eeffdc949398185c2bf12354388",
+    "ensemble_00_eta_0.100000.csv": "a687a12da56f10f71f8f4fd6735847e8508006ebf8f450930e9998aea5ac4cc4",
+    "ensemble_01_eta_0.300000.csv": "55f0d1170af15e7a67fbd88fa38fcd2043c72df81c9b09a65d4f19090affa91c",
+    "ensemble_02_eta_0.500000.csv": "03bfe14419dd5ee3effa051a3dd53e1e263a69698385bbdcfac7273cb0c262c6",
     "pm.csv": "aaad6a6071ac87d3f89cd0415ec95d1665ddbcca990c9b801d81834a8e1ac901",
     "pm_metrics.json": "13e9011b35a1229ceed863fb2bd6fa2b68d487e38e1701ff60c6efb071fa391e",
-    "reconstruction_eta_0.500000.csv": "92ab91f927f1320f326205f0c09d667eae497a001673a7bb91a5d818144b2db3",
+    "reconstruction_eta_0.500000.csv": "62c18e870caac9ac9a560110c06fe38542978110d5f5fb9411b7eeb1f579ef2f",
     "report.md": "f52f8c18b34c2d0cd3d32996e3d88be71fb3fa461cfeeaf30eba914f7c4744f7",
 }
 

@@ -131,10 +131,15 @@ class TestSimulateEnsemble:
         assert np.array_equal(a.samples[: 1 << 18], first.samples)
 
     def test_gain_scale_multiplies_voltages(self):
-        args = (make_poisson(5.0), 0.5, make_gain("gaussian", 100.0, 2.0), DarkNoiseModel(10.0))
-        base = simulate_ensemble(*args, 20_000, seed=36)
-        doubled = simulate_ensemble(*args, 20_000, seed=36, gain_scale=2.0)
-        np.testing.assert_allclose(doubled.samples, 2.0 * base.samples, rtol=1e-15)
+        # an output gain g is the chain with gamma_bar, sigma and sigma0 times g;
+        # a power-of-two g scales every draw exactly
+        def run(family, sigma, sigma0, g):
+            gain = make_gain(family, g * 100.0, g * sigma)
+            return simulate_ensemble(make_poisson(5.0), 0.5, gain, DarkNoiseModel(g * sigma0), 20_000, seed=36)
+
+        for model in [("gaussian", 2.0, 10.0), ("gamma", 5.0, 10.0), ("gaussian", 0.0, 0.0)]:
+            for g in (0.5, 2.0):
+                assert np.array_equal(run(*model, g).samples, g * run(*model, 1.0).samples), (model, g)
 
     @pytest.mark.parametrize(
         "source,eta,family,sigma,sigma0",

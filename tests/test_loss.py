@@ -190,6 +190,3 @@ class TestSampleM:
         obs *= exp.sum() / obs.sum()  # guard fp mass mismatch in chisquare
         _, pvalue = stats.chisquare(obs, exp)
         assert pvalue > 0.001
-
-    def test_scalar_draw(self):
-        assert sample_m(make_fock(3), 1.0, substream(14)) == 3

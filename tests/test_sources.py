@@ -162,8 +162,7 @@ def test_from_pmf_properties(table):
 class TestSampling:
     def test_vacuum_always_zero(self):
         d = make_poisson(0.0)
-        lead = substream(1)
-        assert all(sample_n(d, lead) == 0 for _ in range(100))
+        assert np.all(sample_n(d, substream(1), size=100) == 0)
 
     def test_fock_always_n(self):
         d = make_fock(3)
@@ -186,7 +185,3 @@ class TestSampling:
         check = expected >= 100
         err = np.sqrt(expected[check] * (1 - dist.pmf[check]))
         assert np.all(np.abs(counts[check] - expected[check]) <= 5 * err)
-
-    def test_scalar_draw_is_int(self):
-        value = sample_n(make_thermal(2.0), substream(5))
-        assert isinstance(value, int)
