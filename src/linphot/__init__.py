@@ -42,7 +42,6 @@ from .moments import (
     CumulantSet,
     MomentSet,
     analytic_voltage_moments,
-    block_jackknife_se,
     cumulants_from_moments,
     moments_from_cumulants,
     narrow_gain_moments,
@@ -97,7 +96,6 @@ __all__ = [
     "analytic_pv_gaussian",
     "analytic_voltage_moments",
     "apply_bernoulli",
-    "block_jackknife_se",
     "compare",
     "cumulants_from_moments",
     "default_eta_series",

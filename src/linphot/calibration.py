@@ -5,9 +5,10 @@ separately measured) baseline variance, is linear in the mean voltage when
 the detection efficiency is swept.  A weighted straight-line fit of that
 ratio against the mean voltage estimates the mean single-photon response
 from the intercept and the normalized photon-number excess noise from the
-slope.  Two consistency checks accompany the fit: the intercept must scale
-by g when an output gain g multiplies every voltage, and the mean voltage
-per detected photon must be constant across the sweep.
+slope; each point's weight is the delta-method standard error of its ratio.
+Two consistency checks accompany the fit: the intercept must scale by g
+when an output gain g multiplies every voltage, and the mean voltage per
+detected photon must be constant across the sweep.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .errors import (
     InvalidParameterError,
     SingularFitError,
 )
-from .moments import block_jackknife_se
 from .sources import PhotonNumberDistribution
 from .streams import ETA_SERIES, GAIN_SCALING
 
 MIN_ETA_POINTS = 3
 MIN_SAMPLES_PER_POINT = 10_000
-JACKKNIFE_BLOCKS = 20
 
 
 @dataclass(frozen=True)
@@ -48,17 +47,16 @@ class EtaSeriesPoint:
 class CalibrationFit:
     """Weighted straight-line fit of fano_v against mean_v.
 
-    ``gamma_bar_est`` is the raw intercept; when the true relative gain
+    ``intercept`` is the raw gamma_bar estimate; when the true relative gain
     variance is supplied, ``gamma_bar_corrected`` removes the known
-    intercept inflation.
+    intercept inflation.  ``chi2_dof`` is near 1 when the weights are right.
     """
 
     slope: float
     intercept: float
     slope_se: float
     intercept_se: float
-    gamma_bar_est: float
-    r_squared: float
+    chi2_dof: float
     points: tuple
     valid: bool
     gamma_bar_corrected: float | None = None
@@ -80,7 +78,6 @@ class MeanConstancyReport:
 
     rows: tuple
     pooled_ratio: float
-    gamma_bar_est: float
     passed: bool
 
 
@@ -113,9 +110,11 @@ def eta_point_from_samples(
 ) -> EtaSeriesPoint:
     """Reduce one voltage ensemble to its sweep-point statistics.
 
-    The known (or separately measured) baseline variance is subtracted from
-    the voltage variance before the ratio is formed.  The ratio's standard
-    error comes from a non-overlapping block jackknife.
+    The known (or separately measured) baseline variance D is subtracted
+    before the ratio F = (mu2 - D) / mean is formed.  Its delta-method
+    standard error is sd(d (d - F)) / (|mean| sqrt(n)) with d = x - mean,
+    i.e. sqrt((mu4 - mu2^2 - 2 F mu3 + F^2 mu2) / n) / |mean|; being only a
+    fit weight, it takes one numpy pass where the statistics use fsum.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
@@ -124,15 +123,11 @@ def eta_point_from_samples(
         raise InvalidParameterError("samples must be finite (found NaN or inf)")
     n = x.size
     mean = math.fsum(x) / n
-    mu2 = math.fsum((x - mean) ** 2) / n
+    d = x - mean
+    mu2 = math.fsum(d**2) / n
     fano = (mu2 - dark_variance) / mean
     se_mean = math.sqrt(mu2 / n)
-
-    def _fano(sub: np.ndarray) -> float:
-        m = sub.mean()
-        return (np.mean((sub - m) ** 2) - dark_variance) / m
-
-    se_fano = block_jackknife_se(x, _fano, n_blocks=JACKKNIFE_BLOCKS)
+    se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))
     return EtaSeriesPoint(
         eta=float(eta),
         mean_v=mean,
@@ -250,9 +245,6 @@ def fit_fano_line(points, sigma2_rel: float | None = None) -> CalibrationFit:
     intercept_se = math.sqrt(sxx / delta)
     resid = y - (intercept + slope * x)
     ss_res = float((w * resid**2).sum())
-    ybar = sy / s
-    ss_tot = float((w * (y - ybar) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     valid = bool(np.isfinite(intercept) and intercept > 0)
     corrected = None
     if sigma2_rel is not None:
@@ -262,8 +254,7 @@ def fit_fano_line(points, sigma2_rel: float | None = None) -> CalibrationFit:
         intercept=float(intercept),
         slope_se=slope_se,
         intercept_se=intercept_se,
-        gamma_bar_est=float(intercept),
-        r_squared=r2,
+        chi2_dof=ss_res / (len(points) - 2),
         points=points,
         valid=valid,
         gamma_bar_corrected=corrected,
@@ -316,7 +307,6 @@ def mean_constancy_check(
     return MeanConstancyReport(
         rows=tuple(rows),
         pooled_ratio=pooled,
-        gamma_bar_est=float(gamma_bar_est),
         passed=all(r.passed for r in rows),
     )
 
@@ -395,7 +385,7 @@ def gain_scaling_check(
         constancy.append(
             mean_constancy_check(
                 fit.points,
-                fit.gamma_bar_est,
+                fit.intercept,
                 refs,
                 gamma_bar_se=fit.intercept_se,
                 sigma2_rel=sigma2_rel,

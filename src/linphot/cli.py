@@ -43,6 +43,25 @@ def _resolve_out(args, config=None):
     return Path(out)
 
 
+def _read_calibration(path):
+    """The dark variance and checked fit numbers (None: no fit) of a calibration file.
+
+    A malformed file raises an error that names it.
+    """
+    doc = read_json(path)
+    try:
+        fit = doc.get("fit")
+        if fit is not None:
+            fit = {
+                **{key: float(fit[key]) for key in ("slope", "intercept", "intercept_se")},
+                "valid": fit["valid"] is True,
+                "points": [(float(p["eta"]), float(p["mean_v"]), float(p["fano_v"])) for p in fit["points"]],
+            }
+        return float(doc.get("dark_variance_subtracted", 0.0)), fit
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"calibration file is malformed: {path}: {exc!r}") from exc
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     result = run_experiment(config, _resolve_out(args, config))
@@ -114,7 +133,7 @@ def _cmd_calibrate(args) -> int:
         raise LinphotError(fit_error)
     out.mkdir(parents=True, exist_ok=True)
     write_calibration(out / "calibration.json", sha, dark_var, fit, None, None, None)
-    print(f"gamma_bar_est = {fit.gamma_bar_est!r} +- {fit.intercept_se!r}")
+    print(f"gamma_bar_est = {fit.intercept!r} +- {fit.intercept_se!r}")
     print(f"slope = {fit.slope!r} +- {fit.slope_se!r}")
     print(f"wrote {out / 'calibration.json'}")
     return 0
@@ -123,19 +142,13 @@ def _cmd_calibrate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     ens = read_ensemble_csv(args.input)
     if args.gamma_bar is not None:
-        gamma_bar = args.gamma_bar
-        se_gamma_bar = 0.0
+        gamma_bar, se_gamma_bar = args.gamma_bar, 0.0
     else:
-        doc = read_json(args.from_calibration)
-        fit = doc.get("fit") or {}
-        gamma_bar = fit.get("gamma_bar_est")
-        se_gamma_bar = fit.get("intercept_se")
-        if gamma_bar is None or se_gamma_bar is None or not fit.get("valid", False):
-            print(
-                f"error: no valid gamma_bar_est and intercept_se in {args.from_calibration}",
-                file=sys.stderr,
-            )
+        _, fit = _read_calibration(args.from_calibration)
+        if fit is None or not fit["valid"]:
+            print(f"error: no valid fit in {args.from_calibration}", file=sys.stderr)
             return 1
+        gamma_bar, se_gamma_bar = fit["intercept"], fit["intercept_se"]
     dark_mean = 0.0
     if args.dark:
         dark_mean = float(read_ensemble_csv(args.dark).samples.mean())
@@ -157,27 +170,15 @@ def _cmd_check(args) -> int:
         if not ok:
             failures.append(name)
 
-    cal_path = out / "calibration.json"
-    if not cal_path.exists():
-        print(f"error: {cal_path} not found", file=sys.stderr)
-        return 1
-    doc = read_json(cal_path)
-    try:
-        # recompute with the recorded subtraction constant so the statistics
-        # pipeline is replayed bit-for-bit
-        dark_var = float(doc.get("dark_variance_subtracted", 0.0))
-        fit = doc.get("fit")
-        if fit is not None:
-            slope, intercept = float(fit["slope"]), float(fit["intercept"])
-            recorded = [(float(p["eta"]), float(p["mean_v"]), float(p["fano_v"])) for p in fit["points"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"calibration file is malformed: {cal_path}: {exc!r}") from exc
+    # recompute with the recorded subtraction constant so the statistics
+    # pipeline is replayed bit-for-bit
+    dark_var, fit = _read_calibration(out / "calibration.json")
     dark_path = out / "dark.csv"
     if dark_path.exists():
         verdict("dark record readable", read_ensemble_csv(dark_path).samples.size > 0)
     if fit is not None:
         points = []
-        for eta, mean_v, fano_v in recorded:
+        for eta, mean_v, fano_v in fit["points"]:
             matches = sorted(out.glob(f"ensemble_*_eta_{eta:.6f}.csv"))
             if not matches:
                 verdict(f"ensemble for eta={eta:.6f} present", False)
@@ -188,12 +189,12 @@ def _cmd_check(args) -> int:
             ok = ok and math.isclose(point.fano_v, fano_v, rel_tol=1e-9, abs_tol=1e-12)
             verdict(f"eta={eta:.6f} point statistics reproduce", ok)
             points.append(point)
-        if len(points) == len(recorded):
+        if len(points) == len(fit["points"]):
             refit = fit_fano_line(points)
             verdict(
                 "fano-line fit reproduces",
-                math.isclose(refit.slope, slope, rel_tol=1e-6, abs_tol=1e-12)
-                and math.isclose(refit.intercept, intercept, rel_tol=1e-6, abs_tol=1e-12),
+                math.isclose(refit.slope, fit["slope"], rel_tol=1e-6, abs_tol=1e-12)
+                and math.isclose(refit.intercept, fit["intercept"], rel_tol=1e-6, abs_tol=1e-12),
             )
     pm_path = out / "pm.csv"
     if pm_path.exists():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -37,8 +38,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+def _is_finite_number(x) -> bool:
+    # not math.isfinite, which raises on a JSON integer beyond the float range
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _reject_unknown(raw: dict, known, prefix: str = "") -> None:
@@ -97,17 +99,28 @@ def _parse_source(raw: dict) -> SourceSpec:
     _reject_unknown(raw, [f.name for f in fields(SourceSpec)], "source.")
     kind = raw.get("kind")
     _require(kind in SOURCE_KINDS, "source.kind", f"must be one of {SOURCE_KINDS}, got {kind!r}")
+    pmf = raw.get("pmf")
+    if pmf is not None:
+        _require(isinstance(pmf, (list, tuple)), "source.pmf", f"must be a list, got {pmf!r}")
+        for i, p in enumerate(pmf):
+            _require(
+                _is_finite_number(p) and p >= 0,
+                f"source.pmf[{i}]",
+                f"must be a nonnegative finite number, got {p!r}",
+            )
+        _require(0 < sum(map(float, pmf)) < math.inf, "source.pmf", "needs a positive finite sum")
+        pmf = tuple(pmf)
     spec = SourceSpec(
         kind=kind,
         mean=raw.get("mean"),
         modes=raw.get("modes"),
         n=raw.get("n"),
-        pmf=tuple(raw["pmf"]) if raw.get("pmf") is not None else None,
+        pmf=pmf,
     )
     if kind in ("poisson", "thermal", "multimode_thermal"):
         _require(spec.mean is not None, "source.mean", f"required for kind {kind!r}")
         _require(
-            _is_number(spec.mean) and math.isfinite(spec.mean) and spec.mean >= 0,
+            _is_finite_number(spec.mean) and spec.mean >= 0,
             "source.mean",
             f"must be a nonnegative finite number, got {spec.mean!r}",
         )
@@ -124,11 +137,7 @@ def _parse_source(raw: dict) -> SourceSpec:
             f"must be a nonnegative integer, got {spec.n!r}",
         )
     if kind == "pmf":
-        _require(
-            spec.pmf is not None and len(spec.pmf) > 0,
-            "source.pmf",
-            "required nonempty table for kind 'pmf'",
-        )
+        _require(spec.pmf is not None, "source.pmf", "required for kind 'pmf'")
     return spec
 
 
@@ -153,13 +162,13 @@ def from_dict(raw: dict) -> RunConfig:
     )
     gamma_bar = g.get("gamma_bar")
     _require(
-        _is_number(gamma_bar) and math.isfinite(gamma_bar) and gamma_bar > 0,
+        _is_finite_number(gamma_bar) and gamma_bar > 0,
         "gain.gamma_bar",
         f"must be a positive finite number, got {gamma_bar!r}",
     )
     sigma = g.get("sigma", 0.0)
     _require(
-        _is_number(sigma) and math.isfinite(sigma) and sigma >= 0,
+        _is_finite_number(sigma) and sigma >= 0,
         "gain.sigma",
         f"must be a nonnegative finite number, got {sigma!r}",
     )
@@ -170,7 +179,7 @@ def from_dict(raw: dict) -> RunConfig:
     _reject_unknown(d, [f.name for f in fields(DarkSpec)], "dark.")
     sigma0 = d.get("sigma0", 0.1 * gain.gamma_bar)
     _require(
-        _is_number(sigma0) and math.isfinite(sigma0) and sigma0 >= 0,
+        _is_finite_number(sigma0) and sigma0 >= 0,
         "dark.sigma0",
         f"must be a nonnegative finite number, got {sigma0!r}",
     )
@@ -185,7 +194,7 @@ def from_dict(raw: dict) -> RunConfig:
         )
         for i, e in enumerate(etas):
             _require(
-                _is_number(e) and 0.0 < e <= 1.0,
+                _is_finite_number(e) and 0.0 < e <= 1.0,
                 f"eta_series[{i}]",
                 f"must be in (0, 1], got {e!r}",
             )
@@ -193,7 +202,7 @@ def from_dict(raw: dict) -> RunConfig:
     else:
         eta_max = raw.get("eta_max")
         _require(
-            _is_number(eta_max) and 0.0 < eta_max <= 1.0,
+            _is_finite_number(eta_max) and 0.0 < eta_max <= 1.0,
             "eta_max",
             "required when eta_series is absent; must be in (0, 1]",
         )
@@ -222,7 +231,7 @@ def from_dict(raw: dict) -> RunConfig:
     _require(isinstance(factors, (list, tuple)), "gain_scale_factors", "must be a list")
     for i, f in enumerate(factors):
         _require(
-            _is_number(f) and math.isfinite(f) and f > 0,
+            _is_finite_number(f) and f > 0,
             f"gain_scale_factors[{i}]",
             f"must be positive, got {f!r}",
         )
@@ -249,7 +258,7 @@ def from_dict(raw: dict) -> RunConfig:
 
     rec_eta = raw.get("reconstruct_eta", max(eta_series))
     _require(
-        _is_number(rec_eta) and 0.0 < rec_eta <= 1.0,
+        _is_finite_number(rec_eta) and 0.0 < rec_eta <= 1.0,
         "reconstruct_eta",
         f"must be in (0, 1], got {rec_eta!r}",
     )

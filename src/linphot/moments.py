@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -267,22 +267,3 @@ def narrow_gain_moments(
         gamma_bar**r * detected.central_moments[r - 2] for r in range(2, order + 1)
     )
     return MomentSet.from_central(gamma_bar * detected.mean_m, central)
-
-
-def block_jackknife_se(data, stat: Callable, n_blocks: int = 20) -> float:
-    """Standard error of ``stat`` by non-overlapping block jackknife.
-
-    ``data`` is sliced along axis 0; ``stat`` receives the retained rows.
-    """
-    x = np.asarray(data, dtype=float)
-    if x.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 samples for a jackknife")
-    b = min(int(n_blocks), x.shape[0])
-    edges = np.linspace(0, x.shape[0], b + 1).astype(int)
-    thetas = np.array(
-        [
-            stat(np.concatenate((x[:lo], x[hi:]), axis=0))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-    )
-    return float(np.sqrt((b - 1) / b * np.sum((thetas - thetas.mean()) ** 2)))

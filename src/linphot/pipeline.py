@@ -162,7 +162,7 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
         refs = [eta * source.mean_n for eta in config.eta_series]
         constancy = mean_constancy_check(
             points,
-            fit.gamma_bar_est,
+            fit.intercept,
             refs,
             gamma_bar_se=fit.intercept_se,
             sigma2_rel=sigma2_rel,
@@ -198,7 +198,7 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     files["reconstruction_ensemble"] = out / rec_name
 
     if fit is not None and fit.valid:
-        gamma_used = fit.gamma_bar_est
+        gamma_used = fit.intercept
         gamma_source = "calibration intercept"
         se_gamma = fit.intercept_se
     else:
@@ -248,8 +248,8 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     if fit is not None:
         lines += [
             f"- slope = {_fmt(fit.slope)} +- {_fmt(fit.slope_se)}",
-            f"- intercept = {_fmt(fit.intercept)} +- {_fmt(fit.intercept_se)} (r^2 = {_fmt(fit.r_squared)})",
-            f"- gamma_bar_est = {_fmt(fit.gamma_bar_est)}"
+            f"- intercept = {_fmt(fit.intercept)} +- {_fmt(fit.intercept_se)} (chi2/dof = {_fmt(fit.chi2_dof)})",
+            f"- gamma_bar_est = {_fmt(fit.intercept)}"
             + (
                 f", spread-corrected = {_fmt(fit.gamma_bar_corrected)}"
                 if fit.gamma_bar_corrected is not None

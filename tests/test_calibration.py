@@ -9,6 +9,8 @@ from linphot import (
     InsufficientDesignError,
     InvalidParameterError,
     SingularFitError,
+    analytic_voltage_moments,
+    apply_bernoulli,
     default_eta_series,
     eta_point_from_samples,
     fit_fano_line,
@@ -46,7 +48,9 @@ class TestEtaPoint:
         # mu2 = (100^2 + 0 + 100^2)/3
         assert point.fano_v == pytest.approx((20000.0 / 3) / 200.0)
         assert point.se_mean_v == pytest.approx(math.sqrt(20000.0 / 3 / 3))
-        assert point.se_fano_v > 0
+        # d = (-100, 0, 100) and F = 100/3 give d (d - F) = (40000/3, 0, 20000/3),
+        # whose plug-in sd (20000/3) sqrt(2/3) over 200 sqrt(3) is 100 sqrt(2) / 9
+        assert point.se_fano_v == pytest.approx(100.0 * math.sqrt(2.0) / 9.0, rel=1e-12)
 
     def test_dark_subtraction(self):
         rng = np.random.default_rng(41)
@@ -66,13 +70,55 @@ class TestEtaPoint:
             eta_point_from_samples(0.5, [100.0, bad, 300.0])
 
 
+def exact_se_fano(source, eta, gain, dark, n):
+    """The delta-method SE of fano_v from the exact voltage moments."""
+    mset = analytic_voltage_moments(apply_bernoulli(source, eta), gain, dark, order=4)
+    mu2, mu3, mu4 = (mset.central_moment(r) for r in (2, 3, 4))
+    fano = (mu2 - dark.sigma0**2) / mset.mean
+    return math.sqrt((mu4 - mu2**2 - 2 * fano * mu3 + fano**2 * mu2) / n) / abs(mset.mean)
+
+
+class TestFanoStandardError:
+    # ``scatter`` is the between-seed relative sd of se_fano_v (300 seeds)
+    @pytest.mark.parametrize("eta", [0.05, 0.5])
+    @pytest.mark.parametrize(
+        "source,gain,n,scatter",
+        [
+            (make_poisson(100.0), make_gain("gaussian", GAIN, 2.0), 3 * 10**4, 0.013),
+            (make_thermal(100.0), make_gain("gamma", GAIN, 5.0), 10**4, 0.084),
+        ],
+        ids=["poisson", "thermal"],
+    )
+    def test_matches_exact_moments(self, source, gain, n, scatter, eta):
+        dark = DarkNoiseModel(10.0)
+        ens = simulate_ensemble(source, eta, gain, dark, n, seed=31)
+        point = eta_point_from_samples(eta, ens.samples, dark_variance=dark.sigma0**2)
+        exact = exact_se_fano(source, eta, gain, dark, n)
+        assert point.se_fano_v == pytest.approx(exact, rel=5 * scatter)
+
+    def test_covers_the_spread_of_fano_v(self):
+        src = make_poisson(100.0)
+        gain = make_gain("gaussian", GAIN, 2.0)
+        dark = DarkNoiseModel(10.0)
+        points = [
+            eta_point_from_samples(
+                0.5, simulate_ensemble(src, 0.5, gain, dark, 10**4, seed).samples, 100.0
+            )
+            for seed in range(200)
+        ]
+        empirical = np.std([p.fano_v for p in points], ddof=1)
+        mean_se = np.mean([p.se_fano_v for p in points])
+        # 200 ensembles give the sd to about 6%, so 0.25 is 4 of its SEs
+        assert empirical / mean_se == pytest.approx(1.0, abs=0.25)
+
+
 class TestFitFanoLine:
     def test_exact_line_recovered(self):
         pts = synthetic_points(0.3, 7.0, [10.0, 25.0, 40.0, 80.0])
         fit = fit_fano_line(pts)
         assert fit.slope == pytest.approx(0.3, abs=1e-12)
         assert fit.intercept == pytest.approx(7.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit.chi2_dof == pytest.approx(0.0, abs=1e-12)
         assert fit.valid
 
     def test_weighting_prefers_precise_points(self):
@@ -203,7 +249,7 @@ class TestMeanConstancy:
         )
         fit = fit_fano_line(pts, sigma2_rel=4e-4)
         report = mean_constancy_check(
-            pts, fit.gamma_bar_est, [e * 100.0 for e in etas], sigma2_rel=4e-4
+            pts, fit.intercept, [e * 100.0 for e in etas], sigma2_rel=4e-4
         )
         assert report.passed
         for row in report.rows:

@@ -2,9 +2,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ import linphot
 from linphot import ConfigError, InvalidParameterError, VoltageEnsemble, run_experiment
 from linphot.cli import main
 from linphot.config import (
+    SOURCE_KINDS,
+    RunConfig,
     build_source,
     config_hash,
     from_dict,
@@ -56,6 +60,16 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+# every value a JSON document can hold, as Python's json module reads it
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+CONFIG_KEYS = [f.name for f in fields(RunConfig)] + ["eta_max", "eta_count"]
 
 
 class TestConfig:
@@ -175,6 +189,51 @@ class TestConfig:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{name}: unknown key" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pmf,name",
+        [
+            (5, "source.pmf"),
+            (["a", 1], r"source.pmf\[0\]"),
+            ([True, 1], r"source.pmf\[0\]"),
+            ([1, -1, 2], r"source.pmf\[1\]"),
+            ([1, 10**400], r"source.pmf\[1\]"),
+            ([0, 0.0], "source.pmf"),
+            ([], "source.pmf"),
+            ([1e308, 1e308], "source.pmf"),
+        ],
+    )
+    def test_bad_pmf_names_the_entry_and_writes_nothing(self, tmp_path, capsys, pmf, name):
+        source = {"kind": "pmf", "pmf": pmf}
+        with pytest.raises(ConfigError, match=name):
+            from_dict({**BASE, "source": source})
+        cfg = write_config(tmp_path, {"source": source})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.search(name, capsys.readouterr().err)
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        top=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=2),
+        source=st.fixed_dictionaries(
+            {"kind": st.sampled_from(SOURCE_KINDS)},
+            optional={
+                "mean": JSON_VALUES,
+                "modes": JSON_VALUES,
+                "n": JSON_VALUES,
+                "pmf": st.lists(JSON_SCALARS, max_size=4) | JSON_VALUES,
+            },
+        ),
+        gain=st.dictionaries(st.sampled_from(["gamma_bar", "sigma", "family"]), JSON_VALUES),
+        dark=st.dictionaries(st.just("sigma0"), JSON_VALUES),
+    )
+    def test_any_json_document_parses_or_is_a_config_error(self, top, source, gain, dark):
+        raw = {**BASE, "source": source, "gain": {**BASE["gain"], **gain}, "dark": dark, **top}
+        try:
+            from_dict(raw)
+        except ConfigError:
+            pass
 
     def test_design_error_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n_samples": 2000, "gain_scale_factors": [2.0]})
@@ -354,6 +413,36 @@ class TestCheckCalibrationFile:
         assert "mean_v" in err
 
 
+class TestReconstructFromCalibration:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: [],
+            lambda doc: {**doc, "fit": {**doc["fit"], "intercept": "x"}},
+        ],
+        ids=["not-an-object", "intercept-not-a-number"],
+    )
+    def test_malformed_file_exits_2_naming_it(self, finished_run, tmp_path, capsys, edit):
+        cal = tmp_path / "calibration.json"
+        cal.write_text(json.dumps(edit(json.loads((finished_run / "calibration.json").read_text()))))
+        (ensemble,) = finished_run.glob("reconstruction_eta_*.csv")
+        args = ["reconstruct", "--input", str(ensemble), "--from-calibration", str(cal)]
+        assert main(args + ["--out", str(tmp_path / "rec")]) == 2
+        assert f"calibration file is malformed: {cal}" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
+    def test_file_with_the_removed_fit_keys_still_reads(self, finished_run, tmp_path):
+        doc = json.loads((finished_run / "calibration.json").read_text())
+        doc["fit"].update(gamma_bar_est=doc["fit"]["intercept"], r_squared=0.5)
+        cal = tmp_path / "calibration.json"
+        cal.write_text(json.dumps(doc))
+        (ensemble,) = finished_run.glob("reconstruction_eta_*.csv")
+        args = ["reconstruct", "--input", str(ensemble), "--from-calibration", str(cal)]
+        assert main(args + ["--out", str(tmp_path / "rec")]) == 0
+        metrics = json.loads((tmp_path / "rec" / "pm_metrics.json").read_text())
+        assert metrics["gamma_bar_used"] == doc["fit"]["intercept"]
+
+
 class TestRunExperiment:
     def test_vacuum_config(self, tmp_path):
         raw = {
@@ -434,7 +523,7 @@ class TestCliCommands:
         assert main(["calibrate", "--ensembles", str(sim), "--out", str(sim)]) == 0
         doc = json.loads((sim / "calibration.json").read_text())
         assert doc["fit"]["valid"]
-        assert doc["fit"]["gamma_bar_est"] == pytest.approx(100.0, abs=12.0)
+        assert doc["fit"]["intercept"] == pytest.approx(100.0, abs=12.0)
         rec = tmp_path / "rec"
         assert (
             main(
@@ -516,16 +605,16 @@ class TestCliCommands:
 # suite runs with (PCG64 uniform, binomial, normal and gamma), which numpy
 # may change between releases.
 ARTIFACT_SHA256 = {
-    "calibration.json": "390acf2a6f16c9847a7594dcb7fe049825474ea6e9e031fcb973524a18453cbd",
+    "calibration.json": "a23fe8d6621cef401f2e2a5f1866c1e9d4fca35570a18ffb0348ea2a59751c0b",
     "config.json": "8eda591e739779df11b5006369ad862fff24dd806eca67b1bb12d53f19a19996",
     "dark.csv": "9464b2933d81f00bce8e54cf24545e7cc94c8eeffdc949398185c2bf12354388",
     "ensemble_00_eta_0.100000.csv": "a687a12da56f10f71f8f4fd6735847e8508006ebf8f450930e9998aea5ac4cc4",
     "ensemble_01_eta_0.300000.csv": "55f0d1170af15e7a67fbd88fa38fcd2043c72df81c9b09a65d4f19090affa91c",
     "ensemble_02_eta_0.500000.csv": "03bfe14419dd5ee3effa051a3dd53e1e263a69698385bbdcfac7273cb0c262c6",
-    "pm.csv": "aaad6a6071ac87d3f89cd0415ec95d1665ddbcca990c9b801d81834a8e1ac901",
-    "pm_metrics.json": "13e9011b35a1229ceed863fb2bd6fa2b68d487e38e1701ff60c6efb071fa391e",
+    "pm.csv": "ddecbe3f84715c9938b67d621baa178d038de0f43fb2b2062be0697655c10c44",
+    "pm_metrics.json": "318bade19013b6ddd3739ce0fb1e8d1f92782876beff2e267bd3971a81663104",
     "reconstruction_eta_0.500000.csv": "62c18e870caac9ac9a560110c06fe38542978110d5f5fb9411b7eeb1f579ef2f",
-    "report.md": "f52f8c18b34c2d0cd3d32996e3d88be71fb3fa461cfeeaf30eba914f7c4744f7",
+    "report.md": "1131181fb597c07ec4cc24ec4cbab2f67302a5bf836a5ed0663a660641ad3edb",
 }
 
 
@@ -539,7 +628,7 @@ def test_artifacts_match_pinned_hashes(tmp_path):
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
 # one pinned document that holds a GainScalingReport.
-GAIN_SCALING_CALIBRATION_SHA256 = "02dd5f60fc75718001bdd40aa5341776d7d7db59a7486cb76f48bb009c6add74"
+GAIN_SCALING_CALIBRATION_SHA256 = "bedfd28951189ae6752d514ecf196c73cbe8cc74b7cd0b503a865453ce44380e"
 
 
 def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):

@@ -11,7 +11,6 @@ from linphot import (
     analytic_pv_gaussian,
     analytic_voltage_moments,
     apply_bernoulli,
-    block_jackknife_se,
     make_fock,
     make_gain,
     make_poisson,
@@ -20,6 +19,7 @@ from linphot import (
     simulate_ensemble,
 )
 from linphot.streams import substream
+from oracles import block_jackknife_se
 
 
 class TestMakeGain:

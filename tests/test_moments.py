@@ -15,7 +15,6 @@ from linphot import (
     UnsupportedOrderError,
     analytic_voltage_moments,
     apply_bernoulli,
-    block_jackknife_se,
     cumulants_from_moments,
     make_gain,
     make_poisson,
@@ -27,6 +26,7 @@ from linphot import (
 )
 from linphot.detector import DarkNoiseModel
 from linphot.moments import cumulants_from_raw, raw_moments_from_cumulants
+from oracles import block_jackknife_se
 
 finite_kappa = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
