@@ -8,21 +8,30 @@ is provided both analytically (the detected PMF) and as a sampler
 The analytic channel has two paths.  A named source (Poisson, thermal,
 Fock) carries its thinned law from ``sources``, which is evaluated on
 0..n_max in O(n_max).  A table (``from_pmf``, ``detected_as_source``) is
-mixed with the exact binomial kernel of ``scipy.stats``, banded to where
-it holds all but ``KERNEL_EPS`` of its mass and built blockwise, so memory
-stays bounded and no term underflows before its true value does.
+mixed with the exact binomial kernel, evaluated by the binomial PMF of
+``sources``, banded by the Chernoff bound to where it holds all but
+``KERNEL_EPS`` of its mass and built blockwise, so memory stays bounded
+and no term underflows before its true value does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameterError, UndefinedStatisticError
 from .moments import pmf_moments
-from .sources import PhotonNumberDistribution, _finalize, sample_n
+from .sources import (
+    PhotonNumberDistribution,
+    _binom_bound,
+    _binom_pmf,
+    _crossing,
+    _finalize,
+    sample_n,
+)
 
 # binomial mass per photon number n that the table kernel may leave out
 KERNEL_EPS = 1e-30
@@ -56,22 +65,20 @@ def _check_eta(eta) -> float:
 def _binomial_mix(pn: np.ndarray, eta: float) -> np.ndarray:
     """sum_n B(m | n, eta) pn[n] for m = 0..n_max.
 
-    The kernel is built from ``stats.binom.pmf`` one block of KERNEL_BLOCK
-    columns n at a time, on the rows between the KERNEL_EPS lower quantile
-    of the block's first column and the upper quantile of its last one.
+    The kernel is built one block of KERNEL_BLOCK columns n at a time, on
+    the rows where the Chernoff bound of the block's first column (below)
+    and last column (above) leaves out at most KERNEL_EPS of the mass.
     """
-    from scipy import stats
-
     n_max = pn.size - 1
     pm = np.zeros(n_max + 1)
     starts = np.arange(0, n_max + 1, KERNEL_BLOCK)
     lasts = np.minimum(starts + KERNEL_BLOCK, n_max + 1) - 1
-    # the upper quantile of Binomial(n, eta) is n minus the lower one of
-    # Binomial(n, 1-eta): scipy's isf saturates at n for tiny tail masses
-    lows = stats.binom.ppf(KERNEL_EPS, starts, eta).astype(np.int64)
-    highs = lasts - stats.binom.ppf(KERNEL_EPS, lasts, 1.0 - eta).astype(np.int64)
+    limit = -math.log(KERNEL_EPS)
+    band = partial(_binom_bound, p=eta, q=1.0 - eta)
+    lows = _crossing(partial(band, n=starts), starts * eta, -1, limit)
+    highs = _crossing(partial(band, n=lasts), lasts * eta, lasts + 1, limit)
     for c0, c1, r0, r1 in zip(starts, lasts + 1, lows, highs + 1):
-        kernel = stats.binom.pmf(np.arange(r0, r1), np.arange(c0, c1)[:, None], eta)
+        kernel = _binom_pmf(np.arange(r0, r1), np.arange(c0, c1)[:, None], eta, 1.0 - eta)
         pm[r0:r1] += pn[c0:c1] @ kernel
     return pm
 
@@ -89,7 +96,7 @@ def apply_bernoulli(
     """
     eta = _check_eta(eta)
     if source._thin is not None:
-        pm = source._thin(np.arange(source.n_max + 1), eta)
+        pm = source._thin(source.n_max, eta)
     else:
         pm = _binomial_mix(source.pmf, eta)
     mean_m, central = pmf_moments(pm, order=5)

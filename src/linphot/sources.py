@@ -1,19 +1,22 @@
 """Photon-number distributions of the light entering the apparatus.
 
-All constructors return a truncated PMF: entries are kept until the
-cumulative tail mass drops below a configurable epsilon, and the PMF is
-*not* renormalized afterwards; the missing probability is carried in
-``tail_mass`` so downstream sums can propagate the truncation error.
+All constructors return a truncated PMF: entries are kept up to the first
+photon number whose upper tail mass is at most a configurable epsilon, and
+the PMF is *not* renormalized afterwards; the missing probability is
+carried in ``tail_mass`` so downstream sums can propagate the truncation
+error.
 
 The named families also carry their law under binomial loss, which stays
 in the family: Poisson(mu) thins to Poisson(eta mu), the ``modes``-mode
 thermal NB(M, mu/M) to NB(M, eta mu/M) and Fock(n) to Binomial(n, eta).
 ``loss.apply_bernoulli`` evaluates that rule instead of a kernel sum.
 
-``scipy.stats`` (about a second to import) is imported inside the
-functions that evaluate a law, here and in ``loss``, as is
-``scipy.special`` in ``detector`` and ``reconstruction``: commands that
-only read artifacts, such as ``linphot check``, never load it.
+The Poisson, binomial and negative-binomial PMFs are evaluated here in
+numpy, in Loader's saddle-point form, and only where they do not
+underflow; ``loss`` builds its table kernel from the same binomial PMF.
+No command loads scipy (about a second to import): only the ``ndtr``
+oracles ``detector.analytic_pv_cdf_gaussian`` and
+``reconstruction.expected_rebinned_pmf`` import ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ class PhotonNumberDistribution:
             assert self.mandel_q is None
 
 
-def _finalize(pmf: np.ndarray, label: str, thin=None) -> PhotonNumberDistribution:
+def _finalize(pmf: np.ndarray, label: str, thin=None, tail=None) -> PhotonNumberDistribution:
     pmf = np.ascontiguousarray(pmf, dtype=float)
-    tail = max(0.0, 1.0 - math.fsum(pmf))
+    if tail is None:
+        tail = max(0.0, 1.0 - math.fsum(pmf))
     mean, central = pmf_moments(pmf, order=2)
     q = (central[0] - mean) / mean if mean > 0 else None
     return PhotonNumberDistribution(
@@ -82,28 +86,190 @@ def _finalize(pmf: np.ndarray, label: str, thin=None) -> PhotonNumberDistributio
     )
 
 
-def _thin_poisson(mean, k, eta):
-    from scipy import stats
+# Photon-number laws at integer arguments, in Loader's saddle-point form
+# (C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
+# 2000; R's dbinom/dpois): each PMF is exp() of stirlerr and bd0 terms, so
+# its relative error stays near rounding level far into the tails.
 
-    return stats.poisson.pmf(k, eta * mean)
+# stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+# a PMF whose bound exceeds this is 0.0 in double precision
+_UNDERFLOW = 746.0
 
 
-def _thin_nbinom(mean, modes, k, eta):
-    from scipy import stats
+def _stirlerr(n):
+    """stirlerr at integers n >= 0: the table, then the Stirling series."""
+    n = np.asarray(n, dtype=float)
+    r = 1.0 / np.maximum(n, _STIRLERR.size)
+    r2 = r * r
+    out = 1 / 1680 - r2 / 1188
+    for c in (1 / 1260, 1 / 360, 1 / 12):
+        out *= -r2
+        out += c
+    out *= r
+    small = n < _STIRLERR.size
+    if small.any():
+        out = np.where(small, _STIRLERR[np.where(small, n, 0).astype(np.intp)], out)
+    return out
 
-    return stats.nbinom.pmf(k, modes, 1.0 / (1.0 + eta * mean / modes))
+
+def _bd0(x, m):
+    """x log(x/m) + m - x for x, m >= 0, summed as a series where x is near m."""
+    x, m = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(m, dtype=float))
+    out = np.empty(x.shape)
+    near = np.abs(x - m) < 0.5 * (x + m)
+    xf, mf = x[~near], m[~near]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x > 0 = m gives +inf; 0/0 unused
+        log_ratio = np.log(xf / mf, out=np.zeros(xf.shape), where=xf > 0)
+    out[~near] = xf * log_ratio + mf - xf
+    # near: (x - m) v + 2 x v sum_{j>=1} w^j / (2j + 1) with v = (x-m)/(x+m),
+    # w = v^2 < 0.25, to the first power of max(w) below 1e-17
+    xn, mn = x[near], m[near]
+    v = (xn - mn) / (xn + mn)
+    w = v * v
+    terms = math.ceil(math.log(1e-17) / math.log(w.max(initial=1e-17)))
+    acc = np.full(w.shape, 1.0 / (2 * terms + 1))
+    for j in range(terms - 1, 0, -1):
+        acc *= w
+        acc += 1.0 / (2 * j + 1)
+    acc *= w
+    acc *= 2.0 * xn
+    acc += xn - mn
+    acc *= v
+    out[near] = acc
+    return out
 
 
-def _thin_fock(n, k, eta):
-    from scipy import stats
+def _poisson_pmf(k, mean):
+    """Poisson(mean) PMF at integers k >= 0."""
+    k = np.asarray(k, dtype=float)
+    k1 = np.maximum(k, 1.0)
+    pmf = np.exp(-_stirlerr(k1) - _bd0(k1, mean)) / np.sqrt(2 * math.pi * k1)
+    return np.where(k == 0, math.exp(-mean), pmf)
 
-    return stats.binom.pmf(k, n, eta)
+
+def _binom_pmf(x, n, p, q):
+    """Binomial(n, p) PMF at integers x (0 outside 0..n); q = 1 - p."""
+    x, n = np.asarray(x, dtype=float), np.asarray(n, dtype=float)
+    if p == 0 or q == 0:
+        return (x == (0 * n if p == 0 else n)).astype(float)
+    y = n - x
+    inner = (x > 0) & (y > 0)
+    xi, yi = (x, y) if inner.all() else (np.where(inner, x, 1.0), np.where(inner, y, 1.0))
+    ni = xi + yi
+    lc = _stirlerr(ni) - _stirlerr(xi) - _stirlerr(yi) - _bd0(xi, ni * p) - _bd0(yi, ni * q)
+    pmf = np.exp(lc) * np.sqrt(ni / (2 * math.pi * xi * yi))
+    if inner.all():
+        return pmf
+    pmf[~inner] = 0.0
+    x, n = np.broadcast_arrays(x, n)
+    for edge, a, b in ((x == 0, p, q), (y == 0, q, p)):  # q**n and p**n
+        ne = n[edge]
+        pmf[edge] = np.exp(-_bd0(ne, ne * b) - ne * a if a < 0.1 else ne * math.log(b))
+    return pmf
 
 
-def _truncate(pmf: np.ndarray, tail_eps: float) -> np.ndarray:
-    cum = np.cumsum(pmf)
-    idx = int(np.searchsorted(cum, 1.0 - tail_eps, side="left"))
-    return pmf[: min(idx, pmf.size - 1) + 1]
+def _binom_bound(x, n, p, q):
+    """bd0(x, np) + bd0(n-x, nq), which is >= -log of the Binomial(n, p) PMF
+    at x and, by the Chernoff bound, >= -log of its tail beyond x."""
+    n = np.asarray(n, dtype=float)
+    return _bd0(x, n * p) + _bd0(n - x, n * q)
+
+
+def _nbinom_pmf(k, r, p, q):
+    """NB(r, p) PMF at k >= 0: r/(r+k) Binomial(r | k+r, p)."""
+    k = np.asarray(k, dtype=float)
+    return r / (r + k) * _binom_pmf(r, k + r, p, q)
+
+
+def _nbinom_bound(k, r, p, q):
+    return _binom_bound(r, np.asarray(k, dtype=float) + r, p, q)
+
+
+def _poisson_law(mean):
+    """PMF, bound and mean of Poisson(mean); exp(-bound) >= PMF and upper tail."""
+    return partial(_poisson_pmf, mean=mean), partial(_bd0, m=mean), mean
+
+
+def _nbinom_law(modes, x):
+    """The law of ``modes`` thermal modes of mean x each: NB(modes, 1/(1+x))."""
+    law = dict(r=modes, p=1.0 / (1.0 + x), q=x / (1.0 + x))
+    return partial(_nbinom_pmf, **law), partial(_nbinom_bound, **law), modes * x
+
+
+def _binom_law(n, eta):
+    law = dict(n=n, p=eta, q=1.0 - eta)
+    return partial(_binom_pmf, **law), partial(_binom_bound, **law), n * eta
+
+
+def _crossing(bound, inside, outside, limit):
+    """Farthest integer from ``inside`` toward ``outside`` with bound <= limit.
+
+    ``bound`` must be convex with bound(inside) <= limit; it is never
+    evaluated at ``outside``.  Elementwise on arrays of start points.
+    """
+    inside, outside = np.broadcast_arrays(np.asarray(inside, np.int64), np.asarray(outside, np.int64))
+    while np.any(np.abs(outside - inside) > 1):
+        gap = outside - inside
+        mid = inside + np.sign(gap) * (np.abs(gap) // 2)
+        ok = bound(mid) <= limit
+        inside, outside = np.where(ok, mid, inside), np.where(ok, outside, mid)
+    return inside
+
+
+def _evaluate(pmf, lo, hi):
+    """pmf at lo..hi in blocks whose temporaries stay in cache."""
+    block = 16384
+    return np.concatenate([pmf(np.arange(a, min(a + block, hi + 1))) for a in range(lo, hi + 1, block)])
+
+
+def _on_grid(law, n_max):
+    """The law's PMF on 0..n_max, evaluated only where it does not underflow."""
+    pmf, bound, mean = law
+    start = min(int(mean), n_max)
+    lo = int(_crossing(bound, start, -1, _UNDERFLOW))
+    hi = int(_crossing(bound, start, n_max + 1, _UNDERFLOW))
+    out = np.zeros(n_max + 1)
+    out[lo : hi + 1] = _evaluate(pmf, lo, hi)
+    return out
+
+
+def _truncated(law, tail_eps):
+    """The law's PMF up to the first n_max whose upper tail is <= tail_eps, and that tail.
+
+    Entries are evaluated from where they stop underflowing up to where the
+    bound puts the rest of the tail below tail_eps * 1e-17; the tails are
+    the reverse cumulative sums of those entries.
+    """
+    pmf, bound, mean = law
+    limit = 40.0 - math.log(tail_eps)  # past hi: an entry and a tail, each < 4e-18 tail_eps
+    top = 2 * int(mean) + 2
+    while bound(top) <= limit:
+        top *= 2
+    lo = int(_crossing(bound, int(mean), -1, _UNDERFLOW))
+    hi = int(_crossing(bound, int(mean), top, limit))
+    values = _evaluate(pmf, lo, hi)
+    tails = np.append(np.cumsum(values[::-1])[-2::-1], 0.0)  # mass past each k
+    cut = int(np.argmax(tails <= tail_eps))
+    return np.concatenate([np.zeros(lo), values[: cut + 1]]), float(tails[cut])
+
+
+def _thin_poisson(mean, n_max, eta):
+    return _on_grid(_poisson_law(eta * mean), n_max)
+
+
+def _thin_nbinom(mean, modes, n_max, eta):
+    return _on_grid(_nbinom_law(modes, eta * mean / modes), n_max)
+
+
+def _thin_fock(n, n_max, eta):
+    return _on_grid(_binom_law(n, eta), n_max)
 
 
 def _check_mean(mean) -> float:
@@ -128,11 +294,8 @@ def make_poisson(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistri
     thin = partial(_thin_poisson, mean)
     if mean == 0:
         return _finalize(np.array([1.0]), label, thin)
-    from scipy import stats
-
-    n_hi = int(stats.poisson.isf(tail_eps, mean)) + 2
-    pmf = stats.poisson.pmf(np.arange(n_hi + 1), mean)
-    return _finalize(_truncate(pmf, tail_eps), label, thin)
+    pmf, tail = _truncated(_poisson_law(mean), tail_eps)
+    return _finalize(pmf, label, thin, tail)
 
 
 def make_multimode_thermal(
@@ -152,13 +315,8 @@ def make_multimode_thermal(
     thin = partial(_thin_nbinom, mean, modes)
     if mean == 0:
         return _finalize(np.array([1.0]), label, thin)
-    from scipy import stats
-
-    x = mean / modes  # per-mode mean
-    p = 1.0 / (1.0 + x)
-    n_hi = int(stats.nbinom.isf(tail_eps, modes, p)) + 2
-    pmf = stats.nbinom.pmf(np.arange(n_hi + 1), modes, p)
-    return _finalize(_truncate(pmf, tail_eps), label, thin)
+    pmf, tail = _truncated(_nbinom_law(modes, mean / modes), tail_eps)
+    return _finalize(pmf, label, thin, tail)
 
 
 def make_thermal(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistribution:

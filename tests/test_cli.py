@@ -605,14 +605,14 @@ class TestCliCommands:
 # suite runs with (PCG64 uniform, binomial, normal and gamma), which numpy
 # may change between releases.
 ARTIFACT_SHA256 = {
-    "calibration.json": "a23fe8d6621cef401f2e2a5f1866c1e9d4fca35570a18ffb0348ea2a59751c0b",
+    "calibration.json": "ff9a917a7e463362cab62fa32394710eac26aa17e2c0d502a33b39d6a7118101",
     "config.json": "8eda591e739779df11b5006369ad862fff24dd806eca67b1bb12d53f19a19996",
     "dark.csv": "9464b2933d81f00bce8e54cf24545e7cc94c8eeffdc949398185c2bf12354388",
     "ensemble_00_eta_0.100000.csv": "a687a12da56f10f71f8f4fd6735847e8508006ebf8f450930e9998aea5ac4cc4",
     "ensemble_01_eta_0.300000.csv": "55f0d1170af15e7a67fbd88fa38fcd2043c72df81c9b09a65d4f19090affa91c",
     "ensemble_02_eta_0.500000.csv": "03bfe14419dd5ee3effa051a3dd53e1e263a69698385bbdcfac7273cb0c262c6",
     "pm.csv": "ddecbe3f84715c9938b67d621baa178d038de0f43fb2b2062be0697655c10c44",
-    "pm_metrics.json": "318bade19013b6ddd3739ce0fb1e8d1f92782876beff2e267bd3971a81663104",
+    "pm_metrics.json": "f6aa26bbd1f32a1c23f9e121a62421b3ae3ca2e5c6224284912a3ba58261a8f2",
     "reconstruction_eta_0.500000.csv": "62c18e870caac9ac9a560110c06fe38542978110d5f5fb9411b7eeb1f579ef2f",
     "report.md": "1131181fb597c07ec4cc24ec4cbab2f67302a5bf836a5ed0663a660641ad3edb",
 }
@@ -628,7 +628,7 @@ def test_artifacts_match_pinned_hashes(tmp_path):
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
 # one pinned document that holds a GainScalingReport.
-GAIN_SCALING_CALIBRATION_SHA256 = "bedfd28951189ae6752d514ecf196c73cbe8cc74b7cd0b503a865453ce44380e"
+GAIN_SCALING_CALIBRATION_SHA256 = "1547881f0ebc01ab01a3c6d49780461a4b0a9f162a44a6bebdc5e17936ab93e7"
 
 
 def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
@@ -734,12 +734,12 @@ class TestGainScalingInRun:
 SCIPY_PROBE = """
 import sys
 {body}
-print(sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def loaded_scipy(body, *args):
-    """Run ``body`` in a fresh interpreter; return which scipy modules it loaded."""
+    """Run ``body`` in a fresh interpreter; return every scipy module it loaded."""
     src = str(Path(linphot.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE.format(body=body), *args],
@@ -752,7 +752,7 @@ def loaded_scipy(body, *args):
 
 
 class TestStartupImports:
-    """Commands that evaluate no law start without scipy.stats or scipy.special."""
+    """No command loads scipy: the photon-number laws are evaluated in numpy."""
 
     def test_import_cli_and_load_config(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -762,3 +762,21 @@ class TestStartupImports:
     def test_check_a_finished_run(self, finished_run):
         body = "from linphot import cli\nassert cli.main(['check', '--out', sys.argv[1]]) == 0"
         assert loaded_scipy(body, str(finished_run)) == "[]"
+
+    def test_law_evaluating_commands(self, tmp_path):
+        sources = {
+            "poisson": BASE["source"],
+            "thermal": {"kind": "thermal", "mean": 20.0},
+            "multimode": {"kind": "multimode_thermal", "mean": 20.0, "modes": 3},
+            "fock": {"kind": "fock", "n": 20},
+            "table": {"kind": "pmf", "pmf": [0.1, 0.2, 0.3, 0.4]},
+        }
+        commands = []
+        for name, source in sources.items():
+            cfg = write_config(tmp_path, {"source": source}, name=f"{name}.json")
+            commands.append(["run", "--config", str(cfg), "--out", str(tmp_path / name)])
+        base = str(tmp_path / "poisson.json")
+        commands.append(["simulate", "--config", base, "--out", str(tmp_path / "sim")])
+        commands.append(["calibrate", "--config", base, "--out", str(tmp_path / "cal")])
+        body = "import json\nfrom linphot import cli\nfor args in json.loads(sys.argv[1]):\n    assert cli.main(args) == 0, args"
+        assert loaded_scipy(body, json.dumps(commands)) == "[]"

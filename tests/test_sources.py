@@ -1,5 +1,7 @@
 import math
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from linphot import (
     make_thermal,
     sample_n,
 )
+from linphot import sources
+from linphot.sources import DEFAULT_TAIL_EPS
 from linphot.streams import substream
 
 
@@ -185,3 +189,83 @@ class TestSampling:
         check = expected >= 100
         err = np.sqrt(expected[check] * (1 - dist.pmf[check]))
         assert np.all(np.abs(counts[check] - expected[check]) <= 5 * err)
+
+
+# Reference laws at 40 digits.  Upper tails P(X > k) are regularized
+# incomplete gamma (Poisson) and beta (negative binomial) functions.
+def poisson_pmf_mp(k, mean):
+    mean = mpmath.mpf(mean)
+    return mpmath.exp(k * mpmath.log(mean) - mean - mpmath.loggamma(k + 1))
+
+
+def nbinom_pmf_mp(k, modes, x):
+    x = mpmath.mpf(x)
+    log_c = mpmath.loggamma(k + modes) - mpmath.loggamma(modes) - mpmath.loggamma(k + 1)
+    return mpmath.exp(log_c + k * mpmath.log(x / (1 + x)) - modes * mpmath.log1p(x))
+
+
+def binom_pmf_mp(k, n, p):
+    p = mpmath.mpf(p)
+    log_c = mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+    return mpmath.exp(log_c + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+
+
+def poisson_tail_mp(k, mean):
+    return mpmath.gammainc(k + 1, 0, mean, regularized=True)
+
+
+def nbinom_tail_mp(k, modes, mean):
+    x = mpmath.mpf(mean) / modes
+    return mpmath.betainc(k + 1, modes, 0, x / (1 + x), regularized=True)
+
+
+def probe_points(mean, sd, top):
+    """The mean and mean +- 5 and 20 sd, clipped to 0..top."""
+    return sorted({min(max(round(mean + z * sd), 0), top) for z in (0, -5, 5, -20, 20)})
+
+
+def assert_matches_mp(values, ks, reference):
+    with mpmath.workdps(40):
+        for k, value in zip(ks, values):
+            expected = reference(k)
+            assert abs(value / expected - 1) <= 1e-13, (k, value, float(expected))
+
+
+@pytest.mark.parametrize("mean", [3.0, 100.0, 1e4, 1e6])
+def test_poisson_law_matches_mpmath(mean):
+    ks = probe_points(mean, math.sqrt(mean), 2 * int(mean) + 200)
+    values = sources._poisson_pmf(np.array(ks), mean)
+    assert_matches_mp(values, ks, partial(poisson_pmf_mp, mean=mean))
+
+
+@pytest.mark.parametrize("modes,mean", [(1, 10.0), (1, 1e3), (40, 1e5), (40, 1e6)])
+def test_nbinom_law_matches_mpmath(modes, mean):
+    x = mean / modes
+    ks = probe_points(mean, math.sqrt(mean * (1 + x)), 10 * int(mean))
+    pmf = sources._nbinom_law(modes, x)[0]
+    assert_matches_mp(pmf(np.array(ks)), ks, partial(nbinom_pmf_mp, modes=modes, x=x))
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("n", [100, 10**4, 10**6])
+def test_fock_thinning_matches_mpmath(n, eta):
+    ks = probe_points(n * eta, math.sqrt(n * eta * (1 - eta)), n)
+    values = sources._thin_fock(n, n, eta)[ks]
+    assert_matches_mp(values, ks, partial(binom_pmf_mp, n=n, p=eta))
+
+
+@pytest.mark.parametrize(
+    "mean,modes",
+    [(100.0, None), (1400.0, None), (1e4, None), (1e5, None), (1e5, 40)],
+    ids=["poisson-1e2", "poisson-1400", "poisson-1e4", "poisson-1e5", "thermal40-1e5"],
+)
+def test_truncated_at_the_first_exact_tail_below_eps(mean, modes):
+    if modes is None:
+        dist, tail = make_poisson(mean), partial(poisson_tail_mp, mean=mean)
+    else:
+        dist, tail = make_multimode_thermal(mean, modes), partial(nbinom_tail_mp, modes=modes, mean=mean)
+    with mpmath.workdps(40):
+        past_cut, past_previous = tail(dist.n_max), tail(dist.n_max - 1)
+    assert past_cut <= DEFAULT_TAIL_EPS < past_previous
+    assert dist.tail_mass == pytest.approx(float(past_cut), rel=1e-9, abs=0)
+    dist.validate()
