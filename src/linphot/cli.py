@@ -10,23 +10,25 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .calibration import eta_point_from_samples, fit_fano_line, iter_eta_series
+from .calibration import fit_fano_line, iter_eta_series
 from .errors import ConfigError, InvalidParameterError, LinphotError
-from .files import canonical_json, read_ensemble_csv, read_json, read_pm_csv
+from .files import canonical_json, read_ensemble_csv, read_json, read_pm_csv, write_json
 from .moments import sample_moments
 from .pipeline import (
+    Models,
     calibrate,
     reconstruct,
     run_experiment,
     simulate_sweep,
-    write_calibration,
-    write_reconstruction,
+    sweep_points,
 )
+from .reconstruction import subtract_offset
 
 
 def _load_config(path, seed_override):
@@ -76,14 +78,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config, args.seed)
     out = _resolve_out(args, config)
     out.mkdir(parents=True, exist_ok=True)
-    simulate_sweep(
-        config,
-        cfgmod.build_source(config),
-        cfgmod.build_gain(config),
-        cfgmod.build_dark(config),
-        out,
-        {"config_sha256": cfgmod.config_hash(config)},
-    )
+    simulate_sweep(Models(config), out)
     print(f"wrote {len(config.eta_series)} ensembles + dark.csv to {out}")
     return 0
 
@@ -99,40 +94,26 @@ def _cmd_calibrate(args) -> int:
     config = _load_config(args.config, args.seed) if args.config else None
     out = _resolve_out(args, config)
     if config is not None:
-        source = cfgmod.build_source(config)
-        gain = cfgmod.build_gain(config)
-        dark = cfgmod.build_dark(config)
+        models = Models(config)
         sweep = iter_eta_series(
-            source, gain, dark, config.eta_series, config.n_samples, config.seed
+            models.source, models.gain, models.dark, config.eta_series, config.n_samples, config.seed
         )
-        fit, fit_error = calibrate(
-            [point for point, _ in sweep], gain.sigma2 / gain.gamma_bar**2
-        )
-        sha = cfgmod.config_hash(config)
-        dark_var = dark.sigma0**2
+        record = calibrate([point for point, _ in sweep], models.dark.sigma0**2, models)
     else:
         ens_dir = Path(args.ensembles)
         dark_ens = read_ensemble_csv(ens_dir / "dark.csv")
         dark_mean = float(dark_ens.samples.mean())
         dark_var = float(np.mean((dark_ens.samples - dark_mean) ** 2))
-        paths = sorted(p for p in ens_dir.glob("ensemble_*.csv"))
-        if not paths:
+        points = sweep_points(ens_dir, dark_mean, dark_var)
+        if not points:
             print(f"error: no ensemble_*.csv files in {ens_dir}", file=sys.stderr)
             return 1
-        points = []
-        for path in paths:
-            ens = read_ensemble_csv(path)
-            points.append(
-                eta_point_from_samples(
-                    ens.eta, ens.samples - dark_mean, dark_variance=dark_var
-                )
-            )
-        fit, fit_error = calibrate(points, None)
-        sha = None
+        record = calibrate(points, dark_var)
+    fit = record.fit
     if fit is None:
-        raise LinphotError(fit_error)
+        raise LinphotError(record.fit_error)
     out.mkdir(parents=True, exist_ok=True)
-    write_calibration(out / "calibration.json", sha, dark_var, fit, None, None, None)
+    write_json(out / "calibration.json", asdict(record))
     print(f"gamma_bar_est = {fit.intercept!r} +- {fit.intercept_se!r}")
     print(f"slope = {fit.slope!r} +- {fit.slope_se!r}")
     print(f"wrote {out / 'calibration.json'}")
@@ -142,22 +123,18 @@ def _cmd_calibrate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     ens = read_ensemble_csv(args.input)
     if args.gamma_bar is not None:
-        gamma_bar, se_gamma_bar = args.gamma_bar, 0.0
+        gamma = (args.gamma_bar, 0.0, "--gamma-bar")
     else:
         _, fit = _read_calibration(args.from_calibration)
         if fit is None or not fit["valid"]:
             print(f"error: no valid fit in {args.from_calibration}", file=sys.stderr)
             return 1
-        gamma_bar, se_gamma_bar = fit["intercept"], fit["intercept_se"]
-    dark_mean = 0.0
-    if args.dark:
-        dark_mean = float(read_ensemble_csv(args.dark).samples.mean())
-    _, result, mean_v, consistency = reconstruct(ens, dark_mean, gamma_bar, se_gamma_bar)
+        gamma = (fit["intercept"], fit["intercept_se"], "calibration intercept")
+    dark_mean = float(read_ensemble_csv(args.dark).samples.mean()) if args.dark else 0.0
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files = write_reconstruction(out, result, mean_v, consistency, {}, {})
-    print(f"wrote {files['pm']} and {files['pm_metrics']}")
-    print(f"[{'PASS' if consistency.passed else 'FAIL'}] self-consistency")
+    _, metrics = reconstruct(subtract_offset(ens, dark_mean), *gamma, out)
+    print(f"wrote {out / 'pm.csv'} and {out / 'pm_metrics.json'}")
+    print(f"[{'PASS' if metrics.self_consistency.passed else 'FAIL'}] self-consistency")
     return 0
 
 
@@ -170,26 +147,23 @@ def _cmd_check(args) -> int:
         if not ok:
             failures.append(name)
 
-    # recompute with the recorded subtraction constant so the statistics
-    # pipeline is replayed bit-for-bit
     dark_var, fit = _read_calibration(out / "calibration.json")
     dark_path = out / "dark.csv"
     if dark_path.exists():
         verdict("dark record readable", read_ensemble_csv(dark_path).samples.size > 0)
     if fit is not None:
-        points = []
-        for eta, mean_v, fano_v in fit["points"]:
-            matches = sorted(out.glob(f"ensemble_*_eta_{eta:.6f}.csv"))
-            if not matches:
-                verdict(f"ensemble for eta={eta:.6f} present", False)
-                continue
-            ens = read_ensemble_csv(matches[0])
-            point = eta_point_from_samples(eta, ens.samples, dark_variance=dark_var)
-            ok = math.isclose(point.mean_v, mean_v, rel_tol=1e-9, abs_tol=1e-12)
-            ok = ok and math.isclose(point.fano_v, fano_v, rel_tol=1e-9, abs_tol=1e-12)
-            verdict(f"eta={eta:.6f} point statistics reproduce", ok)
-            points.append(point)
-        if len(points) == len(fit["points"]):
+        # the recorded subtraction constant and no dark mean, as run computed
+        # the points, so the statistics pipeline is replayed bit for bit
+        points = sweep_points(out, 0.0, dark_var)
+        recorded = fit["points"]
+        if len(points) != len(recorded):
+            verdict(f"one ensemble per recorded point ({len(points)} for {len(recorded)})", False)
+        else:
+            for point, (eta, mean_v, fano_v) in zip(points, recorded):
+                ok = point.eta == eta
+                ok = ok and math.isclose(point.mean_v, mean_v, rel_tol=1e-9, abs_tol=1e-12)
+                ok = ok and math.isclose(point.fano_v, fano_v, rel_tol=1e-9, abs_tol=1e-12)
+                verdict(f"eta={eta:.6f} point statistics reproduce", ok)
             refit = fit_fano_line(points)
             verdict(
                 "fano-line fit reproduces",
@@ -200,9 +174,7 @@ def _cmd_check(args) -> int:
     if pm_path.exists():
         pmf, counts = read_pm_csv(pm_path)
         verdict("pm.csv pmf normalized", abs(pmf.sum() - 1.0) < 1e-9)
-        verdict(
-            "pm.csv counts consistent", bool(np.allclose(counts / counts.sum(), pmf))
-        )
+        verdict("pm.csv counts consistent", bool(np.allclose(counts / counts.sum(), pmf)))
     verdict("report present", (out / "report.md").exists())
     return 1 if failures else 0
 

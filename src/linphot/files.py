@@ -7,10 +7,10 @@ is fixed byte for byte: each line is ``"%.17e\n" % v``, exactly what
 ``np.savetxt(fmt="%.17e")`` writes, so every sample reads back bit for bit.
 A file whose ``n_samples`` header disagrees with its sample lines, or
 whose last line is unterminated, is rejected as truncated.  P_m CSV:
-``# key=value`` headers, then ``m,pmf_hat,count`` rows.  In a JSON
-artifact each result's keys are its dataclass's fields
-(``dataclasses.asdict``), written by :func:`canonical_json` (sorted keys) so
-repeated runs are byte-identical.
+``# key=value`` headers, then ``m,pmf_hat,count`` rows.  Every JSON
+artifact is exactly one dataclass (``config.RunConfig``, ``pipeline.CalibrationRecord``,
+``pipeline.PmMetrics``) written with ``dataclasses.asdict`` by
+:func:`canonical_json` (sorted keys), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations

@@ -559,6 +559,8 @@ class TestCliCommands:
         ) == 0
         metrics = json.loads((out / "pm_metrics.json").read_text())
         assert metrics["mean_m_hat"] == pytest.approx(1.0)
+        assert metrics["gamma_bar_source"] == "--gamma-bar"
+        assert metrics["config_sha256"] is None
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -681,11 +683,18 @@ class TestSubcommandsAreStagesOfRun:
         cfg, run = run_dir
         cal = tmp_path / "cal"
         assert main(["calibrate", "--config", str(cfg), "--out", str(cal)]) == 0
+        assert (cal / "calibration.json").read_bytes() == (run / "calibration.json").read_bytes()
         doc = json.loads((cal / "calibration.json").read_text())
-        run_doc = json.loads((run / "calibration.json").read_text())
-        assert doc["fit"] == run_doc["fit"]
-        assert doc["config_sha256"] == run_doc["config_sha256"]
-        assert doc["dark_variance_subtracted"] == run_doc["dark_variance_subtracted"]
+        assert doc["checks"]["mean_constancy"]["passed"] is True
+
+    def test_calibrate_config_mode_writes_the_run_gain_scaling_check(self, tmp_path):
+        cfg = write_config(tmp_path, {"gain_scale_factors": [0.5, 2.0]})
+        run, cal = tmp_path / "run", tmp_path / "cal"
+        assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["calibrate", "--config", str(cfg), "--out", str(cal)]) == 0
+        assert (cal / "calibration.json").read_bytes() == (run / "calibration.json").read_bytes()
+        doc = json.loads((cal / "calibration.json").read_text())
+        assert [row["factor"] for row in doc["checks"]["gain_scaling"]["rows"]] == [0.5, 2.0]
 
     def test_reconstruct_gives_the_run_pm_rows(self, run_dir, tmp_path):
         _, run = run_dir
@@ -709,7 +718,69 @@ class TestSubcommandsAreStagesOfRun:
         assert main(args + ["--out", str(rec)]) == 0
         doc = json.loads((rec / "pm_metrics.json").read_text())
         run_doc = json.loads((run / "pm_metrics.json").read_text())
-        assert doc["self_consistency"] == run_doc["self_consistency"]
+        # no config and no generating P_m: the three keys they fill are null
+        assert doc == {**run_doc, "config_sha256": None, "tv_distance": None, "fidelity": None}
+        assert run_doc["tv_distance"] is not None and run_doc["gamma_bar_source"] == "calibration intercept"
+
+
+class TestCheckReadsTheSweepInOrder:
+    """``check`` matches recorded point i to ensemble i, by the index in its name."""
+
+    def run_and_check(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        code = main(["check", "--out", str(out)])
+        return out, code, capsys.readouterr().out
+
+    # the second point was read from the first's file, a glob on the eta
+    # the file name rounds to 6 places
+    @pytest.mark.parametrize(
+        "eta_series", [[0.1, 0.1, 0.3, 0.5], [0.1, 0.1000001, 0.3, 0.5]], ids=["repeated", "same-6-places"]
+    )
+    def test_repeated_eta_passes(self, tmp_path, capsys, eta_series):
+        out, code, printed = self.run_and_check(tmp_path, capsys, {"eta_series": eta_series})
+        assert sorted(p.name for p in out.glob("ensemble_*.csv"))[:2] == [
+            "ensemble_00_eta_0.100000.csv",
+            "ensemble_01_eta_0.100000.csv",
+        ]
+        assert code == 0
+        assert "[FAIL]" not in printed
+        assert printed.count("eta=0.100000 point statistics reproduce") == 2
+
+    def test_a_101_point_sweep_passes(self, tmp_path, capsys):
+        etas = [round(0.01 + 0.004 * i, 6) for i in range(101)]
+        out, code, printed = self.run_and_check(tmp_path, capsys, {"eta_series": etas, "n_samples": 500})
+        # ensemble_100 sorts before ensemble_11 by name
+        assert (out / "ensemble_100_eta_0.410000.csv").exists()
+        assert code == 0
+        assert "[FAIL]" not in printed
+        assert printed.count("point statistics reproduce") == 101
+
+    def test_a_missing_ensemble_is_one_failure(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        (out / "ensemble_01_eta_0.300000.csv").unlink()
+        assert main(["check", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] one ensemble per recorded point (2 for 3)" in printed
+
+    def test_an_eta_header_that_differs_fails_its_point(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        path = out / "ensemble_00_eta_0.100000.csv"
+        path.write_text(path.read_text().replace("# eta=0.1\n", "# eta=0.1000001\n", 1))
+        assert main(["check", "--out", str(out)]) == 1
+        assert "[FAIL] eta=0.100000 point statistics reproduce" in capsys.readouterr().out
+
+    def test_an_ensemble_name_without_an_index_is_named(self, finished_run, tmp_path, capsys):
+        ens_dir = tmp_path / "ens"
+        shutil.copytree(finished_run, ens_dir)
+        (ens_dir / "ensemble_00_eta_0.100000.csv").rename(ens_dir / "ensemble_first.csv")
+        code = main(["calibrate", "--ensembles", str(ens_dir), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert f"ensemble file name has no sweep index: {ens_dir / 'ensemble_first.csv'}" in capsys.readouterr().err
 
 
 class TestGainScalingInRun:
