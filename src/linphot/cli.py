@@ -18,11 +18,12 @@ import numpy as np
 from . import config as cfgmod
 from .calibration import fit_fano_line, iter_eta_series
 from .errors import ConfigError, InvalidParameterError, LinphotError
-from .files import canonical_json, read_ensemble_csv, read_json, read_pm_csv, write_json
+from .files import canonical_json, read_ensemble, read_json, read_pm_csv, write_json
 from .moments import sample_moments
 from .pipeline import (
     Models,
     calibrate,
+    read_dark,
     reconstruct,
     run_experiment,
     simulate_sweep,
@@ -79,12 +80,12 @@ def _cmd_simulate(args) -> int:
     out = _resolve_out(args, config)
     out.mkdir(parents=True, exist_ok=True)
     simulate_sweep(Models(config), out)
-    print(f"wrote {len(config.eta_series)} ensembles + dark.csv to {out}")
+    print(f"wrote {len(config.eta_series)} ensembles + dark.npy, each with a .json sidecar, to {out}")
     return 0
 
 
 def _cmd_moments(args) -> int:
-    ens = read_ensemble_csv(args.input)
+    ens = read_ensemble(args.input)
     mset = sample_moments(ens.samples, order=args.order)
     print(canonical_json(mset.to_dict()), end="")
     return 0
@@ -101,12 +102,12 @@ def _cmd_calibrate(args) -> int:
         record = calibrate([point for point, _ in sweep], models.dark.sigma0**2, models)
     else:
         ens_dir = Path(args.ensembles)
-        dark_ens = read_ensemble_csv(ens_dir / "dark.csv")
+        dark_ens = read_dark(ens_dir)
         dark_mean = float(dark_ens.samples.mean())
         dark_var = float(np.mean((dark_ens.samples - dark_mean) ** 2))
         points = sweep_points(ens_dir, dark_mean, dark_var)
         if not points:
-            print(f"error: no ensemble_*.csv files in {ens_dir}", file=sys.stderr)
+            print(f"error: no ensemble_*.npy or ensemble_*.csv files in {ens_dir}", file=sys.stderr)
             return 1
         record = calibrate(points, dark_var)
     fit = record.fit
@@ -121,7 +122,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    ens = read_ensemble_csv(args.input)
+    ens = read_ensemble(args.input)
     if args.gamma_bar is not None:
         gamma = (args.gamma_bar, 0.0, "--gamma-bar")
     else:
@@ -130,7 +131,7 @@ def _cmd_reconstruct(args) -> int:
             print(f"error: no valid fit in {args.from_calibration}", file=sys.stderr)
             return 1
         gamma = (fit["intercept"], fit["intercept_se"], "calibration intercept")
-    dark_mean = float(read_ensemble_csv(args.dark).samples.mean()) if args.dark else 0.0
+    dark_mean = float(read_ensemble(args.dark).samples.mean()) if args.dark else 0.0
     out = Path(args.out)
     _, metrics = reconstruct(subtract_offset(ens, dark_mean), *gamma, out)
     print(f"wrote {out / 'pm.csv'} and {out / 'pm_metrics.json'}")
@@ -147,14 +148,16 @@ def _cmd_check(args) -> int:
         if not ok:
             failures.append(name)
 
+    config = cfgmod.load(out / "config.json")
     dark_var, fit = _read_calibration(out / "calibration.json")
-    dark_path = out / "dark.csv"
-    if dark_path.exists():
-        verdict("dark record readable", read_ensemble_csv(dark_path).samples.size > 0)
-    if fit is not None:
-        # the recorded subtraction constant and no dark mean, as run computed
-        # the points, so the statistics pipeline is replayed bit for bit
-        points = sweep_points(out, 0.0, dark_var)
+    verdict("dark record readable", read_dark(out).samples.size > 0)
+    # the recorded subtraction constant and no dark mean, as run computed
+    # the points, so the statistics pipeline is replayed bit for bit
+    points = sweep_points(out, 0.0, dark_var)
+    etas = list(config.eta_series)
+    matched = [point.eta for point in points] == etas
+    verdict(f"one ensemble per configured eta ({len(points)} ensembles, {len(etas)} etas)", matched)
+    if matched and fit is not None:
         recorded = fit["points"]
         if len(points) != len(recorded):
             verdict(f"one ensemble per recorded point ({len(points)} for {len(recorded)})", False)
@@ -203,26 +206,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_mom = sub.add_parser("moments", help="sample moments of an ensemble CSV")
-    p_mom.add_argument("--input", required=True, help="ensemble CSV")
+    p_mom = sub.add_parser("moments", help="sample moments of an ensemble")
+    p_mom.add_argument("--input", required=True, help="ensemble .npy (with its .json sidecar) or CSV")
     p_mom.add_argument("--order", type=int, default=5)
     p_mom.set_defaults(func=_cmd_moments)
 
-    p_cal = sub.add_parser("calibrate", help="fit the fano line (simulated or from CSVs)")
+    p_cal = sub.add_parser("calibrate", help="fit the fano line (simulated or from ensemble files)")
     p_cal.add_argument("--config", help="run config JSON (simulation mode)")
     p_cal.add_argument(
-        "--ensembles", help="directory of per-eta ensemble CSVs plus dark.csv (blind mode)"
+        "--ensembles",
+        help="directory of ensemble_<i>_* files (.npy with .json sidecar, or CSV) "
+        "and dark.npy or dark.csv (blind mode)",
     )
     p_cal.add_argument("--out", help="output directory (default: config out_dir)")
     p_cal.add_argument("--seed", type=int, default=None)
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_rec = sub.add_parser("reconstruct", help="rebin an ensemble into photon counts")
-    p_rec.add_argument("--input", required=True, help="ensemble CSV")
+    p_rec.add_argument("--input", required=True, help="ensemble .npy (with its .json sidecar) or CSV")
     group = p_rec.add_mutually_exclusive_group(required=True)
     group.add_argument("--gamma-bar", type=float, default=None, dest="gamma_bar")
     group.add_argument("--from-calibration", dest="from_calibration")
-    p_rec.add_argument("--dark", help="dark CSV whose mean sets the zero")
+    p_rec.add_argument("--dark", help="dark record (.npy or CSV) whose mean sets the zero")
     p_rec.add_argument("--out", required=True)
     p_rec.set_defaults(func=_cmd_reconstruct)
 

@@ -1,12 +1,15 @@
-"""On-disk interchange formats: ensemble CSV, P_m CSV and JSON artifacts.
+"""On-disk interchange formats: ensembles, P_m CSV and JSON artifacts.
 
-Ensemble CSV: ``# key=value`` header lines (eta, required, then seed and
-n_samples), then one voltage per line; a ``gain_scale`` line in a file
-written by an earlier version is read and ignored.  The sample format
-is fixed byte for byte: each line is ``"%.17e\n" % v``, exactly what
-``np.savetxt(fmt="%.17e")`` writes, so every sample reads back bit for bit.
-A file whose ``n_samples`` header disagrees with its sample lines, or
-whose last line is unterminated, is rejected as truncated.  P_m CSV:
+An ensemble is written as ``<stem>.npy``, the samples as little-endian
+float64 exactly as ``np.save`` writes them (format version 1.0), plus the
+sidecar ``<stem>.json`` holding ``eta``, ``seed``, ``n_samples`` and
+``config_sha256``.  :func:`read_ensemble` is the one ensemble reader; it
+also reads the blind-import CSV format: ``# key=value`` header lines (eta,
+required, then seed and n_samples; a ``gain_scale`` line written by an
+earlier version is ignored), then one voltage per line, such as
+``np.savetxt(fmt="%.17e")`` writes, so that every sample reads back bit
+for bit.  A file whose sample count disagrees with its header or sidecar,
+that is cut short or carries bytes past its samples is rejected.  P_m CSV:
 ``# key=value`` headers, then ``m,pmf_hat,count`` rows.  Every JSON
 artifact is exactly one dataclass (``config.RunConfig``, ``pipeline.CalibrationRecord``,
 ``pipeline.PmMetrics``) written with ``dataclasses.asdict`` by
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,26 +29,97 @@ from .detector import VoltageEnsemble
 from .errors import InvalidParameterError
 from .reconstruction import ReconstructionResult
 
-# samples formatted per write: bounds the memory of the Python floats
-CSV_BLOCK = 4096
+# What np.save writes before a version 1.0 header; the header is a dict
+# literal with sorted keys, space-padded and ended by a newline.
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_HEADER = rb"\{'descr': '([^']*)', 'fortran_order': (?:False|True), 'shape': \(([^)]*)\), \} *\n"
 
 
-def write_ensemble_csv(path, ensemble: VoltageEnsemble, extra_header: dict | None = None) -> None:
+def _sidecar(path: Path) -> Path:
+    return path.with_suffix(".json")
+
+
+def write_ensemble(path, ensemble: VoltageEnsemble, config_sha256: str | None) -> Path:
+    """Write ``ensemble`` as the ``.npy`` ``path`` and its JSON sidecar; return the sidecar's path."""
     path = Path(path)
-    headers = [
-        ("eta", repr(ensemble.eta)),
-        ("seed", str(ensemble.seed)),
-        ("n_samples", str(ensemble.n_samples)),
-    ]
-    for key, value in (extra_header or {}).items():
-        headers.append((key, str(value)))
-    with open(path, "w") as fh:
-        for key, value in headers:
-            fh.write(f"# {key}={value}\n")
-        samples = ensemble.samples
-        for lo in range(0, samples.size, CSV_BLOCK):
-            block = samples[lo : lo + CSV_BLOCK].tolist()
-            fh.write("".join(["%.17e\n" % v for v in block]))
+    with open(path, "wb") as fh:
+        np.save(fh, ensemble.samples.astype("<f8", copy=False), allow_pickle=False)
+    meta = {
+        "config_sha256": config_sha256,
+        "eta": ensemble.eta,
+        "n_samples": ensemble.n_samples,
+        "seed": ensemble.seed,
+    }
+    sidecar = _sidecar(path)
+    sidecar.write_text(canonical_json(meta))
+    return sidecar
+
+
+def read_ensemble(path) -> VoltageEnsemble:
+    """Read an ensemble ``.npy`` with its sidecar, or an ensemble CSV, chosen by suffix.
+
+    A malformed file raises InvalidParameterError naming it.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"ensemble file not found: {path}")
+    if path.suffix == ".npy":
+        samples = _read_npy(path)
+        source = _sidecar(path)  # where eta and seed come from
+        meta = _read_sidecar(source, samples.size)
+    elif path.suffix == ".csv":
+        samples, meta = _read_ensemble_csv(path)
+        source = path
+    else:
+        raise InvalidParameterError(f"ensemble file is neither .npy nor .csv: {path}")
+    if samples.size == 0:
+        raise InvalidParameterError(f"ensemble file has no samples: {path}")
+    try:
+        eta, seed = float(meta["eta"]), int(meta.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"ensemble eta or seed is not a number: {source}: {exc}") from exc
+    try:
+        return VoltageEnsemble(samples=samples, eta=eta, n_samples=samples.size, seed=seed)
+    except InvalidParameterError as exc:  # non-finite samples
+        raise InvalidParameterError(f"{exc}: {path}") from exc
+
+
+def _read_npy(path: Path) -> np.ndarray:
+    """The samples of a 1-d ``<f8`` ``.npy``, checked against the file size before reading."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_NPY_MAGIC)) != _NPY_MAGIC:
+            raise InvalidParameterError(f"ensemble file is not a version 1.0 .npy array: {path}")
+        header = re.fullmatch(_NPY_HEADER, fh.read(int.from_bytes(fh.read(2), "little")))
+        if header is None:
+            raise InvalidParameterError(f"ensemble file has a malformed .npy header: {path}")
+        descr, shape = header.groups()
+        if descr != b"<f8" or re.fullmatch(rb"\d+,", shape) is None:
+            raise InvalidParameterError(
+                f"ensemble file holds a {descr.decode('latin-1')} array of shape "
+                f"({shape.decode('latin-1')}), not 1-d <f8: {path}"
+            )
+        n, offset = int(shape[:-1]), fh.tell()
+        size, needed = fh.seek(0, 2), offset + 8 * n
+        if size != needed:
+            raise InvalidParameterError(
+                f"ensemble file is {'truncated' if size < needed else 'longer than its array'}: "
+                f"header shape ({n},) needs {needed} bytes, the file has {size}: {path}"
+            )
+        fh.seek(offset)
+        return np.fromfile(fh, dtype="<f8", count=n)
+
+
+def _read_sidecar(sidecar: Path, n_samples: int) -> dict:
+    if not sidecar.exists():
+        raise InvalidParameterError(f"ensemble sidecar not found: {sidecar}")
+    meta = _parse_json(sidecar)
+    if not isinstance(meta, dict) or "eta" not in meta:
+        raise InvalidParameterError(f"ensemble sidecar is not a JSON object with an eta: {sidecar}")
+    if meta.get("n_samples", n_samples) != n_samples:
+        raise InvalidParameterError(
+            f"ensemble sidecar says n_samples={meta['n_samples']!r}, the array holds {n_samples}: {sidecar}"
+        )
+    return meta
 
 
 def _split_header(lines) -> tuple[dict, list]:
@@ -59,13 +134,14 @@ def _split_header(lines) -> tuple[dict, list]:
     return meta, []
 
 
-def read_ensemble_csv(path) -> VoltageEnsemble:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"ensemble file not found: {path}")
-    # newline="" splits lines as text mode does but keeps each terminator
-    with open(path, newline="") as fh:
-        meta, _ = _split_header(list(itertools.takewhile(lambda line: line.startswith("#"), fh)))
+def _read_ensemble_csv(path: Path) -> tuple[np.ndarray, dict]:
+    """The samples and ``# key=value`` header of an ensemble CSV."""
+    try:
+        # newline="" splits lines as text mode does but keeps each terminator
+        with open(path, newline="") as fh:
+            meta, _ = _split_header(list(itertools.takewhile(lambda line: line.startswith("#"), fh)))
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"ensemble file is not text: {path}: {exc}") from exc
     if "eta" not in meta:
         raise InvalidParameterError(f"ensemble file has no '# eta=' header: {path}")
     try:
@@ -73,9 +149,9 @@ def read_ensemble_csv(path) -> VoltageEnsemble:
         samples = np.loadtxt(path, comments="#", ndmin=1)
     except ValueError as exc:
         raise InvalidParameterError(f"ensemble file has a malformed voltage line: {path}: {exc}") from exc
-    if samples.size == 0:
-        raise InvalidParameterError(f"ensemble file has no samples: {path}")
-    if "n_samples" in meta:
+    if samples.ndim != 1:
+        raise InvalidParameterError(f"ensemble file has more than one voltage on a line: {path}")
+    if samples.size and "n_samples" in meta:
         # a file cut inside its last line still holds n_samples numbers
         with open(path, "rb") as fh:
             fh.seek(-1, 2)
@@ -86,12 +162,7 @@ def read_ensemble_csv(path) -> VoltageEnsemble:
                 f"{samples.size} voltage lines read"
                 f"{'' if complete else ', the last one unterminated'}: {path}"
             )
-    return VoltageEnsemble(
-        samples=samples,
-        eta=float(meta["eta"]),
-        n_samples=samples.size,
-        seed=int(meta.get("seed", 0)),
-    )
+    return samples, meta
 
 
 def write_pm_csv(path, result: ReconstructionResult, extra_header: dict) -> None:
@@ -145,7 +216,12 @@ def read_json(path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"file not found: {path}")
+    return _parse_json(path)
+
+
+def _parse_json(path: Path):
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        # bytes: json detects the encoding, and a decoding error is a ValueError too
+        return json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as exc:
         raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc

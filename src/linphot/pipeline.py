@@ -3,10 +3,11 @@
 ``run_experiment`` calls the stages ``simulate_sweep``, ``calibrate``
 (whose ``CalibrationRecord`` is ``calibration.json``), ``reconstruct``
 (whose ``PmMetrics`` is ``pm_metrics.json``) and ``write_report`` in
-order; each CLI subcommand calls the stage it is named for.  ``check``
-and blind ``calibrate`` read a sweep directory with ``sweep_points``.
-All artifacts carry the config hash; outputs are byte-identical for a
-fixed (config, seed).
+order; each CLI subcommand calls the stage it is named for.  Ensembles
+are written as ``.npy`` with a JSON sidecar (``files.write_ensemble``).
+``check`` and blind ``calibrate`` read a sweep directory, ``.npy`` or
+CSV, with ``read_dark`` and ``sweep_points``.  All artifacts carry the
+config hash; outputs are byte-identical for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .calibration import (
     iter_eta_series,
     mean_constancy_check,
 )
-from .detector import simulate_ensemble
+from .detector import VoltageEnsemble, simulate_ensemble
 from .errors import InvalidParameterError, LinphotError
-from .files import read_ensemble_csv, write_ensemble_csv, write_json, write_pm_csv
+from .files import read_ensemble, write_ensemble, write_json, write_pm_csv
 from .loss import apply_bernoulli
 from .moments import analytic_voltage_moments, sample_moments
 from .reconstruction import (
@@ -102,44 +103,62 @@ def _fmt(x, digits=9):
 
 
 def simulate_sweep(models: Models, out: Path):
-    """Simulate and write the dark record and the sweep ensembles as CSV.
+    """Simulate and write the dark record and the sweep ensembles, each a ``.npy`` and its sidecar.
 
     Returns the dark ensemble, the sweep points and the written paths.
     """
-    config = models.config
-    header = {"config_sha256": models.config_sha256}
+    config, sha = models.config, models.config_sha256
     # eta = 0 yields the dark record only
     dark_ens = simulate_ensemble(
         models.source, 0.0, models.gain, models.dark, config.n_samples, config.seed, stream_key=(DARK,)
     )
-    files = {"dark": out / "dark.csv"}
-    write_ensemble_csv(files["dark"], dark_ens, extra_header=header)
+    files = {"dark": out / "dark.npy"}
+    files["dark_sidecar"] = write_ensemble(files["dark"], dark_ens, sha)
     points = []
     sweep = iter_eta_series(
         models.source, models.gain, models.dark, config.eta_series, config.n_samples, config.seed
     )
     for i, (point, ens) in enumerate(sweep):
-        files[f"ensemble_{i}"] = out / f"ensemble_{i:02d}_eta_{ens.eta:.6f}.csv"
-        write_ensemble_csv(files[f"ensemble_{i}"], ens, extra_header=header)
+        key = f"ensemble_{i}"
+        files[key] = out / f"ensemble_{i:02d}_eta_{ens.eta:.6f}.npy"
+        files[f"{key}_sidecar"] = write_ensemble(files[key], ens, sha)
         points.append(point)
     return dark_ens, points, files
 
 
-def sweep_points(directory, dark_mean: float, dark_variance: float) -> list:
-    """The points of the ``ensemble_<i>*.csv`` files in ``directory``, in sweep order.
+def read_dark(directory) -> VoltageEnsemble:
+    """The dark record of a sweep directory: ``dark.npy`` or ``dark.csv``, not both."""
+    directory = Path(directory)
+    paths = [path for path in (directory / "dark.npy", directory / "dark.csv") if path.exists()]
+    if not paths:
+        raise FileNotFoundError(f"no dark record (dark.npy or dark.csv) in {directory}")
+    if len(paths) > 1:
+        raise InvalidParameterError(f"two dark records: {paths[0]} and {paths[1]}")
+    return read_ensemble(paths[0])
 
-    The order is the number ``i`` (``ensemble_100`` follows ``ensemble_99``).
-    Each ensemble is zero-set by ``dark_mean``; its point takes its ``eta`` header.
+
+def sweep_points(directory, dark_mean: float, dark_variance: float) -> list:
+    """The points of the ``ensemble_<i>*`` ``.npy`` or ``.csv`` files in ``directory``, in sweep order.
+
+    The order is the number ``i`` (``ensemble_100`` follows ``ensemble_99``);
+    two files with one number are an error, and ``.json`` sidecars are not
+    ensembles.  Each ensemble is zero-set by ``dark_mean``; its point takes
+    its ``eta``.
     """
-    indexed = []
-    for path in Path(directory).glob("ensemble_*.csv"):
-        match = re.fullmatch(r"ensemble_(\d+)(_.*)?\.csv", path.name)
+    indexed = {}
+    for path in sorted(Path(directory).glob("ensemble_*")):
+        if path.suffix not in (".npy", ".csv"):
+            continue
+        match = re.fullmatch(r"ensemble_(\d+)(_.*)?", path.stem)
         if match is None:
             raise InvalidParameterError(f"ensemble file name has no sweep index: {path}")
-        indexed.append((int(match[1]), path.name, path))
+        i = int(match[1])
+        if i in indexed:
+            raise InvalidParameterError(f"two ensemble files with sweep index {i}: {indexed[i]} and {path}")
+        indexed[i] = path
     points = []
-    for _, _, path in sorted(indexed):
-        ens = subtract_offset(read_ensemble_csv(path), dark_mean)
+    for i in sorted(indexed):
+        ens = subtract_offset(read_ensemble(indexed[i]), dark_mean)
         points.append(eta_point_from_samples(ens.eta, ens.samples, dark_variance=dark_variance))
     return points
 
@@ -300,8 +319,10 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
         models.source, config.reconstruct_eta, models.gain, models.dark,
         config.reconstruction_n_samples, config.seed, stream_key=(RECONSTRUCTION,),
     )
-    files["reconstruction_ensemble"] = out / f"reconstruction_eta_{config.reconstruct_eta:.6f}.csv"
-    write_ensemble_csv(files["reconstruction_ensemble"], rec_ens, {"config_sha256": models.config_sha256})
+    files["reconstruction_ensemble"] = out / f"reconstruction_eta_{config.reconstruct_eta:.6f}.npy"
+    files["reconstruction_ensemble_sidecar"] = write_ensemble(
+        files["reconstruction_ensemble"], rec_ens, models.config_sha256
+    )
     fit = calibration.fit
     if fit is not None and fit.valid:
         gamma = (fit.intercept, fit.intercept_se, "calibration intercept")

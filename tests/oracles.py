@@ -2,6 +2,8 @@
 
 ``block_jackknife_se`` is a model-free standard error: it re-evaluates a
 statistic on each leave-one-block-out copy of the data.
+``write_ensemble_csv`` writes the blind-import ensemble CSV format, which
+the package reads but no longer writes.
 """
 
 from __future__ import annotations
@@ -30,3 +32,15 @@ def block_jackknife_se(data, stat: Callable, n_blocks: int = 20) -> float:
         ]
     )
     return float(np.sqrt((b - 1) / b * np.sum((thetas - thetas.mean()) ** 2)))
+
+
+def write_ensemble_csv(path, ensemble, **header) -> None:
+    """Write ``ensemble`` as an ensemble CSV.
+
+    ``# key=value`` lines (eta, seed, n_samples, then ``header``), then the
+    samples as ``np.savetxt(fmt="%.17e")`` writes them, one per line.
+    """
+    lines = {"eta": repr(ensemble.eta), "seed": ensemble.seed, "n_samples": ensemble.n_samples, **header}
+    with open(path, "w") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in lines.items())
+        np.savetxt(fh, ensemble.samples, fmt="%.17e")

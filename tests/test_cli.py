@@ -27,7 +27,8 @@ from linphot.config import (
     from_dict,
     load,
 )
-from linphot.files import CSV_BLOCK, read_ensemble_csv, read_pm_csv, write_ensemble_csv
+from linphot.files import read_ensemble, read_pm_csv, write_ensemble
+from oracles import write_ensemble_csv
 
 BASE = {
     "schema_version": 1,
@@ -253,8 +254,8 @@ class TestEnsembleCsv:
             seed=7,
         )
         path = tmp_path / "ens.csv"
-        write_ensemble_csv(path, ens, extra_header={"config_sha256": "abc"})
-        back = read_ensemble_csv(path)
+        write_ensemble_csv(path, ens, config_sha256="abc")
+        back = read_ensemble(path)
         assert np.array_equal(back.samples, ens.samples)  # %.17e round-trips
         assert back.eta == ens.eta
         assert back.seed == ens.seed
@@ -270,10 +271,7 @@ class TestEnsembleCsv:
     @given(
         samples=hnp.arrays(
             np.float64,
-            st.one_of(
-                st.sampled_from([1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1]),
-                st.integers(1, 3 * CSV_BLOCK),
-            ),
+            st.integers(1, 5000),
             elements=st.one_of(
                 st.sampled_from(EDGE_VALUES.tolist()),
                 st.floats(allow_nan=False, allow_infinity=False),
@@ -281,20 +279,16 @@ class TestEnsembleCsv:
         )
     )
     @example(samples=np.resize(EDGE_VALUES, 1))
-    @example(samples=np.resize(EDGE_VALUES, CSV_BLOCK - 1))
-    @example(samples=np.resize(EDGE_VALUES, CSV_BLOCK))
-    @example(samples=np.resize(EDGE_VALUES, CSV_BLOCK + 1))
-    def test_sample_lines_are_savetxt_bytes(self, tmp_path_factory, samples):
-        path = tmp_path_factory.mktemp("csv") / "ens.csv"
-        write_ensemble_csv(
-            path, VoltageEnsemble(samples=samples, eta=0.5, n_samples=samples.size, seed=1)
-        )
-        reference = io.StringIO()
-        np.savetxt(reference, samples, fmt="%.17e")
-        lines = path.read_text().splitlines(keepends=True)
-        assert "".join(line for line in lines if not line.startswith("#")) == reference.getvalue()
-        back = read_ensemble_csv(path)
-        assert back.samples.tobytes() == samples.tobytes()  # bit for bit, signed zeros too
+    @example(samples=np.resize(EDGE_VALUES, 4097))
+    def test_both_formats_read_back_bit_for_bit(self, tmp_path_factory, samples):
+        directory = tmp_path_factory.mktemp("ens")
+        ens = VoltageEnsemble(samples=samples, eta=0.5, n_samples=samples.size, seed=1)
+        write_ensemble(directory / "ens.npy", ens, None)
+        write_ensemble_csv(directory / "ens.csv", ens)
+        for name in ("ens.npy", "ens.csv"):
+            back = read_ensemble(directory / name)
+            assert back.samples.tobytes() == samples.tobytes(), name  # bit for bit, signed zeros too
+            assert (back.eta, back.n_samples, back.seed) == (0.5, samples.size, 1)
 
     # bytes cut from the end: the newline, inside the exponent, inside the
     # mantissa, and the whole last line "9.00000000000000000e+00\n"
@@ -304,38 +298,43 @@ class TestEnsembleCsv:
         write_ensemble_csv(path, VoltageEnsemble(samples=np.arange(10.0), eta=0.5, n_samples=10, seed=1))
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(InvalidParameterError, match="truncated|malformed"):
-            read_ensemble_csv(path)
+            read_ensemble(path)
 
     def test_check_rejects_truncated_dark_record(self, finished_run, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(finished_run, out)
-        drop_last_line(out / "dark.csv")
+        path = out / "dark.npy"
+        path.write_bytes(path.read_bytes()[:-8])
         assert main(["check", "--out", str(out)]) == 2
-        assert "truncated: header n_samples=10000, 9999 voltage lines" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ensemble file is truncated: header shape (10000,) needs 80128 bytes, the file has 80120" in err
+        assert str(path) in err
 
     def test_blind_calibrate_rejects_truncated_ensemble(self, finished_run, tmp_path, capsys):
         ens_dir = tmp_path / "ens"
         ens_dir.mkdir()
-        for path in finished_run.glob("*.csv"):
-            if path.name == "dark.csv" or path.name.startswith("ensemble_"):
-                shutil.copy(path, ens_dir)
-        drop_last_line(sorted(ens_dir.glob("ensemble_*.csv"))[-1])
+        for path in [*finished_run.glob("dark.*"), *finished_run.glob("ensemble_*")]:
+            shutil.copy(path, ens_dir)
+        path = sorted(ens_dir.glob("ensemble_*.npy"))[-1]
+        path.write_bytes(path.read_bytes()[:-8])
         code = main(["calibrate", "--ensembles", str(ens_dir), "--out", str(tmp_path / "c")])
         assert code == 2
-        assert "truncated: header n_samples=10000, 9999 voltage lines" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ensemble file is truncated: header shape (10000,) needs 80128 bytes, the file has 80120" in err
+        assert str(path) in err
         assert not (tmp_path / "c").exists()
 
     def test_non_finite_samples_rejected(self, tmp_path):
         path = tmp_path / "ens.csv"
         path.write_text("# eta=0.5\n1.0\nnan\n3.0\ninf\n")
-        with pytest.raises(InvalidParameterError, match="2 of 4 samples are not finite"):
-            read_ensemble_csv(path)
+        with pytest.raises(InvalidParameterError, match=f"2 of 4 samples are not finite: {path}"):
+            read_ensemble(path)
 
     def test_missing_eta_header_rejected(self, tmp_path):
         path = tmp_path / "ens.csv"
         path.write_text("# seed=1\n1.0\n2.0\n")
         with pytest.raises(InvalidParameterError, match="eta"):
-            read_ensemble_csv(path)
+            read_ensemble(path)
 
     def test_legacy_gain_scale_header_is_ignored(self, tmp_path):
         path = tmp_path / "ens.csv"
@@ -343,8 +342,8 @@ class TestEnsembleCsv:
         legacy = tmp_path / "legacy.csv"
         legacy.write_text(path.read_text().replace("# n_samples=", "# gain_scale=2.0\n# n_samples="))
         assert "# gain_scale=2.0\n" in legacy.read_text()
-        back = read_ensemble_csv(legacy)
-        assert back.samples.tobytes() == read_ensemble_csv(path).samples.tobytes()
+        back = read_ensemble(legacy)
+        assert back.samples.tobytes() == read_ensemble(path).samples.tobytes()
         assert (back.eta, back.seed, back.n_samples) == (0.5, 1, 10)
 
     def test_blind_calibrate_reports_missing_eta(self, tmp_path, capsys):
@@ -354,6 +353,148 @@ class TestEnsembleCsv:
         assert code == 2
         assert "eta" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+
+def small_npy(directory, samples=None):
+    """An ensemble .npy of 10 samples and its sidecar in ``directory``; returns both paths."""
+    samples = np.arange(10.0) if samples is None else samples
+    path = directory / "ens.npy"
+    ens = VoltageEnsemble(samples=samples, eta=0.5, n_samples=samples.size, seed=1)
+    return path, write_ensemble(path, ens, "abc")
+
+
+def save_array(array, **kwargs):
+    def edit(npy, sidecar):
+        with open(npy, "wb") as fh:
+            np.save(fh, array, **kwargs)
+
+    return edit
+
+
+def edit_sidecar(fn):
+    def edit(npy, sidecar):
+        sidecar.write_text(json.dumps(fn(json.loads(sidecar.read_text()))))
+
+    return edit
+
+
+class TestEnsembleNpy:
+    def test_round_trip_exact_with_sidecar(self, tmp_path):
+        samples = np.random.default_rng(61).normal(1000.0, 300.0, 500)
+        path = tmp_path / "ens.npy"
+        sidecar = write_ensemble(path, VoltageEnsemble(samples=samples, eta=0.35, n_samples=500, seed=7), "abc")
+        assert sidecar == tmp_path / "ens.json"
+        assert json.loads(sidecar.read_text()) == {"config_sha256": "abc", "eta": 0.35, "n_samples": 500, "seed": 7}
+        assert np.load(path, allow_pickle=False).tobytes() == samples.tobytes()
+        back = read_ensemble(path)
+        assert back.samples.tobytes() == samples.tobytes()
+        assert (back.eta, back.n_samples, back.seed) == (0.35, 500, 7)
+
+    # each edit breaks the .npy ("npy") or its sidecar ("json"); the error names that file
+    @pytest.mark.parametrize(
+        "edit, named, message",
+        [
+            (lambda npy, sidecar: npy.write_bytes(b""), "npy", "not a version 1.0 .npy"),
+            (lambda npy, sidecar: npy.write_bytes(npy.read_bytes() + bytes(8)), "npy", "longer than its array"),
+            (lambda npy, sidecar: npy.write_bytes(npy.read_bytes()[:-3]), "npy", "truncated"),
+            (lambda npy, sidecar: npy.write_bytes(npy.read_bytes()[:130]), "npy", "truncated"),
+            (lambda npy, sidecar: npy.write_bytes(npy.read_bytes()[:40]), "npy", "malformed .npy header"),
+            (save_array(np.arange(10.0, dtype="<f4")), "npy", "holds a <f4 array of shape (10,)"),
+            (save_array(np.arange(10.0, dtype=">f8")), "npy", "holds a >f8 array"),
+            (save_array(np.arange(10)), "npy", "holds a <i8 array"),
+            (save_array(np.arange(10.0).reshape(2, 5)), "npy", "of shape (2, 5), not 1-d <f8"),
+            (save_array(np.array([1.0, None], dtype=object), allow_pickle=True), "npy", "holds a |O array"),
+            (lambda npy, sidecar: sidecar.unlink(), "json", "sidecar not found"),
+            (lambda npy, sidecar: sidecar.write_text("{"), "json", "invalid JSON"),
+            (lambda npy, sidecar: sidecar.write_bytes(b"\xff\xfe\x00"), "json", "invalid JSON"),
+            (edit_sidecar(lambda doc: []), "json", "not a JSON object with an eta"),
+            (edit_sidecar(lambda doc: {k: v for k, v in doc.items() if k != "eta"}), "json", "with an eta"),
+            (edit_sidecar(lambda doc: {**doc, "n_samples": 9}), "json", "n_samples=9, the array holds 10"),
+            (edit_sidecar(lambda doc: {**doc, "eta": [0.5]}), "json", "eta or seed is not a number"),
+            (edit_sidecar(lambda doc: {**doc, "seed": "one"}), "json", "eta or seed is not a number"),
+        ],
+        ids=[
+            "zero-byte", "trailing-bytes", "truncated-array", "truncated-data", "truncated-header",
+            "float32", "big-endian", "int64", "2-d", "object",
+            "no-sidecar", "sidecar-not-json", "sidecar-not-utf8", "sidecar-not-object", "sidecar-without-eta",
+            "sidecar-n-samples", "sidecar-eta-list", "sidecar-seed-text",
+        ],
+    )
+    def test_malformed_file_is_named(self, tmp_path, edit, named, message):
+        npy, sidecar = small_npy(tmp_path)
+        edit(npy, sidecar)
+        with pytest.raises(InvalidParameterError) as exc:
+            read_ensemble(npy)
+        assert message in str(exc.value)
+        assert str(npy if named == "npy" else sidecar) in str(exc.value)
+
+    def test_an_empty_array_has_no_samples(self, tmp_path):
+        npy, sidecar = small_npy(tmp_path)
+        save_array(np.zeros(0))(npy, sidecar)
+        edit_sidecar(lambda doc: {**doc, "n_samples": 0})(npy, sidecar)
+        with pytest.raises(InvalidParameterError, match="no samples"):
+            read_ensemble(npy)
+
+    def test_other_suffix_is_refused(self, tmp_path):
+        path = tmp_path / "ens.txt"
+        path.write_text("# eta=0.5\n1.0\n")
+        with pytest.raises(InvalidParameterError, match="neither .npy nor .csv"):
+            read_ensemble(path)
+
+    def test_zero_byte_npy_exits_2_naming_it(self, tmp_path, capsys):
+        npy, _ = small_npy(tmp_path)
+        npy.write_bytes(b"")
+        assert main(["moments", "--input", str(npy)]) == 2
+        assert f"not a version 1.0 .npy array: {npy}" in capsys.readouterr().err
+
+
+def valid_bytes(directory):
+    """The bytes of a valid .npy, its sidecar and a CSV of the same 5-sample ensemble, by suffix."""
+    ens = VoltageEnsemble(samples=np.array([-1.5, 0.0, 2.25, 1e300, -0.0]), eta=0.25, n_samples=5, seed=3)
+    write_ensemble(directory / "ens.npy", ens, "abc")
+    write_ensemble_csv(directory / "ens.csv", ens)
+    return {suffix: (directory / f"ens{suffix}").read_bytes() for suffix in (".npy", ".json", ".csv")}
+
+
+@st.composite
+def damaged(draw, valid):
+    """Arbitrary bytes, or ``valid`` cut short, with one byte changed or with bytes appended."""
+    how = draw(st.sampled_from(["arbitrary", "cut", "flip", "append"]))
+    if how == "arbitrary":
+        return draw(st.binary(max_size=300))
+    if how == "cut":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    if how == "flip":
+        i = draw(st.integers(0, len(valid) - 1))
+        return valid[:i] + bytes([draw(st.integers(0, 255))]) + valid[i + 1 :]
+    return valid + draw(st.binary(min_size=1, max_size=40))
+
+
+class TestEnsembleReaderFuzz:
+    """Whatever bytes an ensemble file holds, the reader returns an ensemble or names the file."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        return valid_bytes(tmp_path_factory.mktemp("valid"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), target=st.sampled_from([".npy", ".json", ".csv"]))
+    def test_any_bytes_read_or_raise_invalid_parameter(self, tmp_path_factory, valid, data, target):
+        directory = tmp_path_factory.mktemp("fuzz")
+        for suffix, content in valid.items():
+            (directory / f"ens{suffix}").write_bytes(content)
+        broken = directory / f"ens{target}"
+        if target == ".json" and data.draw(st.booleans()):
+            keys = st.sampled_from(["eta", "seed", "n_samples"])
+            broken.write_text(json.dumps(data.draw(JSON_VALUES | st.dictionaries(keys, JSON_VALUES))))
+        else:
+            broken.write_bytes(data.draw(damaged(valid[target])))
+        try:
+            ens = read_ensemble(directory / ("ens.csv" if target == ".csv" else "ens.npy"))
+        except (InvalidParameterError, FileNotFoundError) as exc:
+            assert str(broken) in str(exc)
+        else:
+            assert ens.samples.ndim == 1 and ens.samples.size == ens.n_samples
 
 
 class TestPmCsv:
@@ -425,7 +566,7 @@ class TestReconstructFromCalibration:
     def test_malformed_file_exits_2_naming_it(self, finished_run, tmp_path, capsys, edit):
         cal = tmp_path / "calibration.json"
         cal.write_text(json.dumps(edit(json.loads((finished_run / "calibration.json").read_text()))))
-        (ensemble,) = finished_run.glob("reconstruction_eta_*.csv")
+        (ensemble,) = finished_run.glob("reconstruction_eta_*.npy")
         args = ["reconstruct", "--input", str(ensemble), "--from-calibration", str(cal)]
         assert main(args + ["--out", str(tmp_path / "rec")]) == 2
         assert f"calibration file is malformed: {cal}" in capsys.readouterr().err
@@ -436,7 +577,7 @@ class TestReconstructFromCalibration:
         doc["fit"].update(gamma_bar_est=doc["fit"]["intercept"], r_squared=0.5)
         cal = tmp_path / "calibration.json"
         cal.write_text(json.dumps(doc))
-        (ensemble,) = finished_run.glob("reconstruction_eta_*.csv")
+        (ensemble,) = finished_run.glob("reconstruction_eta_*.npy")
         args = ["reconstruct", "--input", str(ensemble), "--from-calibration", str(cal)]
         assert main(args + ["--out", str(tmp_path / "rec")]) == 0
         metrics = json.loads((tmp_path / "rec" / "pm_metrics.json").read_text())
@@ -468,7 +609,7 @@ class TestRunExperiment:
         config = from_dict(BASE)
         result = run_experiment(config, tmp_path / "out")
         sha = config_hash(config)
-        assert sha in result.files["dark"].read_text(encoding="utf-8")[:300]
+        assert json.loads(result.files["dark_sidecar"].read_text())["config_sha256"] == sha
         assert sha in result.files["pm"].read_text()[:300]
         assert json.loads(result.files["calibration"].read_text())["config_sha256"] == sha
         assert sha in result.files["report"].read_text()
@@ -505,21 +646,22 @@ class TestCliCommands:
         assert reported == pytest.approx(tv, abs=1e-9)
 
     def test_moments_hand_case(self, tmp_path, capsys):
-        path = tmp_path / "three.csv"
         ens = VoltageEnsemble(
             samples=np.array([0.0, 0.0, 300.0]), eta=0.5, n_samples=3, seed=1
         )
-        write_ensemble_csv(path, ens)
-        assert main(["moments", "--input", str(path), "--order", "2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["mean"] == pytest.approx(100.0)
-        assert doc["central"]["mu2"] == pytest.approx(20000.0)
+        write_ensemble_csv(tmp_path / "three.csv", ens)
+        write_ensemble(tmp_path / "three.npy", ens, None)
+        for name in ("three.csv", "three.npy"):
+            assert main(["moments", "--input", str(tmp_path / name), "--order", "2"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["mean"] == pytest.approx(100.0)
+            assert doc["central"]["mu2"] == pytest.approx(20000.0)
 
     def test_simulate_then_blind_calibrate_then_reconstruct(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n_samples": 20_000})
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
-        assert (sim / "dark.csv").exists()
+        assert (sim / "dark.npy").exists() and (sim / "dark.json").exists()
         assert main(["calibrate", "--ensembles", str(sim), "--out", str(sim)]) == 0
         doc = json.loads((sim / "calibration.json").read_text())
         assert doc["fit"]["valid"]
@@ -529,9 +671,9 @@ class TestCliCommands:
             main(
                 [
                     "reconstruct",
-                    "--input", str(sim / "ensemble_02_eta_0.500000.csv"),
+                    "--input", str(sim / "ensemble_02_eta_0.500000.npy"),
                     "--from-calibration", str(sim / "calibration.json"),
-                    "--dark", str(sim / "dark.csv"),
+                    "--dark", str(sim / "dark.npy"),
                     "--out", str(rec),
                 ]
             )
@@ -609,14 +751,29 @@ class TestCliCommands:
 ARTIFACT_SHA256 = {
     "calibration.json": "ff9a917a7e463362cab62fa32394710eac26aa17e2c0d502a33b39d6a7118101",
     "config.json": "8eda591e739779df11b5006369ad862fff24dd806eca67b1bb12d53f19a19996",
+    "dark.json": "88042cdd03f5a0f83869ca1224950d5492aca1b36532b5ad1c52675ca8afdf94",
+    "dark.npy": "af8dd0f08c2742c7cd9361c246a1c1542a3b1d79498c3e73b987b34dd963e862",
+    "ensemble_00_eta_0.100000.json": "f64ee2febb6d7d0d3da56f402b631eb46cd0f40441dbf5a551d94abd7f09df31",
+    "ensemble_00_eta_0.100000.npy": "b3bd1425fee98e7c9405a2171e4a1c67b47e3c9ba2ea9e6b7adc6ead1e5e1fc4",
+    "ensemble_01_eta_0.300000.json": "0e29fdaa3ab411a16481c0fc9f7bb0919f1d34b065d1b8172b51042cbd008b5a",
+    "ensemble_01_eta_0.300000.npy": "de04d79f179e1b6bc7d7585f6d97dc00487ed7359d2fa49c9757b70bab9a3202",
+    "ensemble_02_eta_0.500000.json": "6df16bb06fb01d300a90155b5e2c5634008316841a3676bc29a0cccbcc6fc669",
+    "ensemble_02_eta_0.500000.npy": "f5ff7dd7bc8473b3eecf139fe7a0d3eea6b1fa40b068e254dbdf59cc25ea8088",
+    "pm.csv": "ddecbe3f84715c9938b67d621baa178d038de0f43fb2b2062be0697655c10c44",
+    "pm_metrics.json": "f6aa26bbd1f32a1c23f9e121a62421b3ae3ca2e5c6224284912a3ba58261a8f2",
+    "reconstruction_eta_0.500000.json": "6df16bb06fb01d300a90155b5e2c5634008316841a3676bc29a0cccbcc6fc669",
+    "reconstruction_eta_0.500000.npy": "f3666828d8e7cc62924a269caf41fc8a67beee444760e9f225ba4bd9cd9719ec",
+    "report.md": "1131181fb597c07ec4cc24ec4cbab2f67302a5bf836a5ed0663a660641ad3edb",
+}
+
+# SHA-256 of the ensemble CSVs of the same run when ensembles were written
+# as CSV: the .npy samples, formatted as that CSV, must give these bytes.
+CSV_SHA256 = {
     "dark.csv": "9464b2933d81f00bce8e54cf24545e7cc94c8eeffdc949398185c2bf12354388",
     "ensemble_00_eta_0.100000.csv": "a687a12da56f10f71f8f4fd6735847e8508006ebf8f450930e9998aea5ac4cc4",
     "ensemble_01_eta_0.300000.csv": "55f0d1170af15e7a67fbd88fa38fcd2043c72df81c9b09a65d4f19090affa91c",
     "ensemble_02_eta_0.500000.csv": "03bfe14419dd5ee3effa051a3dd53e1e263a69698385bbdcfac7273cb0c262c6",
-    "pm.csv": "ddecbe3f84715c9938b67d621baa178d038de0f43fb2b2062be0697655c10c44",
-    "pm_metrics.json": "f6aa26bbd1f32a1c23f9e121a62421b3ae3ca2e5c6224284912a3ba58261a8f2",
     "reconstruction_eta_0.500000.csv": "62c18e870caac9ac9a560110c06fe38542978110d5f5fb9411b7eeb1f579ef2f",
-    "report.md": "1131181fb597c07ec4cc24ec4cbab2f67302a5bf836a5ed0663a660641ad3edb",
 }
 
 
@@ -626,6 +783,15 @@ def test_artifacts_match_pinned_hashes(tmp_path):
     assert sorted(written) == sorted(ARTIFACT_SHA256)
     for name, path in written.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ARTIFACT_SHA256[name], name
+
+
+def test_npy_samples_are_the_csv_samples_bit_for_bit(finished_run, tmp_path):
+    # "%.17e" round-trips a double, so equal CSV bytes mean equal samples
+    sha = config_hash(from_dict(BASE))
+    for name, digest in CSV_SHA256.items():
+        ens = read_ensemble(finished_run / name.replace(".csv", ".npy"))
+        write_ensemble_csv(tmp_path / name, ens, config_sha256=sha)
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
@@ -675,7 +841,8 @@ class TestSubcommandsAreStagesOfRun:
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
         names = sorted(p.name for p in sim.iterdir())
-        assert names == ["dark.csv"] + sorted(p.name for p in run.glob("ensemble_*.csv"))
+        assert names == sorted(p.name for p in [*run.glob("dark.*"), *run.glob("ensemble_*")])
+        assert len(names) == 2 * (1 + len(BASE["eta_series"]))
         for name in names:
             assert (sim / name).read_bytes() == (run / name).read_bytes(), name
 
@@ -699,10 +866,10 @@ class TestSubcommandsAreStagesOfRun:
     def test_reconstruct_gives_the_run_pm_rows(self, run_dir, tmp_path):
         _, run = run_dir
         gamma = json.loads((run / "pm_metrics.json").read_text())["gamma_bar_used"]
-        (ensemble,) = run.glob("reconstruction_eta_*.csv")
+        (ensemble,) = run.glob("reconstruction_eta_*.npy")
         rec = tmp_path / "rec"
         args = ["reconstruct", "--input", str(ensemble), "--gamma-bar", repr(gamma)]
-        assert main(args + ["--dark", str(run / "dark.csv"), "--out", str(rec)]) == 0
+        assert main(args + ["--dark", str(run / "dark.npy"), "--out", str(rec)]) == 0
 
         def rows(path):
             return [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -711,10 +878,10 @@ class TestSubcommandsAreStagesOfRun:
 
     def test_reconstruct_from_calibration_gives_the_run_metrics(self, run_dir, tmp_path):
         _, run = run_dir
-        (ensemble,) = run.glob("reconstruction_eta_*.csv")
+        (ensemble,) = run.glob("reconstruction_eta_*.npy")
         rec = tmp_path / "rec"
         args = ["reconstruct", "--input", str(ensemble), "--from-calibration"]
-        args += [str(run / "calibration.json"), "--dark", str(run / "dark.csv")]
+        args += [str(run / "calibration.json"), "--dark", str(run / "dark.npy")]
         assert main(args + ["--out", str(rec)]) == 0
         doc = json.loads((rec / "pm_metrics.json").read_text())
         run_doc = json.loads((run / "pm_metrics.json").read_text())
@@ -740,9 +907,9 @@ class TestCheckReadsTheSweepInOrder:
     )
     def test_repeated_eta_passes(self, tmp_path, capsys, eta_series):
         out, code, printed = self.run_and_check(tmp_path, capsys, {"eta_series": eta_series})
-        assert sorted(p.name for p in out.glob("ensemble_*.csv"))[:2] == [
-            "ensemble_00_eta_0.100000.csv",
-            "ensemble_01_eta_0.100000.csv",
+        assert sorted(p.name for p in out.glob("ensemble_*.npy"))[:2] == [
+            "ensemble_00_eta_0.100000.npy",
+            "ensemble_01_eta_0.100000.npy",
         ]
         assert code == 0
         assert "[FAIL]" not in printed
@@ -752,7 +919,7 @@ class TestCheckReadsTheSweepInOrder:
         etas = [round(0.01 + 0.004 * i, 6) for i in range(101)]
         out, code, printed = self.run_and_check(tmp_path, capsys, {"eta_series": etas, "n_samples": 500})
         # ensemble_100 sorts before ensemble_11 by name
-        assert (out / "ensemble_100_eta_0.410000.csv").exists()
+        assert (out / "ensemble_100_eta_0.410000.npy").exists()
         assert code == 0
         assert "[FAIL]" not in printed
         assert printed.count("point statistics reproduce") == 101
@@ -760,27 +927,89 @@ class TestCheckReadsTheSweepInOrder:
     def test_a_missing_ensemble_is_one_failure(self, finished_run, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(finished_run, out)
-        (out / "ensemble_01_eta_0.300000.csv").unlink()
+        (out / "ensemble_01_eta_0.300000.npy").unlink()
         assert main(["check", "--out", str(out)]) == 1
         printed = capsys.readouterr().out
         assert printed.count("[FAIL]") == 1
-        assert "[FAIL] one ensemble per recorded point (2 for 3)" in printed
+        assert "[FAIL] one ensemble per configured eta (2 ensembles, 3 etas)" in printed
 
     def test_an_eta_header_that_differs_fails_its_point(self, finished_run, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(finished_run, out)
-        path = out / "ensemble_00_eta_0.100000.csv"
-        path.write_text(path.read_text().replace("# eta=0.1\n", "# eta=0.1000001\n", 1))
+        path = out / "ensemble_00_eta_0.100000.json"
+        path.write_text(path.read_text().replace('"eta": 0.1,', '"eta": 0.1000001,', 1))
         assert main(["check", "--out", str(out)]) == 1
-        assert "[FAIL] eta=0.100000 point statistics reproduce" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] one ensemble per configured eta (3 ensembles, 3 etas)" in printed
 
     def test_an_ensemble_name_without_an_index_is_named(self, finished_run, tmp_path, capsys):
         ens_dir = tmp_path / "ens"
         shutil.copytree(finished_run, ens_dir)
-        (ens_dir / "ensemble_00_eta_0.100000.csv").rename(ens_dir / "ensemble_first.csv")
+        (ens_dir / "ensemble_00_eta_0.100000.npy").rename(ens_dir / "ensemble_first.npy")
         code = main(["calibrate", "--ensembles", str(ens_dir), "--out", str(tmp_path / "c")])
         assert code == 2
-        assert f"ensemble file name has no sweep index: {ens_dir / 'ensemble_first.csv'}" in capsys.readouterr().err
+        assert f"ensemble file name has no sweep index: {ens_dir / 'ensemble_first.npy'}" in capsys.readouterr().err
+
+    def test_two_files_with_one_index_are_an_error(self, finished_run, tmp_path, capsys):
+        ens_dir = tmp_path / "ens"
+        shutil.copytree(finished_run, ens_dir)
+        write_ensemble_csv(ens_dir / "ensemble_1.csv", read_ensemble(ens_dir / "ensemble_01_eta_0.300000.npy"))
+        code = main(["calibrate", "--ensembles", str(ens_dir), "--out", str(tmp_path / "c")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"two ensemble files with sweep index 1: {ens_dir / 'ensemble_01_eta_0.300000.npy'}" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_two_dark_records_are_an_error(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        write_ensemble_csv(out / "dark.csv", read_ensemble(out / "dark.npy"))
+        assert main(["check", "--out", str(out)]) == 2
+        assert f"two dark records: {out / 'dark.npy'} and {out / 'dark.csv'}" in capsys.readouterr().err
+
+    def test_blind_calibrate_writes_the_same_fit_from_npy_and_csv(self, finished_run, tmp_path):
+        csv_dir = tmp_path / "csv"
+        csv_dir.mkdir()
+        for path in [*finished_run.glob("dark.npy"), *finished_run.glob("ensemble_*.npy")]:
+            write_ensemble_csv(csv_dir / path.with_suffix(".csv").name, read_ensemble(path))
+        for directory, out in ((finished_run, tmp_path / "from_npy"), (csv_dir, tmp_path / "from_csv")):
+            assert main(["calibrate", "--ensembles", str(directory), "--out", str(out)]) == 0
+        cal = (tmp_path / "from_npy" / "calibration.json").read_bytes()
+        assert cal == (tmp_path / "from_csv" / "calibration.json").read_bytes()
+        assert json.loads(cal)["fit"]["valid"] is True
+
+
+class TestCheckWithoutAFit:
+    """``check`` reads the sweep of a run whose calibration has no fit."""
+
+    @pytest.fixture(scope="class")
+    def dark_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("vacuum") / "run"
+        result = run_experiment(from_dict({**BASE, "source": {"kind": "poisson", "mean": 0.0}}), out)
+        assert result.calibration is None
+        return out
+
+    def test_the_run_passes(self, dark_run, capsys):
+        assert main(["check", "--out", str(dark_run)]) == 0
+        assert "[PASS] one ensemble per configured eta (3 ensembles, 3 etas)" in capsys.readouterr().out
+
+    def test_a_missing_ensemble_is_one_failure(self, dark_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(dark_run, out)
+        (out / "ensemble_01_eta_0.300000.npy").unlink()
+        assert main(["check", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] one ensemble per configured eta (2 ensembles, 3 etas)" in printed
+
+    def test_a_garbage_ensemble_exits_2_naming_it(self, dark_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(dark_run, out)
+        (out / "ensemble_01_eta_0.300000.npy").unlink()
+        (out / "ensemble_00_eta_0.100000.npy").write_text("garbage")
+        assert main(["check", "--out", str(out)]) == 2
+        assert f"not a version 1.0 .npy array: {out / 'ensemble_00_eta_0.100000.npy'}" in capsys.readouterr().err
 
 
 class TestGainScalingInRun:
