@@ -44,10 +44,8 @@ from .moments import (
     analytic_voltage_moments,
     cumulants_from_moments,
     moments_from_cumulants,
-    narrow_gain_moments,
     pmf_moments,
     sample_moments,
-    scale_cumulants,
 )
 from .pipeline import RunResult, run_experiment
 from .reconstruction import (
@@ -112,7 +110,6 @@ __all__ = [
     "make_thermal",
     "mean_constancy_check",
     "moments_from_cumulants",
-    "narrow_gain_moments",
     "pmf_moments",
     "rebin",
     "run_eta_series",
@@ -120,7 +117,6 @@ __all__ = [
     "sample_m",
     "sample_moments",
     "sample_n",
-    "scale_cumulants",
     "self_consistency_check",
     "simulate_ensemble",
     "subtract_offset",

@@ -25,11 +25,12 @@ from .pipeline import (
     calibrate,
     read_dark,
     reconstruct,
+    reconstruction_path,
     run_experiment,
     simulate_sweep,
     sweep_points,
 )
-from .reconstruction import subtract_offset
+from .reconstruction import rebin, subtract_offset
 
 
 def _load_config(path, seed_override):
@@ -150,7 +151,8 @@ def _cmd_check(args) -> int:
 
     config = cfgmod.load(out / "config.json")
     dark_var, fit = _read_calibration(out / "calibration.json")
-    verdict("dark record readable", read_dark(out).samples.size > 0)
+    dark = read_dark(out)
+    verdict("dark record readable", dark.samples.size > 0)
     # the recorded subtraction constant and no dark mean, as run computed
     # the points, so the statistics pipeline is replayed bit for bit
     points = sweep_points(out, 0.0, dark_var)
@@ -173,11 +175,24 @@ def _cmd_check(args) -> int:
                 math.isclose(refit.slope, fit["slope"], rel_tol=1e-6, abs_tol=1e-12)
                 and math.isclose(refit.intercept, fit["intercept"], rel_tol=1e-6, abs_tol=1e-12),
             )
-    pm_path = out / "pm.csv"
-    if pm_path.exists():
-        pmf, counts = read_pm_csv(pm_path)
-        verdict("pm.csv pmf normalized", abs(pmf.sum() - 1.0) < 1e-9)
-        verdict("pm.csv counts consistent", bool(np.allclose(counts / counts.sum(), pmf)))
+    pmf, counts, header = read_pm_csv(out / "pm.csv")
+    verdict("pm.csv pmf_hat is count / n_samples", np.array_equal(pmf, counts / counts.sum()))
+    # zero-set and rebinned as run did, so the counts agree exactly
+    shifted = subtract_offset(read_ensemble(reconstruction_path(out, config)), float(dark.samples.mean()))
+    try:
+        gamma_bar = float(header["gamma_bar"])
+    except (KeyError, ValueError) as exc:
+        raise InvalidParameterError(f"pm file has no '# gamma_bar=' number: {out / 'pm.csv'}") from exc
+    rederived = rebin(shifted, gamma_bar).counts
+    verdict("pm.csv counts re-derived from the reconstruction ensemble", np.array_equal(rederived, counts))
+    sha = cfgmod.config_hash(config)
+    docs = {path.name: read_json(path) for path in sorted(out.glob("*.json")) if path.name != "config.json"}
+    stamps = {name: doc.get("config_sha256") if isinstance(doc, dict) else None for name, doc in docs.items()}
+    stale = [name for name, stamp in {**stamps, "pm.csv": header.get("config_sha256")}.items() if stamp != sha]
+    verdict(
+        "config_sha256 of config.json in every artifact" + (f" (not in {', '.join(stale)})" if stale else ""),
+        not stale,
+    )
     verdict("report present", (out / "report.md").exists())
     return 1 if failures else 0
 

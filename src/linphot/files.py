@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,9 @@ def _read_ensemble_csv(path: Path) -> tuple[np.ndarray, dict]:
         raise InvalidParameterError(f"ensemble file has no '# eta=' header: {path}")
     try:
         # loadtxt streams a path through its C reader; the header lines are comments
-        samples = np.loadtxt(path, comments="#", ndmin=1)
+        with warnings.catch_warnings():  # a file of no voltages is named below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            samples = np.loadtxt(path, comments="#", ndmin=1)
     except ValueError as exc:
         raise InvalidParameterError(f"ensemble file has a malformed voltage line: {path}: {exc}") from exc
     if samples.ndim != 1:
@@ -177,8 +180,8 @@ def write_pm_csv(path, result: ReconstructionResult, extra_header: dict) -> None
             fh.write(f"{m},{p:.17e},{c}\n")
 
 
-def read_pm_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a P_m table back as ``(pmf_hat, counts)``.
+def read_pm_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Read a P_m table back as ``(pmf_hat, counts, header)``, the header as strings.
 
     A row other than ``m,pmf_hat,count`` with m = 0, 1, ..., or counts that
     do not sum to the ``# n_samples=`` header, raise InvalidParameterError.
@@ -200,7 +203,7 @@ def read_pm_csv(path) -> tuple[np.ndarray, np.ndarray]:
             f"pm file is truncated: header n_samples={meta.get('n_samples')}, "
             f"counts sum to {counts.sum()}: {path}"
         )
-    return pmf_hat, counts
+    return pmf_hat, counts, meta
 
 
 def canonical_json(obj) -> str:

@@ -1,9 +1,10 @@
 """Moment and cumulant machinery.
 
 Sample estimators with compensated summation, conversions between raw
-moments, central moments and cumulants (orders up to 5), cumulant scaling
-for i.i.d. sums, and the closed-form voltage-moment engine for a linear
-detector chain (per-photon gain spread plus zero-mean baseline noise).
+moments, central moments and cumulants (orders up to 5), and the exact
+voltage moments of a linear detector chain: a voltage sums the responses
+to m detected photons plus baseline noise, so its cumulants follow from
+those of m and of one response through K_v(t) = K_m(K_X(t)) + sigma0^2 t^2/2.
 """
 
 from __future__ import annotations
@@ -87,6 +88,30 @@ def central_from_raw(raw: Sequence) -> list:
             sum(comb(r, j) * rw[j] * (-mean) ** (r - j) for j in range(r + 1))
         )
     return central
+
+
+def _partial_bell(x: Sequence, n: int, k: int):
+    """Partial Bell polynomial B_{n,k}(x_1, x_2, ...), by the size of the block holding 1."""
+    if n == 0 or k == 0:
+        return 1 if n == k else 0
+    return sum(
+        comb(n - 1, i - 1) * x[i - 1] * _partial_bell(x, n - i, k - 1)
+        for i in range(1, n - k + 2)
+    )
+
+
+def compound_cumulants(kappa_m: Sequence, kappa_x: Sequence, dark_variance=0) -> list:
+    """Cumulants of v = X_1 + ... + X_m + D; m, the i.i.d. X_i and D independent.
+
+    From kappa_1..kappa_r of m, at least r cumulants of X, and D zero-mean
+    gaussian: K_v(t) = K_m(K_X(t)) + dark_variance t^2 / 2, that is
+    kappa_r(v) = sum_j kappa_j(m) B_{r,j}(kappa_1(X), ...) + [r = 2] dark_variance.
+    """
+    return [
+        sum(kappa_m[j - 1] * _partial_bell(kappa_x, r, j) for j in range(1, r + 1))
+        + (dark_variance if r == 2 else 0)
+        for r in range(1, len(kappa_m) + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +211,6 @@ def cumulants_from_moments(m: MomentSet) -> CumulantSet:
     return CumulantSet.from_kappa(cumulants_from_raw(m.raw))
 
 
-def scale_cumulants(c: CumulantSet, k: int) -> CumulantSet:
-    """Cumulants of a sum of ``k`` i.i.d. copies: every kappa_r times k."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidParameterError(f"k must be a nonnegative integer, got {k!r}")
-    if k < 0:
-        raise InvalidParameterError(f"k must be a nonnegative integer, got {k}")
-    return CumulantSet(order=c.order, kappa=tuple(float(k) * x for x in c.kappa))
-
-
 def pmf_moments(pmf, order: int = 5) -> tuple[float, tuple]:
     """Mean and central moments (2..order) of an integer-indexed PMF.
 
@@ -216,54 +232,17 @@ def analytic_voltage_moments(
     dark: "DarkNoiseModel",
     order: int = 5,
 ) -> MomentSet:
-    """Exact central moments of the output voltage mixture.
+    """Exact mean and central moments of the voltage, by :func:`compound_cumulants`.
 
-    Conditioned on k detected photons the voltage is the sum of k i.i.d.
-    gain draws plus the baseline draw, so its cumulants are k times the
-    gain cumulants plus the baseline cumulants.  The mixture moments are
-    accumulated about the overall mean (each component contributes its own
-    central moments shifted by its mean offset), which avoids the
-    cancellation between mean-power terms that plagues the raw-moment
-    expansion when the mean voltage dwarfs the spread.
+    kappa_2.. of v return to central moments as the raw moments of a
+    zero-mean variable, so no moment about zero of v is formed.  The
+    cancellation in kappa_4(m) = mu_4 - 3 mu_2^2 (and kappa_5) errs by the
+    size of the 3 kappa_2(v)^2 that the way back adds again, so each mu_r(v)
+    keeps the relative precision of the moments of m.  The PMF is not read.
     """
     order = _check_order(order)
-    p = detected.pmf
-    k = np.arange(p.size, dtype=float)
-    kap = gain.cumulants  # kappa_1..kappa_5 of a single gain draw
-    s0sq = dark.sigma0**2
-
-    # component cumulants (dark is zero-mean gaussian: only kappa_2 adds)
-    K2 = k * kap[1] + s0sq
-    K3 = k * kap[2]
-    K4 = k * kap[3]
-    K5 = k * kap[4]
-
-    comp_central = {
-        2: K2,
-        3: K3,
-        4: K4 + 3.0 * K2**2,
-        5: K5 + 10.0 * K3 * K2,
-    }
-
-    mean_v = gain.gamma_bar * detected.mean_m
-    delta = k * gain.gamma_bar - mean_v
-    central = []
-    for r in range(2, order + 1):
-        vals = delta**r
-        for j in range(2, r + 1):
-            vals = vals + comb(r, j) * comp_central[j] * delta ** (r - j)
-        central.append(math.fsum(p * vals))
-    return MomentSet.from_central(mean_v, central)
-
-
-def narrow_gain_moments(
-    detected: "DetectedPhotonDistribution", gamma_bar: float, order: int = 5
-) -> MomentSet:
-    """Narrow-gain scaling approximation: mu_r(v) = gamma_bar^r mu_r(m)."""
-    order = _check_order(order)
-    if not (gamma_bar > 0 and math.isfinite(gamma_bar)):
-        raise InvalidParameterError(f"gamma_bar must be positive, got {gamma_bar}")
-    central = tuple(
-        gamma_bar**r * detected.central_moments[r - 2] for r in range(2, order + 1)
-    )
-    return MomentSet.from_central(gamma_bar * detected.mean_m, central)
+    central_m = detected.central_moments[: order - 1]
+    kappa_m = [detected.mean_m, *cumulants_from_raw([0.0, *central_m])[1:]]
+    kappa_v = compound_cumulants(kappa_m, gain.cumulants, dark.sigma0**2)
+    central = raw_moments_from_cumulants([0.0, *kappa_v[1:]])[1:]
+    return MomentSet.from_central(kappa_v[0], central)

@@ -126,6 +126,11 @@ def simulate_sweep(models: Models, out: Path):
     return dark_ens, points, files
 
 
+def reconstruction_path(out: Path, config: cfgmod.RunConfig) -> Path:
+    """The reconstruction ensemble's ``.npy`` in ``out``: ``run`` writes it, ``check`` reads it."""
+    return out / f"reconstruction_eta_{config.reconstruct_eta:.6f}.npy"
+
+
 def read_dark(directory) -> VoltageEnsemble:
     """The dark record of a sweep directory: ``dark.npy`` or ``dark.csv``, not both."""
     directory = Path(directory)
@@ -319,7 +324,7 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
         models.source, config.reconstruct_eta, models.gain, models.dark,
         config.reconstruction_n_samples, config.seed, stream_key=(RECONSTRUCTION,),
     )
-    files["reconstruction_ensemble"] = out / f"reconstruction_eta_{config.reconstruct_eta:.6f}.npy"
+    files["reconstruction_ensemble"] = reconstruction_path(out, config)
     files["reconstruction_ensemble_sidecar"] = write_ensemble(
         files["reconstruction_ensemble"], rec_ens, models.config_sha256
     )

@@ -6,7 +6,8 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,15 @@ class TestConfig:
 
 
 class TestEnsembleCsv:
+    def test_header_only_file_exits_2_without_a_warning(self, tmp_path, capsys):
+        # numpy's loadtxt warns of an empty input; the reader names the file instead
+        path = tmp_path / "ens.csv"
+        path.write_text("# eta=0.5\n# seed=1\n# n_samples=0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["moments", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: ensemble file has no samples: {path}\n"
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(60)
         ens = VoltageEnsemble(
@@ -499,7 +509,7 @@ class TestEnsembleReaderFuzz:
 
 class TestPmCsv:
     def test_reads_back_the_run_result(self, finished_run):
-        pmf_hat, counts = read_pm_csv(finished_run / "pm.csv")
+        pmf_hat, counts, _ = read_pm_csv(finished_run / "pm.csv")
         metrics = json.loads((finished_run / "pm_metrics.json").read_text())
         assert counts.sum() == BASE["n_samples"]
         assert np.array_equal(pmf_hat, counts / counts.sum())
@@ -552,6 +562,98 @@ class TestCheckCalibrationFile:
         err = capsys.readouterr().err
         assert f"calibration file is malformed: {out / 'calibration.json'}" in err
         assert "mean_v" in err
+
+
+class TestCheckVerifiesTheRun:
+    """``check`` re-derives ``pm.csv`` from the reconstruction ensemble and checks every config hash."""
+
+    RECONSTRUCTION = "reconstruction_eta_0.500000.npy"
+
+    def check(self, finished_run, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        edit(out)
+        code = main(["check", "--out", str(out)])
+        captured = capsys.readouterr()
+        return out, code, captured.out, captured.err
+
+    def test_an_untouched_run_passes(self, finished_run, tmp_path, capsys):
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, lambda out: None)
+        assert code == 0
+        assert "[FAIL]" not in printed
+        assert "[PASS] pm.csv counts re-derived from the reconstruction ensemble" in printed
+        assert "[PASS] config_sha256 of config.json in every artifact" in printed
+
+    def test_a_garbage_reconstruction_ensemble_exits_2_naming_it(self, finished_run, tmp_path, capsys):
+        def edit(out):
+            (out / self.RECONSTRUCTION).write_text("garbage")
+
+        out, code, _, err = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 2
+        assert f"not a version 1.0 .npy array: {out / self.RECONSTRUCTION}" in err
+
+    def test_a_substituted_reconstruction_ensemble_fails(self, finished_run, tmp_path, capsys):
+        # a valid ensemble, with its sidecar and hash, whose first shot sits one bin higher
+        def edit(out):
+            ens = read_ensemble(out / self.RECONSTRUCTION)
+            samples = ens.samples.copy()
+            samples[0] += BASE["gain"]["gamma_bar"]
+            sha = config_hash(load(out / "config.json"))
+            write_ensemble(out / self.RECONSTRUCTION, replace(ens, samples=samples), sha)
+
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm.csv counts re-derived from the reconstruction ensemble" in printed
+
+    @pytest.mark.parametrize(
+        "name", ["ensemble_00_eta_0.100000.json", "reconstruction_eta_0.500000.json", "pm_metrics.json"]
+    )
+    def test_an_edited_config_hash_fails(self, finished_run, tmp_path, capsys, name):
+        def edit(out):
+            path = out / name
+            doc = json.loads(path.read_text())
+            sha = doc["config_sha256"]
+            doc["config_sha256"] = ("1" if sha[0] == "0" else "0") + sha[1:]
+            path.write_text(json.dumps(doc))
+
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert f"[FAIL] config_sha256 of config.json in every artifact (not in {name})" in printed
+
+    def test_an_edited_pmf_hat_fails(self, finished_run, tmp_path, capsys):
+        # one pmf_hat moved by 1e-12: the table no longer holds count / n_samples
+        def edit(out):
+            path = out / "pm.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            i = next(i for i, line in enumerate(lines) if line.startswith("1,"))
+            m, p, c = lines[i].rstrip("\n").split(",")
+            lines[i] = f"{m},{float(p) + 1e-12:.17e},{c}\n"
+            path.write_text("".join(lines))
+
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm.csv pmf_hat is count / n_samples" in printed
+
+    def test_a_pm_table_without_gamma_bar_exits_2_naming_it(self, finished_run, tmp_path, capsys):
+        def edit(out):
+            path = out / "pm.csv"
+            path.write_text(re.sub(r"# gamma_bar=.*\n", "", path.read_text()))
+
+        out, code, _, err = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 2
+        assert f"pm file has no '# gamma_bar=' number: {out / 'pm.csv'}" in err
+
+    def test_an_edited_pm_table_hash_fails(self, finished_run, tmp_path, capsys):
+        def edit(out):
+            path = out / "pm.csv"
+            path.write_text(path.read_text().replace("# config_sha256=", "# config_sha256=f", 1))
+
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert "[FAIL] config_sha256 of config.json in every artifact (not in pm.csv)" in printed
 
 
 class TestReconstructFromCalibration:

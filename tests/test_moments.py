@@ -18,15 +18,14 @@ from linphot import (
     cumulants_from_moments,
     make_gain,
     make_poisson,
+    make_multimode_thermal,
     moments_from_cumulants,
-    narrow_gain_moments,
     pmf_moments,
     sample_moments,
-    scale_cumulants,
 )
 from linphot.detector import DarkNoiseModel
-from linphot.moments import cumulants_from_raw, raw_moments_from_cumulants
-from oracles import block_jackknife_se
+from linphot.moments import compound_cumulants, cumulants_from_raw, raw_moments_from_cumulants
+from oracles import block_jackknife_se, mixture_voltage_moments
 
 finite_kappa = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -173,17 +172,36 @@ def test_sample_moments_errors():
         sample_moments([1.0, np.inf], 2)
 
 
-def test_scale_cumulants():
-    c = CumulantSet.from_kappa([100.0, 4.0, 0.0, 0.0, 0.0])
-    assert scale_cumulants(c, 1).kappa == c.kappa
-    assert scale_cumulants(c, 0).kappa == (0, 0, 0, 0, 0)
-    scaled = scale_cumulants(c, 3)
-    assert scaled.kappa[0] == pytest.approx(300.0)
-    assert scaled.kappa[1] == pytest.approx(12.0)
-    with pytest.raises(InvalidParameterError):
-        scale_cumulants(c, -1)
-    with pytest.raises(InvalidParameterError):
-        scale_cumulants(c, 1.5)
+def test_compound_map_with_fixed_count_scales_gain_cumulants():
+    # m fixed at k (kappa_1 = k, higher cumulants 0): v is a sum of k i.i.d. draws
+    gain = [100.0, 4.0, 0.5, 0.25, 0.125]
+    for k in (0, 1, 3):
+        assert compound_cumulants([k, 0, 0, 0, 0], gain) == [k * x for x in gain]
+
+
+def test_compound_map_matches_series_composition_symbolically():
+    # kappa_r(v) = r! [t^r] (K_m(K_X(t)) + s t^2 / 2), composed as power series
+    a = sympy.symbols("a1:6")  # cumulants of m
+    b = sympy.symbols("b1:6")  # cumulants of one gain draw
+    s, t = sympy.symbols("s t")
+    k_x = sum(b[r - 1] * t**r / sympy.factorial(r) for r in range(1, 6))
+    k_v = sympy.expand(
+        sum(a[j - 1] * k_x**j / sympy.factorial(j) for j in range(1, 6)) + s * t**2 / 2
+    )
+    got = compound_cumulants(list(a), list(b), s)
+    for r in range(1, 6):
+        want = sympy.factorial(r) * k_v.coeff(t, r)
+        assert sympy.expand(got[r - 1] - want) == 0
+
+
+def test_compound_map_exact_on_rationals():
+    # Poisson(lam) counts of Gamma(shape 2, scale 1/3) draws: kappa_r(m) = lam,
+    # so kappa_r(v) = lam E[X^r], the raw moments of X
+    lam = Fraction(7, 2)
+    kappa_x = [2 * Fraction(1, 3) ** r * math.factorial(r - 1) for r in range(1, 6)]
+    got = compound_cumulants([lam] * 5, kappa_x, Fraction(1, 5))
+    raw_x = raw_moments_from_cumulants(kappa_x)
+    assert got == [lam * raw_x[0], lam * raw_x[1] + Fraction(1, 5), *(lam * x for x in raw_x[2:])]
 
 
 def test_pmf_moments_hand_case():
@@ -193,13 +211,14 @@ def test_pmf_moments_hand_case():
 
 
 def test_analytic_moments_degenerate_gain_saturates_scaling():
+    # a point-mass gain and no dark noise: v = gamma_bar m exactly
     det = apply_bernoulli(make_poisson(30), 0.4)
     gain = make_gain("gaussian", 100.0, 0.0)
     dark = DarkNoiseModel(sigma0=0.0)
     exact = analytic_voltage_moments(det, gain, dark, 5)
-    approx = narrow_gain_moments(det, 100.0, 5)
-    assert exact.mean == pytest.approx(approx.mean, rel=1e-13)
-    np.testing.assert_allclose(exact.central, approx.central, rtol=1e-12)
+    assert exact.mean == pytest.approx(100.0 * det.mean_m, rel=1e-13)
+    scaled = [100.0**r * det.central_moments[r - 2] for r in range(2, 6)]
+    np.testing.assert_allclose(exact.central, scaled, rtol=1e-12)
 
 
 def test_analytic_moments_r2_r3_closed_forms():
@@ -224,9 +243,10 @@ def test_analytic_moments_r2_r3_closed_forms():
 
 def test_narrow_gain_examples():
     det = apply_bernoulli(make_poisson(50), 0.5)  # coherent, <m> = 25
-    approx = narrow_gain_moments(det, 100.0, 2)
-    assert approx.central_moment(2) == pytest.approx(25e4, rel=1e-9)
-    unit = narrow_gain_moments(det, 1.0, 5)
+    kappa_m = [det.mean_m, *cumulants_from_raw([0.0, *det.central_moments])[1:]]
+    approx = compound_cumulants(kappa_m, [100.0, 0, 0, 0, 0])
+    assert approx[1] == pytest.approx(25e4, rel=1e-9)
+    unit = analytic_voltage_moments(det, make_gain("gaussian", 1.0, 0.0), DarkNoiseModel(0.0), 5)
     np.testing.assert_allclose(unit.central, det.central_moments, rtol=1e-13)
 
 
@@ -237,7 +257,33 @@ def test_order_cap():
         MomentSet.from_central(0.0, (1.0,) * 5)
     det = apply_bernoulli(make_poisson(5), 0.5)
     with pytest.raises(UnsupportedOrderError):
-        narrow_gain_moments(det, 1.0, 6)
+        analytic_voltage_moments(det, make_gain("gaussian", 1.0, 0.0), DarkNoiseModel(0.0), 6)
+
+
+@pytest.fixture(scope="module")
+def bright_detected():
+    return {
+        "poisson": apply_bernoulli(make_poisson(1e5), 0.5),
+        "thermal40": apply_bernoulli(make_multimode_thermal(1e5, 40), 0.5),
+    }
+
+
+@pytest.mark.parametrize("sigma0", [0.0, 10.0])
+@pytest.mark.parametrize("family,sigma", [("gaussian", 5.0), ("gamma", 5.0), ("gaussian", 0.0)])
+@pytest.mark.parametrize("source_name", ["poisson", "thermal40"])
+def test_analytic_moments_match_mixture_sum_in_bright_light(
+    bright_detected, source_name, family, sigma, sigma0
+):
+    # <n> = 1e5 at eta = 0.5: the mixture sum runs over ~1e5 (Poisson) and
+    # ~2.5e5 (thermal) components, the compound-cumulant map over none
+    det = bright_detected[source_name]
+    gain = make_gain(family, 100.0, sigma)
+    dark = DarkNoiseModel(sigma0)
+    mean, central = mixture_voltage_moments(det, gain, dark, 5)
+    for order in range(2, 6):
+        got = analytic_voltage_moments(det, gain, dark, order)
+        assert got.mean == pytest.approx(mean, rel=1e-12)
+        np.testing.assert_allclose(got.central, central[: order - 1], rtol=1e-12, atol=0)
 
 
 def test_block_jackknife_se_matches_classic_formula():
