@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameterError,
     SingularFitError,
 )
+from .moments import exact_sum
 from .sources import PhotonNumberDistribution
 from .streams import ETA_SERIES, GAIN_SCALING
 
@@ -114,7 +115,8 @@ def eta_point_from_samples(
     before the ratio F = (mu2 - D) / mean is formed.  Its delta-method
     standard error is sd(d (d - F)) / (|mean| sqrt(n)) with d = x - mean,
     i.e. sqrt((mu4 - mu2^2 - 2 F mu3 + F^2 mu2) / n) / |mean|; being only a
-    fit weight, it takes one numpy pass where the statistics use fsum.
+    fit weight, it takes numpy's own sum where mean and mu2 are correctly
+    rounded (``moments.exact_sum``).
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
@@ -122,9 +124,9 @@ def eta_point_from_samples(
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("samples must be finite (found NaN or inf)")
     n = x.size
-    mean = math.fsum(x) / n
+    mean = exact_sum(x) / n
     d = x - mean
-    mu2 = math.fsum(d**2) / n
+    mu2 = exact_sum(d**2) / n
     fano = (mu2 - dark_variance) / mean
     se_mean = math.sqrt(mu2 / n)
     se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))

@@ -19,18 +19,21 @@ from . import config as cfgmod
 from .calibration import fit_fano_line, iter_eta_series
 from .errors import ConfigError, InvalidParameterError, LinphotError
 from .files import canonical_json, read_ensemble, read_json, read_pm_csv, write_json
+from .loss import apply_bernoulli
 from .moments import sample_moments
 from .pipeline import (
     Models,
     calibrate,
     read_dark,
     reconstruct,
+    reconstruction_gamma,
+    reconstruction_metrics,
     reconstruction_path,
     run_experiment,
     simulate_sweep,
     sweep_points,
 )
-from .reconstruction import rebin, subtract_offset
+from .reconstruction import subtract_offset
 
 
 def _load_config(path, seed_override):
@@ -177,17 +180,29 @@ def _cmd_check(args) -> int:
             )
     pmf, counts, header = read_pm_csv(out / "pm.csv")
     verdict("pm.csv pmf_hat is count / n_samples", np.array_equal(pmf, counts / counts.sum()))
-    # zero-set and rebinned as run did, so the counts agree exactly
-    shifted = subtract_offset(read_ensemble(reconstruction_path(out, config)), float(dark.samples.mean()))
     try:
         gamma_bar = float(header["gamma_bar"])
     except (KeyError, ValueError) as exc:
         raise InvalidParameterError(f"pm file has no '# gamma_bar=' number: {out / 'pm.csv'}") from exc
-    rederived = rebin(shifted, gamma_bar).counts
-    verdict("pm.csv counts re-derived from the reconstruction ensemble", np.array_equal(rederived, counts))
-    sha = cfgmod.config_hash(config)
+    models = Models(config)
     docs = {path.name: read_json(path) for path in sorted(out.glob("*.json")) if path.name != "config.json"}
     stamps = {name: doc.get("config_sha256") if isinstance(doc, dict) else None for name, doc in docs.items()}
+    # zero-set, rebinned and compared with the truth as run did, so every
+    # number agrees exactly; the metrics keep their file's config_sha256,
+    # which the provenance verdict checks
+    shifted = subtract_offset(read_ensemble(reconstruction_path(out, config)), float(dark.samples.mean()))
+    result, metrics = reconstruction_metrics(
+        shifted,
+        *reconstruction_gamma(fit, models.gain.gamma_bar),
+        config_sha256=stamps.get("pm_metrics.json"),
+        truth=apply_bernoulli(models.source, config.reconstruct_eta),
+    )
+    same_table = gamma_bar == result.gamma_bar_used and np.array_equal(result.counts, counts)
+    verdict("pm.csv counts re-derived from the reconstruction ensemble", same_table)
+    if same_table:  # the metrics describe this table; a different one has failed above
+        same_metrics = docs.get("pm_metrics.json") == asdict(metrics)
+        verdict("pm_metrics.json re-derived from the reconstruction ensemble", same_metrics)
+    sha = models.config_sha256
     stale = [name for name, stamp in {**stamps, "pm.csv": header.get("config_sha256")}.items() if stamp != sha]
     verdict(
         "config_sha256 of config.json in every artifact" + (f" (not in {', '.join(stale)})" if stale else ""),

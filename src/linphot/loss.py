@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidParameterError, UndefinedStatisticError
-from .moments import pmf_moments
+from .moments import exact_sum, pmf_moments
 from .sources import (
     PhotonNumberDistribution,
     _binom_bound,
@@ -107,7 +107,7 @@ def apply_bernoulli(
         central_moments=central,
         eta=eta,
         source_ref=source.label,
-        tail_mass=max(0.0, 1.0 - math.fsum(pm)),
+        tail_mass=max(0.0, 1.0 - exact_sum(pm)),
     )
 
 

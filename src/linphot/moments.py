@@ -1,7 +1,8 @@
 """Moment and cumulant machinery.
 
-Sample estimators with compensated summation, conversions between raw
-moments, central moments and cumulants (orders up to 5), and the exact
+:func:`exact_sum`, the correctly rounded sum every statistic of the
+package is formed with; sample estimators; conversions between raw
+moments, central moments and cumulants (orders up to 5); and the exact
 voltage moments of a linear detector chain: a voltage sums the responses
 to m detected photons plus baseline noise, so its cumulants follow from
 those of m and of one response through K_v(t) = K_m(K_X(t)) + sigma0^2 t^2/2.
@@ -29,6 +30,12 @@ if TYPE_CHECKING:
 ORDER_MIN = 2
 ORDER_MAX = 5
 
+# exact_sum: values per block (each temporary ~128 KB) and one bin per
+# np.frexp exponent, -1073 (the smallest subnormal) .. 1024
+_SUM_BLOCK = 2**14
+_SUM_EXP_OFFSET = 1073
+_SUM_BINS = _SUM_EXP_OFFSET + 1025
+
 
 def _check_order(order) -> int:
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
@@ -38,6 +45,53 @@ def _check_order(order) -> int:
             f"order must be in [{ORDER_MIN}, {ORDER_MAX}], got {order}"
         )
     return int(order)
+
+
+def _significand_bins(x: np.ndarray) -> np.ndarray | None:
+    """Exact per-exponent sums of the two significand halves of finite ``x``; None if not finite.
+
+    x = frac 2^e with 1/2 <= |frac| < 1 splits into the integers
+    hi = trunc(frac 2^27) and lo = (frac 2^27 - hi) 2^26, so
+    x = (hi 2^26 + lo) 2^(e - 53).  A block's bin sums stay below 2^41,
+    so the float bincount adds them exactly, and the int64 totals hold
+    below 2^36 values.
+    """
+    bins = np.zeros((2, _SUM_BINS), dtype=np.int64)
+    for start in range(0, x.size, _SUM_BLOCK):
+        block = x[start : start + _SUM_BLOCK]
+        if not np.isfinite(block).all():
+            return None
+        frac, expo = np.frexp(block)
+        expo += _SUM_EXP_OFFSET
+        frac *= 2.0**27
+        hi = np.trunc(frac)
+        frac -= hi
+        frac *= 2.0**26
+        bins[0] += np.bincount(expo, hi, _SUM_BINS).astype(np.int64)
+        bins[1] += np.bincount(expo, frac, _SUM_BINS).astype(np.int64)
+    return bins
+
+
+def exact_sum(values) -> float:
+    """The correctly rounded sum of ``values``: bit for bit what ``math.fsum`` returns.
+
+    The significands are summed exactly per binary exponent in numpy, one
+    block of values at a time, then combined once as a Python int and
+    rounded once by int true division.  Non-finite input and an exact zero
+    go to ``math.fsum`` itself, which sets inf, nan, its errors and the
+    sign of zero.  One case differs: where ``fsum`` raises "intermediate
+    overflow" on a sum that fits ([1e308, 1e308, -1e308]), this returns
+    the exact sum.  A sum beyond the float range raises OverflowError.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    bins = _significand_bins(x)
+    total = 0
+    if bins is not None:
+        for i in np.flatnonzero(bins.any(axis=0)).tolist():
+            total += ((int(bins[0, i]) << 26) + int(bins[1, i])) << i
+    if total == 0:
+        return math.fsum(x.tolist())
+    return total / (1 << (_SUM_EXP_OFFSET + 53))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +231,8 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
     """Plug-in moment estimates of a sample.
 
     Two passes: the mean first, then all centered powers in a single sweep.
-    Sums use compensated (exact) accumulation so high orders survive large
-    means.
+    Every sum is correctly rounded (:func:`exact_sum`), so high orders
+    survive large means.
     """
     order = _check_order(order)
     x = np.asarray(samples, dtype=float)
@@ -189,13 +243,13 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("samples must be finite")
     n = x.size
-    mean = math.fsum(x) / n
+    mean = exact_sum(x) / n
     d = x - mean
     central = []
     power = d
     for _ in range(2, order + 1):
         power = power * d
-        central.append(math.fsum(power) / n)
+        central.append(exact_sum(power) / n)
     return MomentSet.from_central(mean, central)
 
 
@@ -220,9 +274,9 @@ def pmf_moments(pmf, order: int = 5) -> tuple[float, tuple]:
     order = _check_order(order)
     p = np.asarray(pmf, dtype=float)
     k = np.arange(p.size, dtype=float)
-    mean = math.fsum(k * p)
+    mean = exact_sum(k * p)
     d = k - mean
-    central = tuple(math.fsum(p * d**r) for r in range(2, order + 1))
+    central = tuple(exact_sum(p * d**r) for r in range(2, order + 1))
     return mean, central
 
 

@@ -3,7 +3,9 @@
 ``run_experiment`` calls the stages ``simulate_sweep``, ``calibrate``
 (whose ``CalibrationRecord`` is ``calibration.json``), ``reconstruct``
 (whose ``PmMetrics`` is ``pm_metrics.json``) and ``write_report`` in
-order; each CLI subcommand calls the stage it is named for.  Ensembles
+order; each CLI subcommand calls the stage it is named for, and ``check``
+re-derives the reconstruction with ``reconstruction_gamma`` and
+``reconstruction_metrics``, as ``run`` does.  Ensembles
 are written as ``.npy`` with a JSON sidecar (``files.write_ensemble``).
 ``check`` and blind ``calibrate`` read a sweep directory, ``.npy`` or
 CSV, with ``read_dark`` and ``sweep_points``.  All artifacts carry the
@@ -202,12 +204,22 @@ def calibrate(points, dark_variance: float, models: Models | None = None) -> Cal
     return CalibrationRecord(sha, dark_variance, fit, fit_error, checks)
 
 
-def reconstruct(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, out: Path, *, config_sha256=None, truth=None):
-    """Rebin a zero-set ensemble into ``pm.csv`` and ``pm_metrics.json`` in ``out``.
+def reconstruction_gamma(fit, configured_gamma_bar: float) -> tuple[float, float, str]:
+    """gamma_bar, its SE and their source for the reconstruction, from the ``fit`` of ``calibration.json``.
 
-    The reconstructed mean is checked against mean_v / gamma_bar.  Returns
-    the rebinned result, compared with the generating ``truth`` when given,
-    and its ``PmMetrics``.
+    A valid fit gives its intercept; no fit, or an invalid one, gives the
+    configured gain with SE 0.  ``run`` and ``check`` both choose here.
+    """
+    if fit is not None and fit["valid"]:
+        return fit["intercept"], fit["intercept_se"], "calibration intercept"
+    return configured_gamma_bar, 0.0, "configured gain (calibration unavailable)"
+
+
+def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *, config_sha256=None, truth=None):
+    """Rebin a zero-set ensemble; return the result and its ``PmMetrics``.
+
+    The reconstructed mean is checked against mean_v / gamma_bar; the
+    result is compared with the generating ``truth`` when given.
     """
     result = rebin(shifted, gamma_bar)
     if truth is not None:
@@ -215,7 +227,7 @@ def reconstruct(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, out: Path, *
     mean_v = float(shifted.samples.mean())
     se_mean_v = float(shifted.samples.std(ddof=1) / math.sqrt(shifted.n_samples))
     consistency = self_consistency_check(result, mean_v, se_mean_v=se_mean_v, se_gamma_bar=se_gamma_bar)
-    metrics = PmMetrics(
+    return result, PmMetrics(
         config_sha256=config_sha256,
         gamma_bar_used=result.gamma_bar_used,
         gamma_bar_source=gamma_bar_source,
@@ -225,6 +237,13 @@ def reconstruct(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, out: Path, *
         self_consistency=consistency,
         tv_distance=result.tv_distance,
         fidelity=result.fidelity,
+    )
+
+
+def reconstruct(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, out: Path, *, config_sha256=None, truth=None):
+    """Write ``pm.csv`` and ``pm_metrics.json`` of :func:`reconstruction_metrics` in ``out``; return both."""
+    result, metrics = reconstruction_metrics(
+        shifted, gamma_bar, se_gamma_bar, gamma_bar_source, config_sha256=config_sha256, truth=truth
     )
     out.mkdir(parents=True, exist_ok=True)
     write_pm_csv(out / "pm.csv", result, {} if config_sha256 is None else {"config_sha256": config_sha256})
@@ -317,7 +336,8 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
 
     calibration = calibrate(points, models.dark.sigma0**2, models)
     files["calibration"] = out / "calibration.json"
-    write_json(files["calibration"], asdict(calibration))
+    record = asdict(calibration)
+    write_json(files["calibration"], record)
 
     # reconstruction at the chosen efficiency
     rec_ens = simulate_ensemble(
@@ -328,11 +348,7 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     files["reconstruction_ensemble_sidecar"] = write_ensemble(
         files["reconstruction_ensemble"], rec_ens, models.config_sha256
     )
-    fit = calibration.fit
-    if fit is not None and fit.valid:
-        gamma = (fit.intercept, fit.intercept_se, "calibration intercept")
-    else:
-        gamma = (models.gain.gamma_bar, 0.0, "configured gain (calibration unavailable)")
+    gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
     shifted = subtract_offset(rec_ens, float(dark_ens.samples.mean()))
     truth = apply_bernoulli(models.source, config.reconstruct_eta)
     result, metrics = reconstruct(shifted, *gamma, out, config_sha256=models.config_sha256, truth=truth)
@@ -341,7 +357,7 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     files["report"] = out / "report.md"
     write_report(files["report"], models, points, calibration, metrics, shifted, truth)
 
-    checks = calibration.checks
+    fit, checks = calibration.fit, calibration.checks
     return RunResult(
         out_dir=out,
         config_sha256=models.config_sha256,

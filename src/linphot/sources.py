@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidParameterError
-from .moments import pmf_moments
+from .moments import exact_sum, pmf_moments
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -56,7 +56,7 @@ class PhotonNumberDistribution:
 
     def validate(self, tail_eps: float = DEFAULT_TAIL_EPS) -> None:
         """Assert the structural invariants; raises AssertionError on breach."""
-        total = math.fsum(self.pmf)
+        total = exact_sum(self.pmf)
         assert np.all(self.pmf >= 0)
         assert 1.0 - self.tail_mass - 1e-15 <= total <= 1.0 + 1e-15
         assert self.tail_mass <= tail_eps
@@ -72,7 +72,7 @@ class PhotonNumberDistribution:
 def _finalize(pmf: np.ndarray, label: str, thin=None, tail=None) -> PhotonNumberDistribution:
     pmf = np.ascontiguousarray(pmf, dtype=float)
     if tail is None:
-        tail = max(0.0, 1.0 - math.fsum(pmf))
+        tail = max(0.0, 1.0 - exact_sum(pmf))
     mean, central = pmf_moments(pmf, order=2)
     q = (central[0] - mean) / mean if mean > 0 else None
     return PhotonNumberDistribution(
@@ -344,7 +344,7 @@ def from_pmf(table) -> PhotonNumberDistribution:
         raise InvalidParameterError("pmf table entries must be finite")
     if np.any(arr < 0):
         raise InvalidParameterError("pmf table entries must be nonnegative")
-    total = math.fsum(arr)
+    total = exact_sum(arr)
     if total <= 0:
         raise InvalidParameterError("pmf table must contain at least one positive entry")
     arr = arr / total

@@ -6,6 +6,9 @@ statistic on each leave-one-block-out copy of the data.
 the package reads but no longer writes.  ``mixture_voltage_moments`` is
 the voltage moments summed component by component over the detected PMF,
 the reference for the package's compound-cumulant map.
+``fsum_pmf_statistics`` and ``fsum_eta_point`` form the package's PMF and
+sweep-point statistics with ``math.fsum`` sums, the reference for its
+``moments.exact_sum``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from linphot.calibration import EtaSeriesPoint
 from linphot.errors import InsufficientDataError
 
 
@@ -73,3 +77,25 @@ def mixture_voltage_moments(detected, gain, dark, order: int = 5) -> tuple[float
             vals = vals + comb(r, j) * comp_central[j] * delta ** (r - j)
         central.append(math.fsum(p * vals))
     return mean_v, central
+
+
+def fsum_pmf_statistics(pmf, order: int = 5) -> tuple[float, tuple, float]:
+    """Mean, central moments mu_2..mu_order and tail mass 1 - sum of a PMF, each sum a ``math.fsum``."""
+    p = np.asarray(pmf, dtype=float)
+    k = np.arange(p.size, dtype=float)
+    mean = math.fsum(k * p)
+    d = k - mean
+    central = tuple(math.fsum(p * d**r) for r in range(2, order + 1))
+    return mean, central, max(0.0, 1.0 - math.fsum(p))
+
+
+def fsum_eta_point(eta: float, samples, dark_variance: float = 0.0) -> EtaSeriesPoint:
+    """The sweep point of ``samples``: mean and mu2 by ``math.fsum``, the fano SE by ``np.std``."""
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    mean = math.fsum(x) / n
+    d = x - mean
+    mu2 = math.fsum(d**2) / n
+    fano = (mu2 - dark_variance) / mean
+    se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))
+    return EtaSeriesPoint(float(eta), mean, fano, math.sqrt(mu2 / n), se_fano, n)

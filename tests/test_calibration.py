@@ -23,6 +23,8 @@ from linphot import (
     run_eta_series,
     simulate_ensemble,
 )
+from linphot.moments import _SUM_BLOCK
+from oracles import fsum_eta_point
 
 GAIN = 100.0
 
@@ -309,3 +311,9 @@ class TestGainScaling:
         valid = fit_fano_line(synthetic_points(0.0, 10.0, [10.0, 20.0, 30.0]))
         with pytest.raises(InvalidParameterError, match="efficiencies"):
             gain_scaling_check(*args, [0.1, 0.3, 0.5], [2.0], 10**4, seed=12, baseline=valid)
+
+
+def test_eta_point_is_the_fsum_point_over_three_blocks():
+    gain, dark = make_gain("gaussian", GAIN, 5.0), DarkNoiseModel(10.0)
+    ens = simulate_ensemble(make_poisson(2000.0), 0.5, gain, dark, 3 * _SUM_BLOCK + 17, 7)
+    assert eta_point_from_samples(0.5, ens.samples, 100.0) == fsum_eta_point(0.5, ens.samples, 100.0)

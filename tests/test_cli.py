@@ -582,6 +582,7 @@ class TestCheckVerifiesTheRun:
         assert code == 0
         assert "[FAIL]" not in printed
         assert "[PASS] pm.csv counts re-derived from the reconstruction ensemble" in printed
+        assert "[PASS] pm_metrics.json re-derived from the reconstruction ensemble" in printed
         assert "[PASS] config_sha256 of config.json in every artifact" in printed
 
     def test_a_garbage_reconstruction_ensemble_exits_2_naming_it(self, finished_run, tmp_path, capsys):
@@ -621,6 +622,39 @@ class TestCheckVerifiesTheRun:
         assert code == 1
         assert printed.count("[FAIL]") == 1
         assert f"[FAIL] config_sha256 of config.json in every artifact (not in {name})" in printed
+
+    def test_edited_metrics_fail(self, finished_run, tmp_path, capsys):
+        def edit(out):
+            path = out / "pm_metrics.json"
+            doc = json.loads(path.read_text())
+            doc.update(mean_m_hat=1234.5, tv_distance=0.0)
+            doc["self_consistency"]["passed"] = True
+            path.write_text(json.dumps(doc))
+
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm_metrics.json re-derived from the reconstruction ensemble" in printed
+
+    def test_a_missing_metrics_file_fails(self, finished_run, tmp_path, capsys):
+        _, code, printed, _ = self.check(
+            finished_run, tmp_path, capsys, lambda out: (out / "pm_metrics.json").unlink()
+        )
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm_metrics.json re-derived from the reconstruction ensemble" in printed
+
+    def test_an_edited_gamma_bar_header_fails(self, finished_run, tmp_path, capsys):
+        # the counts are those of the calibration's gamma_bar, which the header no longer names
+        def edit(out):
+            path = out / "pm.csv"
+            scaled = re.sub(r"# gamma_bar=(.*)", lambda m: f"# gamma_bar={float(m[1]) * 1.001!r}", path.read_text())
+            path.write_text(scaled)
+
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm.csv counts re-derived from the reconstruction ensemble" in printed
 
     def test_an_edited_pmf_hat_fails(self, finished_run, tmp_path, capsys):
         # one pmf_hat moved by 1e-12: the table no longer holds count / n_samples

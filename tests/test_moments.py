@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from linphot import (
     CumulantSet,
@@ -24,8 +27,14 @@ from linphot import (
     sample_moments,
 )
 from linphot.detector import DarkNoiseModel
-from linphot.moments import compound_cumulants, cumulants_from_raw, raw_moments_from_cumulants
-from oracles import block_jackknife_se, mixture_voltage_moments
+from linphot.moments import (
+    _SUM_BLOCK,
+    compound_cumulants,
+    cumulants_from_raw,
+    exact_sum,
+    raw_moments_from_cumulants,
+)
+from oracles import block_jackknife_se, fsum_pmf_statistics, mixture_voltage_moments
 
 finite_kappa = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -172,6 +181,92 @@ def test_sample_moments_errors():
         sample_moments([1.0, np.inf], 2)
 
 
+# subnormals, both zeros and magnitudes out to 1e+-300; 5 blocks of them
+# sum to at most 8.2e304, so no example overflows
+wide_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308]),
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a.hex() == b.hex()  # bit for bit, the sign of zero included
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(wide_floats, min_size=1, max_size=40),
+    size=st.integers(0, 5 * _SUM_BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_is_fsum_across_blocks(pool, size, seed):
+    x = np.random.default_rng(seed).choice(np.array(pool), size)
+    assert _same_float(exact_sum(x), math.fsum(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 100), elements=wide_floats))
+def test_exact_sum_is_fsum_on_short_arrays(x):
+    assert _same_float(exact_sum(x), math.fsum(x))
+    assert _same_float(exact_sum(np.concatenate([x, -x])), math.fsum(np.concatenate([x, -x])))
+
+
+@pytest.mark.parametrize(
+    "values", [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [np.inf, 1.0], [-np.inf, 1e308], [np.nan, 1.0]]
+)
+def test_exact_sum_edge_cases_are_fsum(values):
+    assert _same_float(exact_sum(np.array(values)), math.fsum(values))
+
+
+def test_exact_sum_raises_where_fsum_raises():
+    with pytest.raises(ValueError):
+        math.fsum([np.inf, -np.inf])
+    with pytest.raises(ValueError):
+        exact_sum([np.inf, -np.inf])
+    with pytest.raises(OverflowError):  # the sum is past the float range
+        math.fsum([1e308, 1e308])
+    with pytest.raises(OverflowError):
+        exact_sum([1e308, 1e308])
+
+
+def test_exact_sum_has_no_intermediate_overflow():
+    # the one difference: fsum overflows on the partial 2e308, the exact sum is 1e308
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum([1e308, 1e308, -1e308])
+    assert exact_sum([1e308, 1e308, -1e308]) == 1e308
+
+
+def _fsum_uses(tree) -> list:
+    """The enclosing function (None at module level) of each mention of ``fsum``."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        named = (
+            (isinstance(node, ast.Attribute) and node.attr == "fsum")
+            or (isinstance(node, ast.Name) and node.id == "fsum")
+            or (isinstance(node, ast.alias) and node.name == "fsum")
+        )
+        if named:
+            uses.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return uses
+
+
+def test_exact_sum_is_the_one_summation_path():
+    # every exact statistic goes through exact_sum; fsum is left only its fallback
+    package = Path(__file__).resolve().parents[1] / "src" / "linphot"
+    uses = {
+        path.name: _fsum_uses(ast.parse(path.read_text()))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: scopes for name, scopes in uses.items() if scopes} == {"moments.py": ["exact_sum"]}
+
+
 def test_compound_map_with_fixed_count_scales_gain_cumulants():
     # m fixed at k (kappa_1 = k, higher cumulants 0): v is a sum of k i.i.d. draws
     gain = [100.0, 4.0, 0.5, 0.25, 0.125]
@@ -284,6 +379,15 @@ def test_analytic_moments_match_mixture_sum_in_bright_light(
         got = analytic_voltage_moments(det, gain, dark, order)
         assert got.mean == pytest.approx(mean, rel=1e-12)
         np.testing.assert_allclose(got.central, central[: order - 1], rtol=1e-12, atol=0)
+
+
+def test_bright_thermal_statistics_are_the_fsum_statistics(bright_detected):
+    # 40-mode thermal <n> = 1e5 at eta = 0.5: ~2.5e5 PMF entries, 15 blocks
+    det = bright_detected["thermal40"]
+    mean, central, tail = fsum_pmf_statistics(det.pmf, order=5)
+    assert _same_float(det.mean_m, mean)
+    assert all(_same_float(a, b) for a, b in zip(det.central_moments, central, strict=True))
+    assert _same_float(det.tail_mass, tail)
 
 
 def test_block_jackknife_se_matches_classic_formula():
