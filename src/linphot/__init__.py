@@ -10,7 +10,6 @@ width.
 from .calibration import (
     CalibrationFit,
     EtaSeriesPoint,
-    default_eta_series,
     eta_point_from_samples,
     fit_fano_line,
     gain_scaling_check,
@@ -21,8 +20,6 @@ from .detector import (
     DarkNoiseModel,
     GainModel,
     VoltageEnsemble,
-    analytic_pv_cdf_gaussian,
-    analytic_pv_gaussian,
     make_gain,
     simulate_ensemble,
 )
@@ -37,13 +34,10 @@ from .errors import (
     UnsupportedOracleError,
     UnsupportedOrderError,
 )
-from .loss import DetectedPhotonDistribution, apply_bernoulli, detected_fano, sample_m
+from .loss import DetectedPhotonDistribution, apply_bernoulli, sample_m
 from .moments import (
-    CumulantSet,
     MomentSet,
     analytic_voltage_moments,
-    cumulants_from_moments,
-    moments_from_cumulants,
     pmf_moments,
     sample_moments,
 )
@@ -72,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationFit",
     "ConfigError",
-    "CumulantSet",
     "DarkNoiseModel",
     "DetectedPhotonDistribution",
     "EtaSeriesPoint",
@@ -90,14 +83,9 @@ __all__ = [
     "UnsupportedOracleError",
     "UnsupportedOrderError",
     "VoltageEnsemble",
-    "analytic_pv_cdf_gaussian",
-    "analytic_pv_gaussian",
     "analytic_voltage_moments",
     "apply_bernoulli",
     "compare",
-    "cumulants_from_moments",
-    "default_eta_series",
-    "detected_fano",
     "eta_point_from_samples",
     "expected_rebinned_pmf",
     "fit_fano_line",
@@ -109,7 +97,6 @@ __all__ = [
     "make_poisson",
     "make_thermal",
     "mean_constancy_check",
-    "moments_from_cumulants",
     "pmf_moments",
     "rebin",
     "run_eta_series",

@@ -152,15 +152,6 @@ def _check_eta_list(eta_list) -> list[float]:
     return etas
 
 
-def default_eta_series(eta_max: float, count: int = 10) -> list[float]:
-    """Equally spaced efficiency ladder from 0.05*eta_max to eta_max."""
-    if not (0.0 < eta_max <= 1.0):
-        raise InvalidParameterError(f"eta_max must be in (0, 1], got {eta_max}")
-    if count < MIN_ETA_POINTS:
-        raise InsufficientDesignError(f"need at least {MIN_ETA_POINTS} points")
-    return list(np.linspace(0.05 * eta_max, eta_max, count))
-
-
 def iter_eta_series(
     source: PhotonNumberDistribution,
     gain: GainModel,

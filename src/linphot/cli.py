@@ -8,7 +8,6 @@ arguments.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -16,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .calibration import fit_fano_line, iter_eta_series
+from .calibration import iter_eta_series
 from .errors import ConfigError, InvalidParameterError, LinphotError
-from .files import canonical_json, read_ensemble, read_json, read_pm_csv, write_json
+from .files import canonical_json, pm_csv_text, read_ensemble, read_json, write_json
 from .loss import apply_bernoulli
 from .moments import sample_moments
 from .pipeline import (
@@ -29,6 +28,7 @@ from .pipeline import (
     reconstruction_gamma,
     reconstruction_metrics,
     reconstruction_path,
+    report_text,
     run_experiment,
     simulate_sweep,
     sweep_points,
@@ -51,20 +51,16 @@ def _resolve_out(args, config=None):
 
 
 def _read_calibration(path):
-    """The dark variance and checked fit numbers (None: no fit) of a calibration file.
+    """The ``intercept``, ``intercept_se`` and ``valid`` of a calibration file's fit; None: no fit.
 
     A malformed file raises an error that names it.
     """
     doc = read_json(path)
     try:
         fit = doc.get("fit")
-        if fit is not None:
-            fit = {
-                **{key: float(fit[key]) for key in ("slope", "intercept", "intercept_se")},
-                "valid": fit["valid"] is True,
-                "points": [(float(p["eta"]), float(p["mean_v"]), float(p["fano_v"])) for p in fit["points"]],
-            }
-        return float(doc.get("dark_variance_subtracted", 0.0)), fit
+        if fit is None:
+            return None
+        return {**{key: float(fit[key]) for key in ("intercept", "intercept_se")}, "valid": fit["valid"] is True}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"calibration file is malformed: {path}: {exc!r}") from exc
 
@@ -130,11 +126,11 @@ def _cmd_reconstruct(args) -> int:
     if args.gamma_bar is not None:
         gamma = (args.gamma_bar, 0.0, "--gamma-bar")
     else:
-        _, fit = _read_calibration(args.from_calibration)
+        fit = _read_calibration(args.from_calibration)
         if fit is None or not fit["valid"]:
             print(f"error: no valid fit in {args.from_calibration}", file=sys.stderr)
             return 1
-        gamma = (fit["intercept"], fit["intercept_se"], "calibration intercept")
+        gamma = reconstruction_gamma(fit, None)
     dark_mean = float(read_ensemble(args.dark).samples.mean()) if args.dark else 0.0
     out = Path(args.out)
     _, metrics = reconstruct(subtract_offset(ens, dark_mean), *gamma, out)
@@ -144,6 +140,11 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    """Replay ``run``'s stages on a run directory's inputs; each derived artifact must match byte for byte.
+
+    A malformed input (``config.json``, an ensemble or its sidecar, the dark
+    record) or a ``calibration.json`` that is not JSON exits 2 naming it.
+    """
     out = Path(args.out)
     failures = []
 
@@ -153,62 +154,51 @@ def _cmd_check(args) -> int:
             failures.append(name)
 
     config = cfgmod.load(out / "config.json")
-    dark_var, fit = _read_calibration(out / "calibration.json")
+    models = Models(config)
     dark = read_dark(out)
-    verdict("dark record readable", dark.samples.size > 0)
-    # the recorded subtraction constant and no dark mean, as run computed
-    # the points, so the statistics pipeline is replayed bit for bit
-    points = sweep_points(out, 0.0, dark_var)
+    # raw ensembles and the config's dark variance, as run computed the points
+    points = sweep_points(out, 0.0, models.dark.sigma0**2)
+    shifted = subtract_offset(read_ensemble(reconstruction_path(out, config)), float(dark.samples.mean()))
+    sidecars = {path.name: read_json(path) for path in sorted(p.with_suffix(".json") for p in out.glob("*.npy"))}
+    stale = [
+        name for name, doc in sidecars.items()
+        if not isinstance(doc, dict) or doc.get("config_sha256") != models.config_sha256
+    ]
+    verdict(
+        "config_sha256 of config.json in every ensemble sidecar" + (f" (not in {', '.join(stale)})" if stale else ""),
+        not stale,
+    )
     etas = list(config.eta_series)
     matched = [point.eta for point in points] == etas
     verdict(f"one ensemble per configured eta ({len(points)} ensembles, {len(etas)} etas)", matched)
-    if matched and fit is not None:
-        recorded = fit["points"]
-        if len(points) != len(recorded):
-            verdict(f"one ensemble per recorded point ({len(points)} for {len(recorded)})", False)
-        else:
-            for point, (eta, mean_v, fano_v) in zip(points, recorded):
-                ok = point.eta == eta
-                ok = ok and math.isclose(point.mean_v, mean_v, rel_tol=1e-9, abs_tol=1e-12)
-                ok = ok and math.isclose(point.fano_v, fano_v, rel_tol=1e-9, abs_tol=1e-12)
-                verdict(f"eta={eta:.6f} point statistics reproduce", ok)
-            refit = fit_fano_line(points)
-            verdict(
-                "fano-line fit reproduces",
-                math.isclose(refit.slope, fit["slope"], rel_tol=1e-6, abs_tol=1e-12)
-                and math.isclose(refit.intercept, fit["intercept"], rel_tol=1e-6, abs_tol=1e-12),
-            )
-    pmf, counts, header = read_pm_csv(out / "pm.csv")
-    verdict("pm.csv pmf_hat is count / n_samples", np.array_equal(pmf, counts / counts.sum()))
-    try:
-        gamma_bar = float(header["gamma_bar"])
-    except (KeyError, ValueError) as exc:
-        raise InvalidParameterError(f"pm file has no '# gamma_bar=' number: {out / 'pm.csv'}") from exc
-    models = Models(config)
-    docs = {path.name: read_json(path) for path in sorted(out.glob("*.json")) if path.name != "config.json"}
-    stamps = {name: doc.get("config_sha256") if isinstance(doc, dict) else None for name, doc in docs.items()}
-    # zero-set, rebinned and compared with the truth as run did, so every
-    # number agrees exactly; the metrics keep their file's config_sha256,
-    # which the provenance verdict checks
-    shifted = subtract_offset(read_ensemble(reconstruction_path(out, config)), float(dark.samples.mean()))
+    if not matched:  # everything derived depends on the sweep
+        return 1
+    try:  # the one recorded section no replay re-derives: only re-simulation could
+        gain_scaling = read_json(out / "calibration.json")["checks"]["gain_scaling"]
+    except (FileNotFoundError, KeyError, TypeError):  # missing or malformed: fails below
+        gain_scaling = None
+    record = asdict(calibrate(points, models.dark.sigma0**2, models, gain_scaling=gain_scaling))
+    truth = apply_bernoulli(models.source, config.reconstruct_eta)
     result, metrics = reconstruction_metrics(
         shifted,
-        *reconstruction_gamma(fit, models.gain.gamma_bar),
-        config_sha256=stamps.get("pm_metrics.json"),
-        truth=apply_bernoulli(models.source, config.reconstruct_eta),
+        *reconstruction_gamma(record["fit"], models.gain.gamma_bar),
+        config_sha256=models.config_sha256,
+        truth=truth,
     )
-    same_table = gamma_bar == result.gamma_bar_used and np.array_equal(result.counts, counts)
-    verdict("pm.csv counts re-derived from the reconstruction ensemble", same_table)
-    if same_table:  # the metrics describe this table; a different one has failed above
-        same_metrics = docs.get("pm_metrics.json") == asdict(metrics)
-        verdict("pm_metrics.json re-derived from the reconstruction ensemble", same_metrics)
-    sha = models.config_sha256
-    stale = [name for name, stamp in {**stamps, "pm.csv": header.get("config_sha256")}.items() if stamp != sha]
-    verdict(
-        "config_sha256 of config.json in every artifact" + (f" (not in {', '.join(stale)})" if stale else ""),
-        not stale,
-    )
-    verdict("report present", (out / "report.md").exists())
+    try:
+        report = report_text(models, points, record, metrics, shifted, truth)
+    except (KeyError, TypeError, ValueError):  # a malformed recorded gain-scaling section
+        report = None
+    replayed = {
+        "calibration.json": canonical_json(record),
+        "pm.csv": pm_csv_text(result, {"config_sha256": models.config_sha256}),
+        "pm_metrics.json": canonical_json(asdict(metrics)),
+        "report.md": report,
+    }
+    for name, text in replayed.items():
+        path = out / name
+        same = text is not None and path.exists() and path.read_bytes() == text.encode()
+        verdict(f"{name} replayed byte for byte", same)
     return 1 if failures else 0
 
 
@@ -261,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out", required=True)
     p_rec.set_defaults(func=_cmd_reconstruct)
 
-    p_chk = sub.add_parser("check", help="re-derive statistics of an output directory")
+    p_chk = sub.add_parser("check", help="replay a run directory's stages and compare its artifacts byte for byte")
     p_chk.add_argument("--out", required=True, help="existing output directory")
     p_chk.set_defaults(func=_cmd_check)
 

@@ -9,7 +9,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .calibration import MIN_ETA_POINTS, MIN_SAMPLES_PER_POINT, default_eta_series
+from .calibration import MIN_ETA_POINTS, MIN_SAMPLES_PER_POINT
 from .detector import GAIN_FAMILIES, DarkNoiseModel, GainModel, make_gain
 from .errors import ConfigError
 from .files import canonical_json
@@ -144,8 +144,7 @@ def _parse_source(raw: dict) -> SourceSpec:
 def from_dict(raw: dict) -> RunConfig:
     """Parse and validate a config document; errors name the field."""
     _require(isinstance(raw, dict), "config", "must be a JSON object")
-    # eta_max and eta_count stand in for eta_series
-    _reject_unknown(raw, [f.name for f in fields(RunConfig)] + ["eta_max", "eta_count"])
+    _reject_unknown(raw, [f.name for f in fields(RunConfig)])
     version = raw.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, "schema_version", f"unsupported version {version!r}")
 
@@ -185,34 +184,19 @@ def from_dict(raw: dict) -> RunConfig:
     )
     dark = DarkSpec(sigma0=float(sigma0))
 
-    if "eta_series" in raw:
-        etas = raw["eta_series"]
+    etas = raw.get("eta_series")
+    _require(
+        isinstance(etas, (list, tuple)) and len(etas) >= 1,
+        "eta_series",
+        "must be a nonempty list",
+    )
+    for i, e in enumerate(etas):
         _require(
-            isinstance(etas, (list, tuple)) and len(etas) >= 1,
-            "eta_series",
-            "must be a nonempty list",
+            _is_finite_number(e) and 0.0 < e <= 1.0,
+            f"eta_series[{i}]",
+            f"must be in (0, 1], got {e!r}",
         )
-        for i, e in enumerate(etas):
-            _require(
-                _is_finite_number(e) and 0.0 < e <= 1.0,
-                f"eta_series[{i}]",
-                f"must be in (0, 1], got {e!r}",
-            )
-        eta_series = tuple(float(e) for e in etas)
-    else:
-        eta_max = raw.get("eta_max")
-        _require(
-            _is_finite_number(eta_max) and 0.0 < eta_max <= 1.0,
-            "eta_max",
-            "required when eta_series is absent; must be in (0, 1]",
-        )
-        count = raw.get("eta_count", 10)
-        _require(
-            _is_int(count) and count >= MIN_ETA_POINTS,
-            "eta_count",
-            f"must be an integer >= {MIN_ETA_POINTS}, got {count!r}",
-        )
-        eta_series = tuple(default_eta_series(float(eta_max), count))
+    eta_series = tuple(float(e) for e in etas)
 
     n_samples = raw.get("n_samples")
     _require(

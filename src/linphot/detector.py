@@ -12,9 +12,7 @@ Each random draw has one owner: ``loss.sample_m`` draws the detected
 counts, :meth:`GainModel.sample_sums` each shot's summed gain and
 :meth:`DarkNoiseModel.sample` the dark noise.  The sum of m gains is
 drawn in one step, Normal(m gamma_bar, m sigma^2) or Gamma(m k, theta),
-so a shot costs the same however many photons it holds.  The
-gaussian-mixture density and CDF are the closed-form oracles for
-gaussian gains.
+so a shot costs the same however many photons it holds.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedOracleError
-from .loss import DetectedPhotonDistribution, _check_eta, sample_m
+from .errors import InvalidParameterError
+from .loss import _check_eta, sample_m
 from .moments import central_from_raw, raw_moments_from_cumulants
 from .sources import PhotonNumberDistribution
 from .streams import chunk_sizes, substream
@@ -174,68 +172,3 @@ def simulate_ensemble(
         ]
     )
     return VoltageEnsemble(samples=v, eta=eta, n_samples=int(n_samples), seed=int(seed))
-
-
-def _gaussian_components(
-    detected: DetectedPhotonDistribution, gain: GainModel, dark: DarkNoiseModel
-):
-    if gain.family != "gaussian":
-        raise UnsupportedOracleError(
-            f"closed-form voltage density requires gaussian gain, got {gain.family!r}"
-        )
-    k = np.arange(detected.pmf.size)
-    var = k * gain.sigma2 + dark.sigma0**2
-    mask = detected.pmf > 0
-    if np.any(var[mask] == 0):
-        raise UnsupportedOracleError(
-            "mixture has a zero-variance component; need sigma > 0 or sigma0 > 0"
-        )
-    centers = k * gain.gamma_bar
-    return detected.pmf[mask], centers[mask], var[mask]
-
-
-def _mixture_eval(v, p, centers, var, kernel, max_entries=1 << 22):
-    # blockwise so neither a million-point grid nor the thousands of
-    # components of a bright source allocate the full (N, K) matrix
-    v = np.asarray(v, dtype=float)
-    out = np.empty(v.size)
-    sd = np.sqrt(var)
-    block = max(1, max_entries // centers.size)
-    for lo in range(0, v.size, block):
-        z = (v[lo : lo + block, None] - centers[None, :]) / sd
-        out[lo : lo + block] = kernel(z, sd) @ p
-    return out
-
-
-def analytic_pv_gaussian(
-    detected: DetectedPhotonDistribution,
-    gain: GainModel,
-    dark: DarkNoiseModel,
-    v_grid,
-) -> np.ndarray:
-    """Closed-form voltage density: gaussian mixture over detected counts.
-
-    Component k is Normal(k gamma_bar, k sigma^2 + sigma0^2), weighted by
-    the detected-count PMF.
-    """
-    p, centers, var = _gaussian_components(detected, gain, dark)
-    return _mixture_eval(
-        v_grid,
-        p,
-        centers,
-        var,
-        lambda z, sd: np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sd),
-    )
-
-
-def analytic_pv_cdf_gaussian(
-    detected: DetectedPhotonDistribution,
-    gain: GainModel,
-    dark: DarkNoiseModel,
-    v,
-) -> np.ndarray:
-    """CDF of the gaussian-mixture voltage density (for distribution tests)."""
-    from scipy.special import ndtr
-
-    p, centers, var = _gaussian_components(detected, gain, dark)
-    return _mixture_eval(v, p, centers, var, lambda z, sd: ndtr(z))

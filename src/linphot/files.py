@@ -9,11 +9,13 @@ required, then seed and n_samples; a ``gain_scale`` line written by an
 earlier version is ignored), then one voltage per line, such as
 ``np.savetxt(fmt="%.17e")`` writes, so that every sample reads back bit
 for bit.  A file whose sample count disagrees with its header or sidecar,
-that is cut short or carries bytes past its samples is rejected.  P_m CSV:
-``# key=value`` headers, then ``m,pmf_hat,count`` rows.  Every JSON
-artifact is exactly one dataclass (``config.RunConfig``, ``pipeline.CalibrationRecord``,
-``pipeline.PmMetrics``) written with ``dataclasses.asdict`` by
-:func:`canonical_json` (sorted keys), so repeated runs are byte-identical.
+that is cut short or carries bytes past its samples is rejected.  P_m CSV
+(:func:`pm_csv_text`): ``# key=value`` headers, then ``m,pmf_hat,count``
+rows; nothing reads it back, since ``check`` renders it again and compares
+bytes.  Every JSON artifact is exactly one dataclass (``config.RunConfig``,
+``pipeline.CalibrationRecord``, ``pipeline.PmMetrics``) written with
+``dataclasses.asdict`` by :func:`canonical_json` (sorted keys), so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -123,26 +125,15 @@ def _read_sidecar(sidecar: Path, n_samples: int) -> dict:
     return meta
 
 
-def _split_header(lines) -> tuple[dict, list]:
-    """The leading ``# key=value`` lines as a dict, and the lines after them."""
-    meta = {}
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            return meta, lines[i:]
-        key, sep, value = line[1:].partition("=")
-        if sep:
-            meta[key.strip()] = value.strip()
-    return meta, []
-
-
 def _read_ensemble_csv(path: Path) -> tuple[np.ndarray, dict]:
     """The samples and ``# key=value`` header of an ensemble CSV."""
     try:
         # newline="" splits lines as text mode does but keeps each terminator
         with open(path, newline="") as fh:
-            meta, _ = _split_header(list(itertools.takewhile(lambda line: line.startswith("#"), fh)))
+            header = [line[1:].partition("=") for line in itertools.takewhile(lambda line: line.startswith("#"), fh)]
     except UnicodeDecodeError as exc:
         raise InvalidParameterError(f"ensemble file is not text: {path}: {exc}") from exc
+    meta = {key.strip(): value.strip() for key, sep, value in header if sep}
     if "eta" not in meta:
         raise InvalidParameterError(f"ensemble file has no '# eta=' header: {path}")
     try:
@@ -168,42 +159,12 @@ def _read_ensemble_csv(path: Path) -> tuple[np.ndarray, dict]:
     return samples, meta
 
 
-def write_pm_csv(path, result: ReconstructionResult, extra_header: dict) -> None:
-    """Write the rebinned P_m table; ``extra_header`` lines come first."""
-    with open(path, "w") as fh:
-        for key, value in extra_header.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(f"# gamma_bar={result.gamma_bar_used!r}\n")
-        fh.write(f"# n_samples={result.n_samples}\n")
-        fh.write("m,pmf_hat,count\n")
-        for m, (p, c) in enumerate(zip(result.pmf_hat, result.counts)):
-            fh.write(f"{m},{p:.17e},{c}\n")
-
-
-def read_pm_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read a P_m table back as ``(pmf_hat, counts, header)``, the header as strings.
-
-    A row other than ``m,pmf_hat,count`` with m = 0, 1, ..., or counts that
-    do not sum to the ``# n_samples=`` header, raise InvalidParameterError.
-    """
-    meta, body = _split_header(Path(path).read_text().splitlines())
-    rows = [line.split(",") for line in body[1:]]
-    try:
-        if body[:1] != ["m,pmf_hat,count"]:
-            raise ValueError("no m,pmf_hat,count line after the header")
-        for m, row in enumerate(rows):
-            if len(row) != 3 or int(row[0]) != m:
-                raise ValueError(f"row {m} is {','.join(row)!r}, not {m},pmf_hat,count")
-        pmf_hat = np.array([float(row[1]) for row in rows])
-        counts = np.array([int(row[2]) for row in rows], dtype=np.int64)
-    except ValueError as exc:
-        raise InvalidParameterError(f"pm file has a malformed row: {path}: {exc}") from exc
-    if meta.get("n_samples") != str(counts.sum()):
-        raise InvalidParameterError(
-            f"pm file is truncated: header n_samples={meta.get('n_samples')}, "
-            f"counts sum to {counts.sum()}: {path}"
-        )
-    return pmf_hat, counts, meta
+def pm_csv_text(result: ReconstructionResult, extra_header: dict) -> str:
+    """The rebinned P_m table as text; ``extra_header`` lines come first."""
+    lines = [f"# {key}={value}\n" for key, value in extra_header.items()]
+    lines += [f"# gamma_bar={result.gamma_bar_used!r}\n", f"# n_samples={result.n_samples}\n", "m,pmf_hat,count\n"]
+    lines += [f"{m},{p:.17e},{c}\n" for m, (p, c) in enumerate(zip(result.pmf_hat, result.counts))]
+    return "".join(lines)
 
 
 def canonical_json(obj) -> str:

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParameterError, UndefinedStatisticError
+from .errors import InvalidParameterError
 from .moments import exact_sum, pmf_moments
 from .sources import (
     PhotonNumberDistribution,
@@ -117,13 +117,6 @@ def sample_m(
     """Draw ``size`` detected counts: sample n, then binomial-thin with probability eta."""
     eta = _check_eta(eta)
     return rng.binomial(sample_n(source, rng, size), eta)
-
-
-def detected_fano(dist: DetectedPhotonDistribution) -> float:
-    """Variance-to-mean ratio mu_2(m)/<m> of the detected counts."""
-    if dist.mean_m <= 0:
-        raise UndefinedStatisticError("fano ratio undefined for <m> = 0")
-    return dist.central_moments[0] / dist.mean_m
 
 
 def detected_as_source(dist: DetectedPhotonDistribution) -> PhotonNumberDistribution:

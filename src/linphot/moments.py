@@ -211,19 +211,6 @@ class MomentSet:
         }
 
 
-@dataclass(frozen=True)
-class CumulantSet:
-    """Cumulants kappa_1..kappa_order."""
-
-    order: int
-    kappa: tuple
-
-    @classmethod
-    def from_kappa(cls, kappa: Sequence[float]) -> "CumulantSet":
-        order = _check_order(len(kappa))
-        return cls(order=order, kappa=tuple(float(k) for k in kappa))
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -251,18 +238,6 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
         power = power * d
         central.append(exact_sum(power) / n)
     return MomentSet.from_central(mean, central)
-
-
-def moments_from_cumulants(c: CumulantSet) -> MomentSet:
-    """Raw and central moments from a cumulant set (recursion, order <= 5)."""
-    _check_order(c.order)
-    return MomentSet.from_raw(raw_moments_from_cumulants(c.kappa))
-
-
-def cumulants_from_moments(m: MomentSet) -> CumulantSet:
-    """Exact algebraic inverse of :func:`moments_from_cumulants`."""
-    _check_order(m.order)
-    return CumulantSet.from_kappa(cumulants_from_raw(m.raw))
 
 
 def pmf_moments(pmf, order: int = 5) -> tuple[float, tuple]:

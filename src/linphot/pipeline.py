@@ -2,14 +2,15 @@
 
 ``run_experiment`` calls the stages ``simulate_sweep``, ``calibrate``
 (whose ``CalibrationRecord`` is ``calibration.json``), ``reconstruct``
-(whose ``PmMetrics`` is ``pm_metrics.json``) and ``write_report`` in
-order; each CLI subcommand calls the stage it is named for, and ``check``
-re-derives the reconstruction with ``reconstruction_gamma`` and
-``reconstruction_metrics``, as ``run`` does.  Ensembles
-are written as ``.npy`` with a JSON sidecar (``files.write_ensemble``).
-``check`` and blind ``calibrate`` read a sweep directory, ``.npy`` or
-CSV, with ``read_dark`` and ``sweep_points``.  All artifacts carry the
-config hash; outputs are byte-identical for a fixed (config, seed).
+(whose ``PmMetrics`` is ``pm_metrics.json``) and ``report_text`` in
+order; each CLI subcommand calls the stage it is named for.  ``check``
+replays the same stages on a run directory's recorded ensembles and
+renders each derived artifact with the code that wrote it, so a run
+directory is verified by comparing bytes.  Ensembles are written as
+``.npy`` with a JSON sidecar (``files.write_ensemble``).  ``check`` and
+blind ``calibrate`` read a sweep directory, ``.npy`` or CSV, with
+``read_dark`` and ``sweep_points``.  All artifacts carry the config hash;
+outputs are byte-identical for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .calibration import (
 )
 from .detector import VoltageEnsemble, simulate_ensemble
 from .errors import InvalidParameterError, LinphotError
-from .files import read_ensemble, write_ensemble, write_json, write_pm_csv
+from .files import pm_csv_text, read_ensemble, write_ensemble, write_json
 from .loss import apply_bernoulli
 from .moments import analytic_voltage_moments, sample_moments
 from .reconstruction import (
@@ -170,12 +171,21 @@ def sweep_points(directory, dark_mean: float, dark_variance: float) -> list:
     return points
 
 
-def calibrate(points, dark_variance: float, models: Models | None = None) -> CalibrationRecord:
+_SIMULATE = object()
+
+
+def calibrate(
+    points, dark_variance: float, models: Models | None = None, *, gain_scaling=_SIMULATE
+) -> CalibrationRecord:
     """Fit the fano line through ``points``; the record says why when none fits.
 
     An intercept at or below zero is a fit flagged invalid.  The
     mean-constancy and gain-scaling checks run only given the config's
-    ``models``, a valid fit (the scaling baseline) and some light.
+    ``models``, a valid fit (the scaling baseline) and some light.  A
+    given ``gain_scaling`` is recorded in place of re-simulating that
+    check: ``check`` passes the recorded section, the one part of the
+    record that only re-simulation could re-derive.  The keyword goes
+    with the gain-scaling check.
     """
     sigma2_rel = None if models is None else models.gain.sigma2 / models.gain.gamma_bar**2
     fit = fit_error = None
@@ -195,7 +205,7 @@ def calibrate(points, dark_variance: float, models: Models | None = None) -> Cal
         )
         scaling = None
         if config.gain_scale_factors:
-            scaling = gain_scaling_check(
+            scaling = gain_scaling if gain_scaling is not _SIMULATE else gain_scaling_check(
                 models.source, models.gain, models.dark, list(config.eta_series),
                 list(config.gain_scale_factors), config.n_samples, config.seed, baseline=fit,
             )
@@ -208,7 +218,8 @@ def reconstruction_gamma(fit, configured_gamma_bar: float) -> tuple[float, float
     """gamma_bar, its SE and their source for the reconstruction, from the ``fit`` of ``calibration.json``.
 
     A valid fit gives its intercept; no fit, or an invalid one, gives the
-    configured gain with SE 0.  ``run`` and ``check`` both choose here.
+    configured gain with SE 0.  ``run``, ``check`` and ``reconstruct
+    --from-calibration`` all choose here.
     """
     if fit is not None and fit["valid"]:
         return fit["intercept"], fit["intercept_se"], "calibration intercept"
@@ -246,19 +257,20 @@ def reconstruct(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, out: Path, *
         shifted, gamma_bar, se_gamma_bar, gamma_bar_source, config_sha256=config_sha256, truth=truth
     )
     out.mkdir(parents=True, exist_ok=True)
-    write_pm_csv(out / "pm.csv", result, {} if config_sha256 is None else {"config_sha256": config_sha256})
+    header = {} if config_sha256 is None else {"config_sha256": config_sha256}
+    (out / "pm.csv").write_text(pm_csv_text(result, header))
     write_json(out / "pm_metrics.json", asdict(metrics))
     return result, metrics
 
 
-def write_report(path, models: Models, points, calibration: CalibrationRecord, metrics: PmMetrics, shifted, truth):
-    """Write ``report.md`` from the calibration and reconstruction records.
+def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, shifted, truth) -> str:
+    """The text of ``report.md``, from the ``asdict`` calibration record and the reconstruction's metrics.
 
     Its moment table sets the zero-set reconstruction ensemble ``shifted``
     beside the exact voltage moments of the detected ``truth``.
     """
     config, source, gain, dark = models.config, models.source, models.gain, models.dark
-    fit, checks, consistency = calibration.fit, calibration.checks, metrics.self_consistency
+    fit, checks, consistency = calibration["fit"], calibration["checks"], metrics.self_consistency
     lines = [
         "# linphot experiment report",
         "",
@@ -276,25 +288,28 @@ def write_report(path, models: Models, points, calibration: CalibrationRecord, m
     lines += [f"| {p.eta:.4f} | {_fmt(p.mean_v)} | {_fmt(p.fano_v)} | {_fmt(p.se_fano_v)} |" for p in points]
     lines.append("")
     if fit is not None:
+        corrected = fit["gamma_bar_corrected"]
         lines += [
-            f"- slope = {_fmt(fit.slope)} +- {_fmt(fit.slope_se)}",
-            f"- intercept = {_fmt(fit.intercept)} +- {_fmt(fit.intercept_se)} (chi2/dof = {_fmt(fit.chi2_dof)})",
-            f"- gamma_bar_est = {_fmt(fit.intercept)}"
-            + ("" if fit.gamma_bar_corrected is None else f", spread-corrected = {_fmt(fit.gamma_bar_corrected)}"),
-            f"- [{'PASS' if fit.valid else 'FAIL'}] calibration fit valid (positive intercept)",
+            f"- slope = {_fmt(fit['slope'])} +- {_fmt(fit['slope_se'])}",
+            f"- intercept = {_fmt(fit['intercept'])} +- {_fmt(fit['intercept_se'])} "
+            f"(chi2/dof = {_fmt(fit['chi2_dof'])})",
+            f"- gamma_bar_est = {_fmt(fit['intercept'])}"
+            + ("" if corrected is None else f", spread-corrected = {_fmt(corrected)}"),
+            f"- [{'PASS' if fit['valid'] else 'FAIL'}] calibration fit valid (positive intercept)",
         ]
     else:
-        lines.append(f"- [FAIL] calibration fit unavailable: {calibration.fit_error}")
-    if checks.mean_constancy is not None:
+        lines.append(f"- [FAIL] calibration fit unavailable: {calibration['fit_error']}")
+    constancy, scaling = checks["mean_constancy"], checks["gain_scaling"]
+    if constancy is not None:
         lines.append(
-            f"- [{'PASS' if checks.mean_constancy.passed else 'FAIL'}] mean constancy across eta ("
-            f"pooled mean_v/<m> = {_fmt(checks.mean_constancy.pooled_ratio)})"
+            f"- [{'PASS' if constancy['passed'] else 'FAIL'}] mean constancy across eta ("
+            f"pooled mean_v/<m> = {_fmt(constancy['pooled_ratio'])})"
         )
-    if checks.gain_scaling is not None:
+    if scaling is not None:
         lines += ["", "## Gain-scaling check", ""] + [
-            f"- [{'PASS' if row.passed else 'FAIL'}] factor {row.factor:g}: "
-            f"intercept ratio = {_fmt(row.ratio)} +- {_fmt(row.ratio_se)}"
-            for row in checks.gain_scaling.rows
+            f"- [{'PASS' if row['passed'] else 'FAIL'}] factor {row['factor']:g}: "
+            f"intercept ratio = {_fmt(row['ratio'])} +- {_fmt(row['ratio_se'])}"
+            for row in scaling["rows"]
         ]
     lines += [
         "",
@@ -320,7 +335,7 @@ def write_report(path, models: Models, points, calibration: CalibrationRecord, m
         f"| {r} | {_fmt(sample_m5.central_moment(r))} | {_fmt(analytic_m5.central_moment(r))} |"
         for r in range(2, config.moment_order + 1)
     ]
-    Path(path).write_text("\n".join(lines + [""]))
+    return "\n".join(lines + [""])
 
 
 def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
@@ -355,7 +370,7 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     files["pm"], files["pm_metrics"] = out / "pm.csv", out / "pm_metrics.json"
 
     files["report"] = out / "report.md"
-    write_report(files["report"], models, points, calibration, metrics, shifted, truth)
+    files["report"].write_text(report_text(models, points, record, metrics, shifted, truth))
 
     fit, checks = calibration.fit, calibration.checks
     return RunResult(

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DarkNoiseModel, GainModel, VoltageEnsemble, _gaussian_components
-from .errors import InvalidParameterError
+from .detector import DarkNoiseModel, GainModel, VoltageEnsemble
+from .errors import InvalidParameterError, UnsupportedOracleError
 from .loss import DetectedPhotonDistribution
 
 # highest photon-count bin rebin allocates (a 128 MB count array)
@@ -152,6 +152,24 @@ def compare(
         tv_distance=total_variation(p_hat, p_ref),
         fidelity=float(np.sqrt(p_hat * p_ref).sum()),
     )
+
+
+def _gaussian_components(
+    detected: DetectedPhotonDistribution, gain: GainModel, dark: DarkNoiseModel
+):
+    if gain.family != "gaussian":
+        raise UnsupportedOracleError(
+            f"closed-form voltage density requires gaussian gain, got {gain.family!r}"
+        )
+    k = np.arange(detected.pmf.size)
+    var = k * gain.sigma2 + dark.sigma0**2
+    mask = detected.pmf > 0
+    if np.any(var[mask] == 0):
+        raise UnsupportedOracleError(
+            "mixture has a zero-variance component; need sigma > 0 or sigma0 > 0"
+        )
+    centers = k * gain.gamma_bar
+    return detected.pmf[mask], centers[mask], var[mask]
 
 
 def expected_rebinned_pmf(

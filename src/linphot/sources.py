@@ -15,8 +15,7 @@ The Poisson, binomial and negative-binomial PMFs are evaluated here in
 numpy, in Loader's saddle-point form, and only where they do not
 underflow; ``loss`` builds its table kernel from the same binomial PMF.
 No command loads scipy (about a second to import): only the ``ndtr``
-oracles ``detector.analytic_pv_cdf_gaussian`` and
-``reconstruction.expected_rebinned_pmf`` import ``scipy.special``.
+oracle ``reconstruction.expected_rebinned_pmf`` imports ``scipy.special``.
 """
 
 from __future__ import annotations

@@ -8,19 +8,27 @@ the voltage moments summed component by component over the detected PMF,
 the reference for the package's compound-cumulant map.
 ``fsum_pmf_statistics`` and ``fsum_eta_point`` form the package's PMF and
 sweep-point statistics with ``math.fsum`` sums, the reference for its
-``moments.exact_sum``.
+``moments.exact_sum``.  ``analytic_pv_gaussian`` and
+``analytic_pv_cdf_gaussian`` are the closed-form voltage density and CDF
+for gaussian gains; ``detected_fano`` is mu_2(m)/<m>; ``CumulantSet``,
+``moments_from_cumulants`` and ``cumulants_from_moments`` convert between
+cumulants and a ``MomentSet``; ``default_eta_series`` is an equally spaced
+efficiency ladder.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from linphot.calibration import EtaSeriesPoint
-from linphot.errors import InsufficientDataError
+from linphot.errors import InsufficientDataError, UndefinedStatisticError
+from linphot.moments import MomentSet, _check_order, cumulants_from_raw, raw_moments_from_cumulants
+from linphot.reconstruction import _gaussian_components
 
 
 def block_jackknife_se(data, stat: Callable, n_blocks: int = 20) -> float:
@@ -99,3 +107,77 @@ def fsum_eta_point(eta: float, samples, dark_variance: float = 0.0) -> EtaSeries
     fano = (mu2 - dark_variance) / mean
     se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))
     return EtaSeriesPoint(float(eta), mean, fano, math.sqrt(mu2 / n), se_fano, n)
+
+
+def _mixture_eval(v, p, centers, var, kernel, max_entries=1 << 22):
+    # blockwise so neither a million-point grid nor the thousands of
+    # components of a bright source allocate the full (N, K) matrix
+    v = np.asarray(v, dtype=float)
+    out = np.empty(v.size)
+    sd = np.sqrt(var)
+    block = max(1, max_entries // centers.size)
+    for lo in range(0, v.size, block):
+        z = (v[lo : lo + block, None] - centers[None, :]) / sd
+        out[lo : lo + block] = kernel(z, sd) @ p
+    return out
+
+
+def analytic_pv_gaussian(detected, gain, dark, v_grid) -> np.ndarray:
+    """Closed-form voltage density: gaussian mixture over detected counts.
+
+    Component k is Normal(k gamma_bar, k sigma^2 + sigma0^2), weighted by
+    the detected-count PMF.
+    """
+    p, centers, var = _gaussian_components(detected, gain, dark)
+    return _mixture_eval(
+        v_grid,
+        p,
+        centers,
+        var,
+        lambda z, sd: np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sd),
+    )
+
+
+def analytic_pv_cdf_gaussian(detected, gain, dark, v) -> np.ndarray:
+    """CDF of the gaussian-mixture voltage density (for distribution tests)."""
+    from scipy.special import ndtr
+
+    p, centers, var = _gaussian_components(detected, gain, dark)
+    return _mixture_eval(v, p, centers, var, lambda z, sd: ndtr(z))
+
+
+def detected_fano(dist) -> float:
+    """Variance-to-mean ratio mu_2(m)/<m> of the detected counts."""
+    if dist.mean_m <= 0:
+        raise UndefinedStatisticError("fano ratio undefined for <m> = 0")
+    return dist.central_moments[0] / dist.mean_m
+
+
+@dataclass(frozen=True)
+class CumulantSet:
+    """Cumulants kappa_1..kappa_order."""
+
+    order: int
+    kappa: tuple
+
+    @classmethod
+    def from_kappa(cls, kappa: Sequence[float]) -> "CumulantSet":
+        order = _check_order(len(kappa))
+        return cls(order=order, kappa=tuple(float(k) for k in kappa))
+
+
+def moments_from_cumulants(c: CumulantSet) -> MomentSet:
+    """Raw and central moments from a cumulant set (recursion, order <= 5)."""
+    _check_order(c.order)
+    return MomentSet.from_raw(raw_moments_from_cumulants(c.kappa))
+
+
+def cumulants_from_moments(m: MomentSet) -> CumulantSet:
+    """Exact algebraic inverse of :func:`moments_from_cumulants`."""
+    _check_order(m.order)
+    return CumulantSet.from_kappa(cumulants_from_raw(m.raw))
+
+
+def default_eta_series(eta_max: float, count: int = 10) -> list[float]:
+    """Equally spaced efficiency ladder from 0.05*eta_max to eta_max."""
+    return list(np.linspace(0.05 * eta_max, eta_max, count))

@@ -13,12 +13,10 @@ import pytest
 import sympy
 
 from linphot import (
-    CumulantSet,
     DarkNoiseModel,
     analytic_voltage_moments,
     apply_bernoulli,
     compare,
-    detected_fano,
     expected_rebinned_pmf,
     fit_fano_line,
     gain_scaling_check,
@@ -27,7 +25,6 @@ from linphot import (
     make_multimode_thermal,
     make_poisson,
     make_thermal,
-    moments_from_cumulants,
     rebin,
     run_experiment,
     run_eta_series,
@@ -37,7 +34,7 @@ from linphot import (
 )
 from linphot.config import from_dict
 from linphot.moments import cumulants_from_raw, raw_moments_from_cumulants
-from oracles import block_jackknife_se
+from oracles import CumulantSet, block_jackknife_se, detected_fano, moments_from_cumulants
 
 GAIN = 100.0
 REFERENCE_ETAS = list(np.linspace(0.05, 0.5, 10))

@@ -11,7 +11,6 @@ from linphot import (
     SingularFitError,
     analytic_voltage_moments,
     apply_bernoulli,
-    default_eta_series,
     eta_point_from_samples,
     fit_fano_line,
     gain_scaling_check,
@@ -24,7 +23,7 @@ from linphot import (
     simulate_ensemble,
 )
 from linphot.moments import _SUM_BLOCK
-from oracles import fsum_eta_point
+from oracles import default_eta_series, fsum_eta_point
 
 GAIN = 100.0
 

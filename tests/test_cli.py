@@ -28,7 +28,7 @@ from linphot.config import (
     from_dict,
     load,
 )
-from linphot.files import read_ensemble, read_pm_csv, write_ensemble
+from linphot.files import canonical_json, read_ensemble, write_ensemble
 from oracles import write_ensemble_csv
 
 BASE = {
@@ -71,7 +71,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=8,
 )
-CONFIG_KEYS = [f.name for f in fields(RunConfig)] + ["eta_max", "eta_count"]
+CONFIG_KEYS = [f.name for f in fields(RunConfig)]
 
 
 class TestConfig:
@@ -102,15 +102,6 @@ class TestConfig:
     def test_default_dark_is_tenth_of_gain(self):
         raw = {k: v for k, v in BASE.items() if k != "dark"}
         assert from_dict(raw).dark.sigma0 == pytest.approx(10.0)
-
-    def test_default_eta_ladder(self):
-        raw = {k: v for k, v in BASE.items() if k != "eta_series"}
-        raw["eta_max"] = 0.5
-        config = from_dict(raw)
-        assert len(config.eta_series) == 10
-        assert config.eta_series[0] == pytest.approx(0.025)
-        assert config.eta_series[-1] == pytest.approx(0.5)
-        assert len(from_dict({**raw, "eta_count": 4}).eta_series) == 4
 
     def test_build_source_kinds(self):
         for kind, extra, mean in [
@@ -147,12 +138,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             from_dict({**BASE, field: value})
 
-    @pytest.mark.parametrize("count", [True, 2, 10.0])
-    def test_eta_count_must_be_an_integer_of_at_least_three(self, count):
-        raw = {k: v for k, v in BASE.items() if k != "eta_series"}
-        with pytest.raises(ConfigError, match="eta_count"):
-            from_dict({**raw, "eta_max": 0.5, "eta_count": count})
-
     def test_gain_scaling_needs_the_sweep_design(self, tmp_path):
         with pytest.raises(ConfigError, match="n_samples"):
             from_dict({**BASE, "n_samples": 9_999, "gain_scale_factors": [2.0]})
@@ -181,6 +166,8 @@ class TestConfig:
             ({"source": {"kind": "poisson", "mean": 20.0, "meen": 5.0}}, "source.meen"),
             ({"gain": {**BASE["gain"], "sigma0": 10.0}}, "gain.sigma0"),
             ({"dark": {"sigma": 10.0}}, "dark.sigma"),
+            ({"eta_max": 0.5}, "eta_max"),
+            ({"eta_count": 4}, "eta_count"),
         ],
     )
     def test_unknown_key_names_it_and_writes_nothing(self, tmp_path, capsys, overrides, name):
@@ -509,40 +496,25 @@ class TestEnsembleReaderFuzz:
 
 class TestPmCsv:
     def test_reads_back_the_run_result(self, finished_run):
-        pmf_hat, counts, _ = read_pm_csv(finished_run / "pm.csv")
+        rows = (finished_run / "pm.csv").read_text().splitlines()
+        table = np.array([row.split(",") for row in rows[rows.index("m,pmf_hat,count") + 1 :]], dtype=float)
+        pmf_hat, counts = table[:, 1], table[:, 2]
         metrics = json.loads((finished_run / "pm_metrics.json").read_text())
+        assert np.array_equal(table[:, 0], np.arange(len(table)))
         assert counts.sum() == BASE["n_samples"]
         assert np.array_equal(pmf_hat, counts / counts.sum())
         assert counts @ np.arange(counts.size) / counts.sum() == metrics["mean_m_hat"]
-
-    # bytes cut from the end: the last count, then inside the pmf value
-    @pytest.mark.parametrize("cut", [2, 10])
-    def test_cut_last_row_is_malformed(self, finished_run, tmp_path, cut):
-        path = tmp_path / "pm.csv"
-        path.write_bytes((finished_run / "pm.csv").read_bytes()[:-cut])
-        with pytest.raises(InvalidParameterError, match="malformed row"):
-            read_pm_csv(path)
-
-    def test_dropped_last_row_is_truncated(self, finished_run, tmp_path):
-        path = tmp_path / "pm.csv"
-        shutil.copy(finished_run / "pm.csv", path)
-        drop_last_line(path)
-        with pytest.raises(InvalidParameterError, match="truncated: header n_samples=10000"):
-            read_pm_csv(path)
-
-    def test_rows_must_count_up_from_zero(self, tmp_path):
-        path = tmp_path / "pm.csv"
-        path.write_text("# n_samples=2\nm,pmf_hat,count\n0,0.5,1\n2,0.5,1\n")
-        with pytest.raises(InvalidParameterError, match="row 1 is '2,0.5,1'"):
-            read_pm_csv(path)
 
     def test_check_rejects_a_cut_pm_table(self, finished_run, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(finished_run, out)
         lines = (out / "pm.csv").read_text().splitlines(keepends=True)
         (out / "pm.csv").write_text("".join(lines[:-1]) + lines[-1][:6])
-        assert main(["check", "--out", str(out)]) == 2
-        assert f"malformed row: {out / 'pm.csv'}" in capsys.readouterr().err
+        assert main(["check", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm.csv replayed byte for byte" in printed
+
 
 class TestCheckCalibrationFile:
     def test_invalid_json_exits_2_naming_the_file(self, finished_run, tmp_path, capsys):
@@ -552,20 +524,54 @@ class TestCheckCalibrationFile:
         assert main(["check", "--out", str(out)]) == 2
         assert f"invalid JSON in {out / 'calibration.json'}" in capsys.readouterr().err
 
-    def test_point_without_mean_v_exits_2_naming_the_file(self, finished_run, tmp_path, capsys):
+    def test_point_without_mean_v_is_one_failure(self, finished_run, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(finished_run, out)
         doc = json.loads((out / "calibration.json").read_text())
         del doc["fit"]["points"][1]["mean_v"]
         (out / "calibration.json").write_text(json.dumps(doc))
-        assert main(["check", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"calibration file is malformed: {out / 'calibration.json'}" in err
-        assert "mean_v" in err
+        assert main(["check", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] calibration.json replayed byte for byte" in printed
+
+
+def edit_json(name, fn):
+    """An edit of a run directory that applies ``fn`` to the document ``name`` and writes it back as run would."""
+
+    def edit(out):
+        doc = json.loads((out / name).read_text())
+        fn(doc)
+        (out / name).write_text(canonical_json(doc))
+
+    return edit
+
+
+def edit_line(name, prefix, fn):
+    """An edit that replaces the first line of ``name`` starting with ``prefix`` by ``fn(line)``."""
+
+    def edit(out):
+        lines = (out / name).read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[i] = fn(lines[i])
+        (out / name).write_text("".join(lines))
+
+    return edit
+
+
+def next_digit(line):
+    """``line`` with its first digit counted up by one (9 becomes 0)."""
+    i = next(i for i, char in enumerate(line) if char.isdigit())
+    return line[:i] + str((int(line[i]) + 1) % 10) + line[i + 1 :]
+
+
+def flip_hash(doc):
+    sha = doc["config_sha256"]
+    doc["config_sha256"] = ("1" if sha[0] == "0" else "0") + sha[1:]
 
 
 class TestCheckVerifiesTheRun:
-    """``check`` re-derives ``pm.csv`` from the reconstruction ensemble and checks every config hash."""
+    """``check`` replays the run's stages and requires each derived artifact byte for byte."""
 
     RECONSTRUCTION = "reconstruction_eta_0.500000.npy"
 
@@ -581,9 +587,37 @@ class TestCheckVerifiesTheRun:
         _, code, printed, _ = self.check(finished_run, tmp_path, capsys, lambda out: None)
         assert code == 0
         assert "[FAIL]" not in printed
-        assert "[PASS] pm.csv counts re-derived from the reconstruction ensemble" in printed
-        assert "[PASS] pm_metrics.json re-derived from the reconstruction ensemble" in printed
-        assert "[PASS] config_sha256 of config.json in every artifact" in printed
+        for name in ("calibration.json", "pm.csv", "pm_metrics.json", "report.md"):
+            assert f"[PASS] {name} replayed byte for byte" in printed
+        assert "[PASS] config_sha256 of config.json in every ensemble sidecar" in printed
+
+    # each edit of one derived artifact is exactly one FAIL naming it
+    CALIBRATION_EDITS = {
+        "chi2_dof": lambda doc: doc["fit"].update(chi2_dof=1.0),
+        "slope_se": lambda doc: doc["fit"].update(slope_se=1e-3),
+        "se_fano_v": lambda doc: doc["fit"]["points"][1].update(se_fano_v=0.5),
+        "gamma_bar_corrected": lambda doc: doc["fit"].update(gamma_bar_corrected=100.0),
+        "dark_variance_subtracted": lambda doc: doc.update(dark_variance_subtracted=99.0),
+        "mean_constancy.passed": lambda doc: doc["checks"]["mean_constancy"].update(passed=False),
+        "calibration-hash": flip_hash,
+    }
+    OTHER_EDITS = {
+        "report-digit": ("report.md", edit_line("report.md", "- slope = ", next_digit)),
+        "pm-count": ("pm.csv", edit_line("pm.csv", "1,", lambda line: line.rstrip("\n") + "1\n")),
+        "pm-cut-last-row": ("pm.csv", lambda out: drop_last_line(out / "pm.csv")),
+    }
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [("calibration.json", edit_json("calibration.json", fn)) for fn in CALIBRATION_EDITS.values()]
+        + list(OTHER_EDITS.values()),
+        ids=[*CALIBRATION_EDITS, *OTHER_EDITS],
+    )
+    def test_one_edit_is_one_failure(self, finished_run, tmp_path, capsys, name, edit):
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert f"[FAIL] {name} replayed byte for byte" in printed
 
     def test_a_garbage_reconstruction_ensemble_exits_2_naming_it(self, finished_run, tmp_path, capsys):
         def edit(out):
@@ -594,7 +628,8 @@ class TestCheckVerifiesTheRun:
         assert f"not a version 1.0 .npy array: {out / self.RECONSTRUCTION}" in err
 
     def test_a_substituted_reconstruction_ensemble_fails(self, finished_run, tmp_path, capsys):
-        # a valid ensemble, with its sidecar and hash, whose first shot sits one bin higher
+        # a valid ensemble, with its sidecar and hash, whose first shot sits one
+        # bin higher: every artifact rebinned from it differs
         def edit(out):
             ens = read_ensemble(out / self.RECONSTRUCTION)
             samples = ens.samples.copy()
@@ -604,37 +639,31 @@ class TestCheckVerifiesTheRun:
 
         _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
         assert code == 1
-        assert printed.count("[FAIL]") == 1
-        assert "[FAIL] pm.csv counts re-derived from the reconstruction ensemble" in printed
+        assert sorted(line for line in printed.splitlines() if line.startswith("[FAIL]")) == [
+            f"[FAIL] {name} replayed byte for byte" for name in ("pm.csv", "pm_metrics.json", "report.md")
+        ]
 
     @pytest.mark.parametrize(
         "name", ["ensemble_00_eta_0.100000.json", "reconstruction_eta_0.500000.json", "pm_metrics.json"]
     )
     def test_an_edited_config_hash_fails(self, finished_run, tmp_path, capsys, name):
-        def edit(out):
-            path = out / name
-            doc = json.loads(path.read_text())
-            sha = doc["config_sha256"]
-            doc["config_sha256"] = ("1" if sha[0] == "0" else "0") + sha[1:]
-            path.write_text(json.dumps(doc))
-
-        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit_json(name, flip_hash))
         assert code == 1
         assert printed.count("[FAIL]") == 1
-        assert f"[FAIL] config_sha256 of config.json in every artifact (not in {name})" in printed
+        if name == "pm_metrics.json":  # a derived artifact
+            assert "[FAIL] pm_metrics.json replayed byte for byte" in printed
+        else:
+            assert f"[FAIL] config_sha256 of config.json in every ensemble sidecar (not in {name})" in printed
 
     def test_edited_metrics_fail(self, finished_run, tmp_path, capsys):
-        def edit(out):
-            path = out / "pm_metrics.json"
-            doc = json.loads(path.read_text())
+        def fn(doc):
             doc.update(mean_m_hat=1234.5, tv_distance=0.0)
             doc["self_consistency"]["passed"] = True
-            path.write_text(json.dumps(doc))
 
-        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit_json("pm_metrics.json", fn))
         assert code == 1
         assert printed.count("[FAIL]") == 1
-        assert "[FAIL] pm_metrics.json re-derived from the reconstruction ensemble" in printed
+        assert "[FAIL] pm_metrics.json replayed byte for byte" in printed
 
     def test_a_missing_metrics_file_fails(self, finished_run, tmp_path, capsys):
         _, code, printed, _ = self.check(
@@ -642,10 +671,9 @@ class TestCheckVerifiesTheRun:
         )
         assert code == 1
         assert printed.count("[FAIL]") == 1
-        assert "[FAIL] pm_metrics.json re-derived from the reconstruction ensemble" in printed
+        assert "[FAIL] pm_metrics.json replayed byte for byte" in printed
 
     def test_an_edited_gamma_bar_header_fails(self, finished_run, tmp_path, capsys):
-        # the counts are those of the calibration's gamma_bar, which the header no longer names
         def edit(out):
             path = out / "pm.csv"
             scaled = re.sub(r"# gamma_bar=(.*)", lambda m: f"# gamma_bar={float(m[1]) * 1.001!r}", path.read_text())
@@ -654,31 +682,28 @@ class TestCheckVerifiesTheRun:
         _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
         assert code == 1
         assert printed.count("[FAIL]") == 1
-        assert "[FAIL] pm.csv counts re-derived from the reconstruction ensemble" in printed
+        assert "[FAIL] pm.csv replayed byte for byte" in printed
 
     def test_an_edited_pmf_hat_fails(self, finished_run, tmp_path, capsys):
         # one pmf_hat moved by 1e-12: the table no longer holds count / n_samples
-        def edit(out):
-            path = out / "pm.csv"
-            lines = path.read_text().splitlines(keepends=True)
-            i = next(i for i, line in enumerate(lines) if line.startswith("1,"))
-            m, p, c = lines[i].rstrip("\n").split(",")
-            lines[i] = f"{m},{float(p) + 1e-12:.17e},{c}\n"
-            path.write_text("".join(lines))
+        def move(line):
+            m, p, c = line.rstrip("\n").split(",")
+            return f"{m},{float(p) + 1e-12:.17e},{c}\n"
 
-        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit_line("pm.csv", "1,", move))
         assert code == 1
         assert printed.count("[FAIL]") == 1
-        assert "[FAIL] pm.csv pmf_hat is count / n_samples" in printed
+        assert "[FAIL] pm.csv replayed byte for byte" in printed
 
-    def test_a_pm_table_without_gamma_bar_exits_2_naming_it(self, finished_run, tmp_path, capsys):
+    def test_a_pm_table_without_gamma_bar_fails(self, finished_run, tmp_path, capsys):
         def edit(out):
             path = out / "pm.csv"
             path.write_text(re.sub(r"# gamma_bar=.*\n", "", path.read_text()))
 
-        out, code, _, err = self.check(finished_run, tmp_path, capsys, edit)
-        assert code == 2
-        assert f"pm file has no '# gamma_bar=' number: {out / 'pm.csv'}" in err
+        _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
+        assert code == 1
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm.csv replayed byte for byte" in printed
 
     def test_an_edited_pm_table_hash_fails(self, finished_run, tmp_path, capsys):
         def edit(out):
@@ -687,7 +712,8 @@ class TestCheckVerifiesTheRun:
 
         _, code, printed, _ = self.check(finished_run, tmp_path, capsys, edit)
         assert code == 1
-        assert "[FAIL] config_sha256 of config.json in every artifact (not in pm.csv)" in printed
+        assert printed.count("[FAIL]") == 1
+        assert "[FAIL] pm.csv replayed byte for byte" in printed
 
 
 class TestReconstructFromCalibration:
@@ -1027,7 +1053,7 @@ class TestSubcommandsAreStagesOfRun:
 
 
 class TestCheckReadsTheSweepInOrder:
-    """``check`` matches recorded point i to ensemble i, by the index in its name."""
+    """``check`` replays point i from ensemble i, by the index in its name."""
 
     def run_and_check(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, overrides)
@@ -1049,7 +1075,9 @@ class TestCheckReadsTheSweepInOrder:
         ]
         assert code == 0
         assert "[FAIL]" not in printed
-        assert printed.count("eta=0.100000 point statistics reproduce") == 2
+        # the recorded points, each of its own ensemble, replay byte for byte
+        assert "[PASS] one ensemble per configured eta (4 ensembles, 4 etas)" in printed
+        assert "[PASS] calibration.json replayed byte for byte" in printed
 
     def test_a_101_point_sweep_passes(self, tmp_path, capsys):
         etas = [round(0.01 + 0.004 * i, 6) for i in range(101)]
@@ -1058,7 +1086,8 @@ class TestCheckReadsTheSweepInOrder:
         assert (out / "ensemble_100_eta_0.410000.npy").exists()
         assert code == 0
         assert "[FAIL]" not in printed
-        assert printed.count("point statistics reproduce") == 101
+        assert "[PASS] one ensemble per configured eta (101 ensembles, 101 etas)" in printed
+        assert "[PASS] calibration.json replayed byte for byte" in printed
 
     def test_a_missing_ensemble_is_one_failure(self, finished_run, tmp_path, capsys):
         out = tmp_path / "run"
@@ -1165,6 +1194,21 @@ class TestGainScalingInRun:
         assert doc["fit"] is None and doc["fit_error"]
         assert doc["checks"]["gain_scaling"] is None
         assert result.verdicts["gain_scaling"] is None
+
+    def test_check_passes_without_simulating(self, tmp_path, capsys, monkeypatch):
+        # the recorded gain-scaling section stands in for its re-simulation
+        out = tmp_path / "out"
+        run_experiment(from_dict({**BASE, "gain_scale_factors": [0.5, 2.0]}), out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check simulated an ensemble")
+
+        for module in (linphot.detector, linphot.calibration, linphot.pipeline):
+            monkeypatch.setattr(module, "simulate_ensemble", refuse)
+        assert main(["check", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "[FAIL]" not in printed
+        assert "[PASS] report.md replayed byte for byte" in printed
 
 
 SCIPY_PROBE = """

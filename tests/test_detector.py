@@ -7,8 +7,6 @@ from linphot import (
     DarkNoiseModel,
     InvalidParameterError,
     UnsupportedOracleError,
-    analytic_pv_cdf_gaussian,
-    analytic_pv_gaussian,
     analytic_voltage_moments,
     apply_bernoulli,
     make_fock,
@@ -19,7 +17,7 @@ from linphot import (
     simulate_ensemble,
 )
 from linphot.streams import substream
-from oracles import block_jackknife_se
+from oracles import analytic_pv_cdf_gaussian, analytic_pv_gaussian, block_jackknife_se
 
 
 class TestMakeGain:

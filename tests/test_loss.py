@@ -10,7 +10,6 @@ from linphot import (
     InvalidParameterError,
     UndefinedStatisticError,
     apply_bernoulli,
-    detected_fano,
     from_pmf,
     make_fock,
     make_multimode_thermal,
@@ -21,6 +20,7 @@ from linphot import (
 )
 from linphot.loss import KERNEL_EPS, detected_as_source
 from linphot.streams import substream
+from oracles import detected_fano
 
 SOURCES = {
     "poisson": make_poisson(8.0),

@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from linphot import (
-    CumulantSet,
     InsufficientDataError,
     InvalidParameterError,
     MomentSet,
     UnsupportedOrderError,
     analytic_voltage_moments,
     apply_bernoulli,
-    cumulants_from_moments,
     make_gain,
     make_poisson,
     make_multimode_thermal,
-    moments_from_cumulants,
     pmf_moments,
     sample_moments,
 )
@@ -34,7 +31,14 @@ from linphot.moments import (
     exact_sum,
     raw_moments_from_cumulants,
 )
-from oracles import block_jackknife_se, fsum_pmf_statistics, mixture_voltage_moments
+from oracles import (
+    CumulantSet,
+    block_jackknife_se,
+    cumulants_from_moments,
+    fsum_pmf_statistics,
+    mixture_voltage_moments,
+    moments_from_cumulants,
+)
 
 finite_kappa = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
