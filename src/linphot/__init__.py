@@ -30,7 +30,6 @@ from .errors import (
     InvalidParameterError,
     LinphotError,
     SingularFitError,
-    UndefinedStatisticError,
     UnsupportedOracleError,
     UnsupportedOrderError,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "ReconstructionResult",
     "RunResult",
     "SingularFitError",
-    "UndefinedStatisticError",
     "UnsupportedOracleError",
     "UnsupportedOrderError",
     "VoltageEnsemble",

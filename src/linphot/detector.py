@@ -9,7 +9,9 @@ An amplifier of gain g after the detector is the same chain with
 ``gamma_bar``, ``sigma`` and ``sigma0`` each multiplied by g.
 
 Each random draw has one owner: ``loss.sample_m`` draws the detected
-counts, :meth:`GainModel.sample_sums` each shot's summed gain and
+counts (a named source's from its thinned law in one numpy call, a
+table's as n by inverse CDF, then Binomial(n, eta)),
+:meth:`GainModel.sample_sums` each shot's summed gain and
 :meth:`DarkNoiseModel.sample` the dark noise.  The sum of m gains is
 drawn in one step, Normal(m gamma_bar, m sigma^2) or Gamma(m k, theta),
 so a shot costs the same however many photons it holds.
@@ -156,8 +158,8 @@ def simulate_ensemble(
     Shots are generated on a fixed chunk grid of substreams keyed by
     (seed, stream_key, chunk index), so the output depends only on those
     and on the models.  Each chunk draws, in this order, the detected
-    counts (:func:`loss.sample_m`: n from the source, then Binomial(n,
-    eta)), each shot's summed gain in one draw
+    counts (:func:`loss.sample_m`: from a named source's thinned law, or
+    n from a table, then Binomial(n, eta)), each shot's summed gain in one draw
     (:meth:`GainModel.sample_sums`) and the dark noise
     (:meth:`DarkNoiseModel.sample`).  The detected-count PMF the shots are
     drawn from is ``loss.apply_bernoulli(source, eta)``.

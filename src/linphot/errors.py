@@ -17,10 +17,6 @@ class UnsupportedOrderError(LinphotError, ValueError):
     """Moment/cumulant order outside the supported range (2..5)."""
 
 
-class UndefinedStatisticError(LinphotError, ArithmeticError):
-    """The requested statistic is undefined for this distribution."""
-
-
 class UnsupportedOracleError(LinphotError, ValueError):
     """No closed-form oracle is available for this model family."""
 

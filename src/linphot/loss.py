@@ -2,16 +2,20 @@
 
 Each photon is independently detected with probability eta, so the
 detected-count PMF is the binomial mixture of the source PMF.  The channel
-is provided both analytically (the detected PMF) and as a sampler
-(binomial thinning of drawn photon numbers).
+is provided both analytically (the detected PMF) and as a sampler (the
+detected counts of a chunk of shots).
 
-The analytic channel has two paths.  A named source (Poisson, thermal,
-Fock) carries its thinned law from ``sources``, which is evaluated on
-0..n_max in O(n_max).  A table (``from_pmf``, ``detected_as_source``) is
-mixed with the exact binomial kernel, evaluated by the binomial PMF of
+Both have the same two paths.  A named source (Poisson, thermal, Fock)
+carries its thinned law from ``sources``: its PMF is evaluated on
+0..n_max in O(n_max), and its counts are drawn from the untruncated
+thinned law in one numpy call, Poisson(eta mu), NB(M, eta mu/M) or
+Binomial(n, eta), so a count above m_max occurs with probability at most
+the source's ``tail_eps``.  A table (``from_pmf``, ``detected_as_source``)
+is mixed with the exact binomial kernel, evaluated by the binomial PMF of
 ``sources``, banded by the Chernoff bound to where it holds all but
 ``KERNEL_EPS`` of its mass and built blockwise, so memory stays bounded
-and no term underflows before its true value does.
+and no term underflows before its true value does; its counts are drawn
+as n by inverse CDF over the table, then Binomial(n, eta).
 """
 
 from __future__ import annotations
@@ -114,8 +118,16 @@ def apply_bernoulli(
 def sample_m(
     source: PhotonNumberDistribution, eta, rng: np.random.Generator, size
 ) -> np.ndarray:
-    """Draw ``size`` detected counts: sample n, then binomial-thin with probability eta."""
+    """Draw ``size`` detected counts at efficiency eta.
+
+    A named source draws them from its thinned law in one call (see the
+    module docstring); a count may then exceed m_max, with probability at
+    most the source's ``tail_eps``.  A table draws n by inverse CDF, then
+    Binomial(n, eta).
+    """
     eta = _check_eta(eta)
+    if source._draw is not None:
+        return source._draw(eta, rng, size)
     return rng.binomial(sample_n(source, rng, size), eta)
 
 

@@ -9,7 +9,10 @@ error.
 The named families also carry their law under binomial loss, which stays
 in the family: Poisson(mu) thins to Poisson(eta mu), the ``modes``-mode
 thermal NB(M, mu/M) to NB(M, eta mu/M) and Fock(n) to Binomial(n, eta).
-``loss.apply_bernoulli`` evaluates that rule instead of a kernel sum.
+Each carries that law twice: as a PMF on 0..n_max, which
+``loss.apply_bernoulli`` evaluates instead of a kernel sum, and as a draw
+rule, one numpy call for a whole chunk of shots, which ``loss.sample_m``
+uses instead of drawing n and thinning it.
 
 The Poisson, binomial and negative-binomial PMFs are evaluated here in
 numpy, in Loader's saddle-point form, and only where they do not
@@ -44,8 +47,12 @@ class PhotonNumberDistribution:
     mandel_q: float | None
     label: str
     cdf: np.ndarray = field(repr=False, default=None)
-    # (k, eta) -> closed-form detected PMF at counts k; None for tables
-    _thin: Callable[[np.ndarray, float], np.ndarray] | None = field(repr=False, default=None)
+    # (n_max, eta) -> closed-form detected PMF on 0..n_max; None for tables
+    _thin: Callable[[int, float], np.ndarray] | None = field(repr=False, default=None)
+    # (eta, rng, size) -> detected counts drawn from the thinned law; None for tables
+    _draw: Callable[[float, np.random.Generator, int], np.ndarray] | None = field(
+        repr=False, default=None
+    )
 
     def __post_init__(self):
         if self.cdf is None:
@@ -68,7 +75,9 @@ class PhotonNumberDistribution:
             assert self.mandel_q is None
 
 
-def _finalize(pmf: np.ndarray, label: str, thin=None, tail=None) -> PhotonNumberDistribution:
+def _finalize(
+    pmf: np.ndarray, label: str, thin=None, draw=None, tail=None
+) -> PhotonNumberDistribution:
     pmf = np.ascontiguousarray(pmf, dtype=float)
     if tail is None:
         tail = max(0.0, 1.0 - exact_sum(pmf))
@@ -82,6 +91,7 @@ def _finalize(pmf: np.ndarray, label: str, thin=None, tail=None) -> PhotonNumber
         mandel_q=q,
         label=label,
         _thin=thin,
+        _draw=draw,
     )
 
 
@@ -271,6 +281,22 @@ def _thin_fock(n, n_max, eta):
     return _on_grid(_binom_law(n, eta), n_max)
 
 
+# The same thinned laws as draw rules, untruncated: numpy's Poisson,
+# negative-binomial (a gamma-Poisson mixture) and binomial samplers.
+
+
+def _draw_poisson(mean, eta, rng, size):
+    return rng.poisson(eta * mean, size)
+
+
+def _draw_nbinom(mean, modes, eta, rng, size):
+    return rng.negative_binomial(modes, 1.0 / (1.0 + eta * mean / modes), size)
+
+
+def _draw_fock(n, eta, rng, size):
+    return rng.binomial(n, eta, size)
+
+
 def _check_mean(mean) -> float:
     mean = float(mean)
     if not (math.isfinite(mean) and mean >= 0):
@@ -290,11 +316,11 @@ def make_poisson(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistri
     mean = _check_mean(mean)
     tail_eps = _check_eps(tail_eps)
     label = f"poisson(mean={mean:g})"
-    thin = partial(_thin_poisson, mean)
+    laws = dict(thin=partial(_thin_poisson, mean), draw=partial(_draw_poisson, mean))
     if mean == 0:
-        return _finalize(np.array([1.0]), label, thin)
+        return _finalize(np.array([1.0]), label, **laws)
     pmf, tail = _truncated(_poisson_law(mean), tail_eps)
-    return _finalize(pmf, label, thin, tail)
+    return _finalize(pmf, label, **laws, tail=tail)
 
 
 def make_multimode_thermal(
@@ -311,11 +337,11 @@ def make_multimode_thermal(
         raise InvalidParameterError(f"modes must be a positive integer, got {modes!r}")
     modes = int(modes)
     label = f"multimode_thermal(mean={mean:g}, modes={modes})"
-    thin = partial(_thin_nbinom, mean, modes)
+    laws = dict(thin=partial(_thin_nbinom, mean, modes), draw=partial(_draw_nbinom, mean, modes))
     if mean == 0:
-        return _finalize(np.array([1.0]), label, thin)
+        return _finalize(np.array([1.0]), label, **laws)
     pmf, tail = _truncated(_nbinom_law(modes, mean / modes), tail_eps)
-    return _finalize(pmf, label, thin, tail)
+    return _finalize(pmf, label, **laws, tail=tail)
 
 
 def make_thermal(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistribution:
@@ -331,7 +357,7 @@ def make_fock(n) -> PhotonNumberDistribution:
     n = int(n)
     pmf = np.zeros(n + 1)
     pmf[n] = 1.0
-    return _finalize(pmf, f"fock(n={n})", partial(_thin_fock, n))
+    return _finalize(pmf, f"fock(n={n})", thin=partial(_thin_fock, n), draw=partial(_draw_fock, n))
 
 
 def from_pmf(table) -> PhotonNumberDistribution:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from linphot.calibration import EtaSeriesPoint
-from linphot.errors import InsufficientDataError, UndefinedStatisticError
+from linphot.errors import InsufficientDataError, LinphotError
 from linphot.moments import MomentSet, _check_order, cumulants_from_raw, raw_moments_from_cumulants
 from linphot.reconstruction import _gaussian_components
 
@@ -144,6 +144,10 @@ def analytic_pv_cdf_gaussian(detected, gain, dark, v) -> np.ndarray:
 
     p, centers, var = _gaussian_components(detected, gain, dark)
     return _mixture_eval(v, p, centers, var, lambda z, sd: ndtr(z))
+
+
+class UndefinedStatisticError(LinphotError, ArithmeticError):
+    """The requested statistic is undefined for this distribution."""
 
 
 def detected_fano(dist) -> float:

@@ -908,34 +908,34 @@ class TestCliCommands:
 # SHA-256 of every artifact of ``run_experiment`` on BASE.  The pins pin the
 # random stream: they change only in a change that means to move it, and
 # CHANGES.md then says so.  They assume the draws of the numpy release the
-# suite runs with (PCG64 uniform, binomial, normal and gamma), which numpy
-# may change between releases.
+# suite runs with (PCG64 Poisson and normal), which numpy may change
+# between releases.
 ARTIFACT_SHA256 = {
-    "calibration.json": "ff9a917a7e463362cab62fa32394710eac26aa17e2c0d502a33b39d6a7118101",
+    "calibration.json": "020dfba7dcbc5393110a51a020b7722ef1eebd957fc85ed977bffe5d4e456078",
     "config.json": "8eda591e739779df11b5006369ad862fff24dd806eca67b1bb12d53f19a19996",
     "dark.json": "88042cdd03f5a0f83869ca1224950d5492aca1b36532b5ad1c52675ca8afdf94",
-    "dark.npy": "af8dd0f08c2742c7cd9361c246a1c1542a3b1d79498c3e73b987b34dd963e862",
+    "dark.npy": "9e8ab31c84e4b75685d581863c32e1dc10c8b4adf44a86381eb52941b711a338",
     "ensemble_00_eta_0.100000.json": "f64ee2febb6d7d0d3da56f402b631eb46cd0f40441dbf5a551d94abd7f09df31",
-    "ensemble_00_eta_0.100000.npy": "b3bd1425fee98e7c9405a2171e4a1c67b47e3c9ba2ea9e6b7adc6ead1e5e1fc4",
+    "ensemble_00_eta_0.100000.npy": "2fcacba2f68d3c472cdfb970b51f0585777f88690f8c7b6bca34016a6fa52954",
     "ensemble_01_eta_0.300000.json": "0e29fdaa3ab411a16481c0fc9f7bb0919f1d34b065d1b8172b51042cbd008b5a",
-    "ensemble_01_eta_0.300000.npy": "de04d79f179e1b6bc7d7585f6d97dc00487ed7359d2fa49c9757b70bab9a3202",
+    "ensemble_01_eta_0.300000.npy": "04ea21b53ec3e23a1da6f965971f54fc8007fa2ca3feba56ffcb0ec44921e282",
     "ensemble_02_eta_0.500000.json": "6df16bb06fb01d300a90155b5e2c5634008316841a3676bc29a0cccbcc6fc669",
-    "ensemble_02_eta_0.500000.npy": "f5ff7dd7bc8473b3eecf139fe7a0d3eea6b1fa40b068e254dbdf59cc25ea8088",
-    "pm.csv": "ddecbe3f84715c9938b67d621baa178d038de0f43fb2b2062be0697655c10c44",
-    "pm_metrics.json": "f6aa26bbd1f32a1c23f9e121a62421b3ae3ca2e5c6224284912a3ba58261a8f2",
+    "ensemble_02_eta_0.500000.npy": "5bb34711b051cd9fa76d376271e53f608404da0a61603b708da32222f3daf7de",
+    "pm.csv": "48cb5106250abd7928306babefe7c402c25ebdb21dfe43b7da85130fbed307ef",
+    "pm_metrics.json": "a7c9f8f05bf65204a9d2f1670569e3ddd397d231102e95064ba6d8e33b9a2e42",
     "reconstruction_eta_0.500000.json": "6df16bb06fb01d300a90155b5e2c5634008316841a3676bc29a0cccbcc6fc669",
-    "reconstruction_eta_0.500000.npy": "f3666828d8e7cc62924a269caf41fc8a67beee444760e9f225ba4bd9cd9719ec",
-    "report.md": "1131181fb597c07ec4cc24ec4cbab2f67302a5bf836a5ed0663a660641ad3edb",
+    "reconstruction_eta_0.500000.npy": "9154f0b2a4eb2c012211a9b46684728bc31cd72fa4922dac804a0a97b143fe7b",
+    "report.md": "050e912f6bf3dfdfeac6b94679332bcbf6361049c8edb24c33a495e723ea037c",
 }
 
 # SHA-256 of the ensemble CSVs of the same run when ensembles were written
 # as CSV: the .npy samples, formatted as that CSV, must give these bytes.
 CSV_SHA256 = {
-    "dark.csv": "9464b2933d81f00bce8e54cf24545e7cc94c8eeffdc949398185c2bf12354388",
-    "ensemble_00_eta_0.100000.csv": "a687a12da56f10f71f8f4fd6735847e8508006ebf8f450930e9998aea5ac4cc4",
-    "ensemble_01_eta_0.300000.csv": "55f0d1170af15e7a67fbd88fa38fcd2043c72df81c9b09a65d4f19090affa91c",
-    "ensemble_02_eta_0.500000.csv": "03bfe14419dd5ee3effa051a3dd53e1e263a69698385bbdcfac7273cb0c262c6",
-    "reconstruction_eta_0.500000.csv": "62c18e870caac9ac9a560110c06fe38542978110d5f5fb9411b7eeb1f579ef2f",
+    "dark.csv": "7b43fead1b241797a0cbc6382f90874695ad9248266117c3a4718b59d366d9a3",
+    "ensemble_00_eta_0.100000.csv": "235c8fe2f6f2d76c524559a3e5f6f841941c777dc044f6e2879b7d8171614304",
+    "ensemble_01_eta_0.300000.csv": "74ed62ba652012be01129054217134cb690f7bf62d34e1418ea1c682d2340afa",
+    "ensemble_02_eta_0.500000.csv": "16efaf3185797580748de95b4704dfdad92ab942f9a026a942894cf71ae591f1",
+    "reconstruction_eta_0.500000.csv": "6062c3fa86f36acaaf9cb7a7c8b78521a64b1c0f0568742e2b6d945ff8db5b75",
 }
 
 
@@ -958,7 +958,7 @@ def test_npy_samples_are_the_csv_samples_bit_for_bit(finished_run, tmp_path):
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
 # one pinned document that holds a GainScalingReport.
-GAIN_SCALING_CALIBRATION_SHA256 = "1547881f0ebc01ab01a3c6d49780461a4b0a9f162a44a6bebdc5e17936ab93e7"
+GAIN_SCALING_CALIBRATION_SHA256 = "64c930ac02f471a74d0fb47a8b2ea1dbb676bd2545ef7a98c61f6bc0fe7461b0"
 
 
 def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):

@@ -8,7 +8,6 @@ from scipy import stats
 
 from linphot import (
     InvalidParameterError,
-    UndefinedStatisticError,
     apply_bernoulli,
     from_pmf,
     make_fock,
@@ -16,11 +15,10 @@ from linphot import (
     make_poisson,
     make_thermal,
     sample_m,
-    sample_n,
 )
 from linphot.loss import KERNEL_EPS, detected_as_source
 from linphot.streams import substream
-from oracles import detected_fano
+from oracles import UndefinedStatisticError, detected_fano
 
 SOURCES = {
     "poisson": make_poisson(8.0),
@@ -29,6 +27,54 @@ SOURCES = {
     "fock": make_fock(9),
     "bright": make_poisson(1e4),  # eta**m underflowed above ~1074 counts
 }
+
+
+# sources of every sampling path, each with its detected law from
+# scipy.stats as a function of eta: a named family draws from its thinned
+# law, a table (from_pmf, detected_as_source) by inverse CDF, then
+# Binomial(n, eta)
+LAW_SOURCES = {
+    "poisson": (make_poisson(30.0), lambda eta: stats.poisson(eta * 30.0)),
+    "thermal": (make_thermal(20.0), lambda eta: stats.nbinom(1, 1 / (1 + eta * 20.0))),
+    "thermal40": (
+        make_multimode_thermal(200.0, 40),
+        lambda eta: stats.nbinom(40, 1 / (1 + eta * 200.0 / 40)),
+    ),
+    "fock": (make_fock(40), lambda eta: stats.binom(40, eta)),
+    "table": (from_pmf([0.1, 0.0, 0.3, 0.05, 0.25, 0.0, 0.0, 0.3]), None),
+    "detected": (
+        detected_as_source(apply_bernoulli(make_multimode_thermal(60.0, 3), 0.7)),
+        None,
+    ),
+}
+LAW_NAMES = sorted(LAW_SOURCES)
+LAW_ETAS = [0.0, 0.05, 0.5, 1.0]
+LAW_SHOTS = 200_000
+
+
+def chi_square_pvalue(m, pmf, min_expected=20.0):
+    """Pearson chi-square p-value of the counts m against pmf.
+
+    Cells with at least ``min_expected`` expected counts are kept; every
+    other count, including any past the end of pmf, goes into one rest
+    cell, which joins the last kept cell when it expects fewer.  A law
+    with one cell is a point mass: the p-value is 1 if every count is in
+    it and 0 otherwise.
+    """
+    n = m.size
+    counts = np.bincount(m, minlength=pmf.size)[: pmf.size].astype(float)
+    expected = n * pmf
+    keep = np.flatnonzero(expected >= min_expected)
+    obs, exp = counts[keep], expected[keep]
+    rest_obs, rest_exp = n - obs.sum(), max(0.0, n - exp.sum())
+    if rest_exp >= min_expected:
+        obs, exp = np.append(obs, rest_obs), np.append(exp, rest_exp)
+    else:
+        obs[-1] += rest_obs
+        exp[-1] += rest_exp
+    if obs.size == 1:
+        return float(obs[0] == n)
+    return stats.chisquare(obs, exp * (n / exp.sum())).pvalue
 
 
 def max_entry_gap(a, b):
@@ -165,16 +211,42 @@ class TestSampleM:
         m = sample_m(make_poisson(9.0), 0.0, substream(10), size=500)
         assert np.all(m == 0)
 
-    def test_eta_one_equals_photon_number_draws(self):
-        src = make_thermal(5.0)
-        expected_n = sample_n(src, substream(11), size=2000)
-        m = sample_m(src, 1.0, substream(11), size=2000)
-        assert np.array_equal(m, expected_n)
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    def test_eta_one_draws_the_source_law(self, name):
+        src, _ = LAW_SOURCES[name]
+        m = sample_m(src, 1.0, substream(11, (LAW_NAMES.index(name),)), size=LAW_SHOTS)
+        assert chi_square_pvalue(m, src.pmf) > 0.001
 
     def test_binomial_clt_mean(self):
         m = sample_m(make_fock(100), 0.25, substream(12), size=10**6)
         se = math.sqrt(18.75 / 10**6)  # var = 100 * 0.25 * 0.75
         assert m.mean() == pytest.approx(25.0, abs=5 * se)
+
+    @pytest.mark.parametrize("eta", LAW_ETAS)
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    def test_draws_follow_the_detected_law(self, name, eta):
+        src, scipy_law = LAW_SOURCES[name]
+        key = (LAW_NAMES.index(name), LAW_ETAS.index(eta))
+        m = sample_m(src, eta, substream(14, key), size=LAW_SHOTS)
+        assert chi_square_pvalue(m, apply_bernoulli(src, eta).pmf) > 0.001
+        if scipy_law is not None:
+            k = np.arange(max(src.n_max, m.max()) + 1)
+            assert chi_square_pvalue(m, scipy_law(eta).pmf(k)) > 0.001
+
+    @pytest.mark.parametrize(
+        "src",
+        [make_poisson(1e5), make_multimode_thermal(1e5, 40)],
+        ids=["poisson", "thermal40"],
+    )
+    def test_bright_sample_mean_and_variance(self, src):
+        # at <n> = 1e5 the chi-square cells are too many to fill; the first
+        # two moments, each within 5 standard errors
+        n = 10**5
+        det = apply_bernoulli(src, 0.5)
+        mu2, _, mu4, _ = det.central_moments
+        m = sample_m(src, 0.5, substream(15), size=n).astype(float)
+        assert abs(m.mean() - det.mean_m) <= 5 * math.sqrt(mu2 / n)
+        assert abs(m.var(ddof=1) - mu2) <= 5 * math.sqrt((mu4 - mu2**2) / n)
 
     def test_marginal_law_chi_square(self):
         src = make_poisson(50.0)
