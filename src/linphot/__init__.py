@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedOracleError,
     UnsupportedOrderError,
 )
-from .loss import DetectedPhotonDistribution, apply_bernoulli, sample_m
+from .loss import apply_bernoulli, sample_m
 from .moments import (
     MomentSet,
     analytic_voltage_moments,
@@ -66,7 +66,6 @@ __all__ = [
     "CalibrationFit",
     "ConfigError",
     "DarkNoiseModel",
-    "DetectedPhotonDistribution",
     "EtaSeriesPoint",
     "GainModel",
     "InsufficientDataError",

@@ -2,7 +2,8 @@
 
 Subcommands: run | simulate | moments | calibrate | reconstruct | check.
 Exit codes: 0 success, 1 missing input / I/O failure, 2 invalid config or
-arguments.
+arguments.  A missing config file is a config error and exits 2; a missing
+ensemble or dark record exits 1.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config, args.seed)
     out = _resolve_out(args, config)
+    models = Models(config)
     out.mkdir(parents=True, exist_ok=True)
-    simulate_sweep(Models(config), out)
+    simulate_sweep(models, out)
     print(f"wrote {len(config.eta_series)} ensembles + dark.npy, each with a .json sidecar, to {out}")
     return 0
 

@@ -27,6 +27,11 @@ SCHEMA_VERSION = 1
 
 SOURCE_KINDS = ("poisson", "thermal", "multimode_thermal", "fock", "pmf")
 
+# gain.gamma_bar lies in this range, gain.sigma and dark.sigma0 in [0, its
+# top], so the squares and fifth powers of the voltages stay finite and
+# gamma_bar^2 stays nonzero
+VOLTAGE_SCALE_RANGE = (1e-30, 1e30)
+
 
 def _require(cond: bool, field_path: str, message: str):
     if not cond:
@@ -46,6 +51,12 @@ def _is_finite_number(x) -> bool:
 def _reject_unknown(raw: dict, known, prefix: str = "") -> None:
     for key in raw:
         _require(key in known, f"{prefix}{key}", "unknown key")
+
+
+def _require_voltage_scale(x, field_path: str, lo: float) -> float:
+    hi = VOLTAGE_SCALE_RANGE[1]
+    _require(_is_finite_number(x) and lo <= x <= hi, field_path, f"must be a number in [{lo:g}, {hi:g}], got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -159,30 +170,15 @@ def from_dict(raw: dict) -> RunConfig:
         "gain.family",
         f"must be one of {GAIN_FAMILIES}, got {family!r}",
     )
-    gamma_bar = g.get("gamma_bar")
-    _require(
-        _is_finite_number(gamma_bar) and gamma_bar > 0,
-        "gain.gamma_bar",
-        f"must be a positive finite number, got {gamma_bar!r}",
-    )
-    sigma = g.get("sigma", 0.0)
-    _require(
-        _is_finite_number(sigma) and sigma >= 0,
-        "gain.sigma",
-        f"must be a nonnegative finite number, got {sigma!r}",
-    )
-    gain = GainSpec(gamma_bar=float(gamma_bar), sigma=float(sigma), family=family)
+    gamma_bar = _require_voltage_scale(g.get("gamma_bar"), "gain.gamma_bar", VOLTAGE_SCALE_RANGE[0])
+    sigma = _require_voltage_scale(g.get("sigma", 0.0), "gain.sigma", 0.0)
+    gain = GainSpec(gamma_bar=gamma_bar, sigma=sigma, family=family)
 
     d = raw.get("dark", {})
     _require(isinstance(d, dict), "dark", "must be an object")
     _reject_unknown(d, [f.name for f in fields(DarkSpec)], "dark.")
-    sigma0 = d.get("sigma0", 0.1 * gain.gamma_bar)
-    _require(
-        _is_finite_number(sigma0) and sigma0 >= 0,
-        "dark.sigma0",
-        f"must be a nonnegative finite number, got {sigma0!r}",
-    )
-    dark = DarkSpec(sigma0=float(sigma0))
+    sigma0 = _require_voltage_scale(d.get("sigma0", 0.1 * gain.gamma_bar), "dark.sigma0", 0.0)
+    dark = DarkSpec(sigma0=sigma0)
 
     etas = raw.get("eta_series")
     _require(

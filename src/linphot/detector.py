@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .loss import _check_eta, sample_m
-from .moments import central_from_raw, raw_moments_from_cumulants
 from .sources import PhotonNumberDistribution
 from .streams import chunk_sizes, substream
 
@@ -37,14 +36,12 @@ GAIN_FAMILIES = ("gaussian", "gamma")
 class GainModel:
     """Distribution of the single-photon voltage conversion factor.
 
-    ``cumulants`` holds kappa_1..kappa_5 and ``central_moments`` holds the
-    central moments of order 2..5 of one gain draw.
+    ``cumulants`` holds kappa_1..kappa_5 of one gain draw.
     """
 
     family: str
     gamma_bar: float
     sigma2: float
-    central_moments: tuple
     cumulants: tuple
 
     @property
@@ -102,7 +99,7 @@ class VoltageEnsemble:
 
 
 def make_gain(family: str, gamma_bar, sigma=0.0) -> GainModel:
-    """Build a gain model with cumulants and central moments through order 5.
+    """Build a gain model with its cumulants through order 5.
 
     Parameterized by (gamma_bar, sigma); sigma = 0 gives the degenerate
     point mass for either family.
@@ -127,14 +124,7 @@ def make_gain(family: str, gamma_bar, sigma=0.0) -> GainModel:
         shape = gamma_bar**2 / sigma2
         theta = sigma2 / gamma_bar
         kappa = tuple(shape * theta**r * math.factorial(r - 1) for r in range(1, 6))
-    central = tuple(central_from_raw(raw_moments_from_cumulants(kappa)))
-    return GainModel(
-        family=family,
-        gamma_bar=gamma_bar,
-        sigma2=sigma2,
-        central_moments=central,
-        cumulants=kappa,
-    )
+    return GainModel(family=family, gamma_bar=gamma_bar, sigma2=sigma2, cumulants=kappa)
 
 
 def _simulate_chunk(source, eta, gain, dark, size, seed, key) -> np.ndarray:

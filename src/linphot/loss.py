@@ -2,32 +2,32 @@
 
 Each photon is independently detected with probability eta, so the
 detected-count PMF is the binomial mixture of the source PMF.  The channel
-is provided both analytically (the detected PMF) and as a sampler (the
-detected counts of a chunk of shots).
+is provided both analytically (the detected law, itself a
+``PhotonNumberDistribution``) and as a sampler (the detected counts of a
+chunk of shots).
 
 Both have the same two paths.  A named source (Poisson, thermal, Fock)
 carries its thinned law from ``sources``: its PMF is evaluated on
 0..n_max in O(n_max), and its counts are drawn from the untruncated
 thinned law in one numpy call, Poisson(eta mu), NB(M, eta mu/M) or
-Binomial(n, eta), so a count above m_max occurs with probability at most
-the source's ``tail_eps``.  A table (``from_pmf``, ``detected_as_source``)
-is mixed with the exact binomial kernel, evaluated by the binomial PMF of
-``sources``, banded by the Chernoff bound to where it holds all but
-``KERNEL_EPS`` of its mass and built blockwise, so memory stays bounded
-and no term underflows before its true value does; its counts are drawn
-as n by inverse CDF over the table, then Binomial(n, eta).
+Binomial(n, eta), so a count above n_max occurs with probability at most
+the source's ``tail_eps``.  A table (``from_pmf``, or a detected law fed
+to a second stage) is mixed with the exact binomial kernel, evaluated by
+the binomial PMF of ``sources``, banded by the Chernoff bound to where it
+holds all but ``KERNEL_EPS`` of its mass and built blockwise, so memory
+stays bounded and no term underflows before its true value does; its
+counts are drawn as n by inverse CDF over the table, then
+Binomial(n, eta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .moments import exact_sum, pmf_moments
 from .sources import (
     PhotonNumberDistribution,
     _binom_bound,
@@ -41,22 +41,6 @@ from .sources import (
 KERNEL_EPS = 1e-30
 # photon numbers (kernel columns) per block of the table kernel
 KERNEL_BLOCK = 256
-
-
-@dataclass(frozen=True, eq=False)
-class DetectedPhotonDistribution:
-    """PMF of the number of detected photons after the loss channel."""
-
-    pmf: np.ndarray
-    m_max: int
-    mean_m: float
-    central_moments: tuple  # mu_2(m)..mu_5(m)
-    eta: float
-    source_ref: str
-    tail_mass: float  # 1 - sum(pmf): the mass past m_max
-
-    def __post_init__(self):
-        self.pmf.setflags(write=False)
 
 
 def _check_eta(eta) -> float:
@@ -87,32 +71,23 @@ def _binomial_mix(pn: np.ndarray, eta: float) -> np.ndarray:
     return pm
 
 
-def apply_bernoulli(
-    source: PhotonNumberDistribution, eta
-) -> DetectedPhotonDistribution:
-    """Propagate a photon-number PMF through the loss channel.
+def apply_bernoulli(source: PhotonNumberDistribution, eta) -> PhotonNumberDistribution:
+    """The law of the detected photons: a table on the source's 0..n_max.
 
     A source with a thinning rule (``make_poisson``,
     ``make_multimode_thermal``, ``make_thermal``, ``make_fock``) gets its
     closed-form detected law evaluated on 0..n_max.  Any other source is a
-    table and goes through the exact binomial kernel.  Both paths keep
-    m_max == n_max and lose no mass to underflow at any photon number.
+    table and goes through the exact binomial kernel.  Both paths keep the
+    source's n_max and lose no mass to underflow at any photon number.  The
+    result carries no thinning rule, so loss stages cascade:
+    ``apply_bernoulli(apply_bernoulli(s, a), b)`` is s at efficiency a b.
     """
     eta = _check_eta(eta)
     if source._thin is not None:
         pm = source._thin(source.n_max, eta)
     else:
         pm = _binomial_mix(source.pmf, eta)
-    mean_m, central = pmf_moments(pm, order=5)
-    return DetectedPhotonDistribution(
-        pmf=pm,
-        m_max=source.n_max,
-        mean_m=mean_m,
-        central_moments=central,
-        eta=eta,
-        source_ref=source.label,
-        tail_mass=max(0.0, 1.0 - exact_sum(pm)),
-    )
+    return _finalize(pm, f"detected({source.label}, eta={eta:g})")
 
 
 def sample_m(
@@ -121,7 +96,7 @@ def sample_m(
     """Draw ``size`` detected counts at efficiency eta.
 
     A named source draws them from its thinned law in one call (see the
-    module docstring); a count may then exceed m_max, with probability at
+    module docstring); a count may then exceed n_max, with probability at
     most the source's ``tail_eps``.  A table draws n by inverse CDF, then
     Binomial(n, eta).
     """
@@ -129,14 +104,3 @@ def sample_m(
     if source._draw is not None:
         return source._draw(eta, rng, size)
     return rng.binomial(sample_n(source, rng, size), eta)
-
-
-def detected_as_source(dist: DetectedPhotonDistribution) -> PhotonNumberDistribution:
-    """View detected counts as a source PMF, e.g. for cascading loss stages.
-
-    The PMF is taken as-is (not renormalized), so truncation mass keeps
-    propagating unchanged.
-    """
-    return _finalize(
-        dist.pmf.copy(), f"detected({dist.source_ref}, eta={dist.eta:g})"
-    )

@@ -25,7 +25,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .detector import DarkNoiseModel, GainModel
-    from .loss import DetectedPhotonDistribution
+    from .sources import PhotonNumberDistribution
 
 ORDER_MIN = 2
 ORDER_MAX = 5
@@ -244,34 +244,43 @@ def pmf_moments(pmf, order: int = 5) -> tuple[float, tuple]:
     """Mean and central moments (2..order) of an integer-indexed PMF.
 
     The PMF is used as given (possibly summing to slightly less than one
-    when truncated); no renormalization is applied.
+    when truncated); no renormalization is applied.  The powers of k - mean
+    are running products, as in :func:`sample_moments`: ``d**r`` calls libm
+    ``pow`` for r >= 3, several times slower than a product.
     """
     order = _check_order(order)
     p = np.asarray(pmf, dtype=float)
     k = np.arange(p.size, dtype=float)
     mean = exact_sum(k * p)
     d = k - mean
-    central = tuple(exact_sum(p * d**r) for r in range(2, order + 1))
-    return mean, central
+    central = []
+    power = d
+    for _ in range(2, order + 1):
+        power = power * d
+        central.append(exact_sum(p * power))
+    return mean, tuple(central)
 
 
 def analytic_voltage_moments(
-    detected: "DetectedPhotonDistribution",
+    detected: "PhotonNumberDistribution",
     gain: "GainModel",
     dark: "DarkNoiseModel",
     order: int = 5,
 ) -> MomentSet:
     """Exact mean and central moments of the voltage, by :func:`compound_cumulants`.
 
-    kappa_2.. of v return to central moments as the raw moments of a
-    zero-mean variable, so no moment about zero of v is formed.  The
-    cancellation in kappa_4(m) = mu_4 - 3 mu_2^2 (and kappa_5) errs by the
-    size of the 3 kappa_2(v)^2 that the way back adds again, so each mu_r(v)
-    keeps the relative precision of the moments of m.  The PMF is not read.
+    ``detected`` is the law of the detected photons m, as
+    ``loss.apply_bernoulli`` returns it; its ``mean_n`` and
+    ``central_moments`` give kappa(m).  kappa_2.. of v return to central
+    moments as the raw moments of a zero-mean variable, so no moment about
+    zero of v is formed.  The cancellation in kappa_4(m) = mu_4 - 3 mu_2^2
+    (and kappa_5) errs by the size of the 3 kappa_2(v)^2 that the way back
+    adds again, so each mu_r(v) keeps the relative precision of the moments
+    of m.  The PMF is not read.
     """
     order = _check_order(order)
     central_m = detected.central_moments[: order - 1]
-    kappa_m = [detected.mean_m, *cumulants_from_raw([0.0, *central_m])[1:]]
+    kappa_m = [detected.mean_n, *cumulants_from_raw([0.0, *central_m])[1:]]
     kappa_v = compound_cumulants(kappa_m, gain.cumulants, dark.sigma0**2)
     central = raw_moments_from_cumulants([0.0, *kappa_v[1:]])[1:]
     return MomentSet.from_central(kappa_v[0], central)

@@ -339,12 +339,15 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, s
 
 
 def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
-    """Run the full pipeline and write all artifacts into ``out_dir``."""
+    """Run the full pipeline and write all artifacts into ``out_dir``.
+
+    The models are built first, so a source that cannot be built writes nothing.
+    """
+    models = Models(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.save(config, out / "config.json")
     files = {"config": out / "config.json"}
-    models = Models(config)
 
     dark_ens, points, sweep_files = simulate_sweep(models, out)
     files.update(sweep_files)

@@ -16,10 +16,11 @@ import numpy as np
 
 from .detector import DarkNoiseModel, GainModel, VoltageEnsemble
 from .errors import InvalidParameterError, UnsupportedOracleError
-from .loss import DetectedPhotonDistribution
+from .sources import MAX_N_MAX, PhotonNumberDistribution
 
-# highest photon-count bin rebin allocates (a 128 MB count array)
-MAX_REBIN_BINS = 2**24
+# highest photon-count bin rebin allocates (a 128 MB count array), the
+# same bound as on the photon numbers a source PMF is evaluated at
+MAX_REBIN_BINS = MAX_N_MAX
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +144,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def compare(
-    result: ReconstructionResult, reference: DetectedPhotonDistribution
+    result: ReconstructionResult, reference: PhotonNumberDistribution
 ) -> ReconstructionResult:
     """Copy of ``result`` with its TV distance and fidelity to ``reference``."""
     p_hat, p_ref = _pad_common(result.pmf_hat, reference.pmf)
@@ -155,7 +156,7 @@ def compare(
 
 
 def _gaussian_components(
-    detected: DetectedPhotonDistribution, gain: GainModel, dark: DarkNoiseModel
+    detected: PhotonNumberDistribution, gain: GainModel, dark: DarkNoiseModel
 ):
     if gain.family != "gaussian":
         raise UnsupportedOracleError(
@@ -173,7 +174,7 @@ def _gaussian_components(
 
 
 def expected_rebinned_pmf(
-    detected: DetectedPhotonDistribution,
+    detected: PhotonNumberDistribution,
     gain: GainModel,
     dark: DarkNoiseModel,
     gamma_bar_used: float,

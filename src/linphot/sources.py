@@ -1,10 +1,17 @@
-"""Photon-number distributions of the light entering the apparatus.
+"""Photon-number distributions: of the light entering the apparatus and
+of the photons detected from it.
+
+One type, ``PhotonNumberDistribution``, holds every photon-number law: a
+source built here, and the detected law ``loss.apply_bernoulli`` returns,
+which is a table like ``from_pmf``'s.  Its mean, central moments and tail
+mass are formed once, in ``_finalize``.
 
 All constructors return a truncated PMF: entries are kept up to the first
 photon number whose upper tail mass is at most a configurable epsilon, and
 the PMF is *not* renormalized afterwards; the missing probability is
 carried in ``tail_mass`` so downstream sums can propagate the truncation
-error.
+error.  No PMF is tabulated past ``MAX_N_MAX``: a law that would need more
+entries is refused before any array is made.
 
 The named families also carry their law under binomial loss, which stays
 in the family: Poisson(mu) thins to Poisson(eta mu), the ``modes``-mode
@@ -12,7 +19,9 @@ thermal NB(M, mu/M) to NB(M, eta mu/M) and Fock(n) to Binomial(n, eta).
 Each carries that law twice: as a PMF on 0..n_max, which
 ``loss.apply_bernoulli`` evaluates instead of a kernel sum, and as a draw
 rule, one numpy call for a whole chunk of shots, which ``loss.sample_m``
-uses instead of drawing n and thinning it.
+uses instead of drawing n and thinning it.  A table (``from_pmf``, or a
+detected law) carries neither, so a second loss stage mixes it with the
+binomial kernel and samples it by inverse CDF.
 
 The Poisson, binomial and negative-binomial PMFs are evaluated here in
 numpy, in Loader's saddle-point form, and only where they do not
@@ -31,9 +40,11 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidParameterError
-from .moments import exact_sum, pmf_moments
+from .moments import ORDER_MAX, exact_sum, pmf_moments
 
 DEFAULT_TAIL_EPS = 1e-12
+# largest photon number at which a PMF is evaluated: 2^24 + 1 entries fill 128 MB
+MAX_N_MAX = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +55,7 @@ class PhotonNumberDistribution:
     n_max: int
     tail_mass: float
     mean_n: float
+    central_moments: tuple  # mu_2(n)..mu_5(n)
     mandel_q: float | None
     label: str
     cdf: np.ndarray = field(repr=False, default=None)
@@ -60,20 +72,6 @@ class PhotonNumberDistribution:
         self.pmf.setflags(write=False)
         self.cdf.setflags(write=False)
 
-    def validate(self, tail_eps: float = DEFAULT_TAIL_EPS) -> None:
-        """Assert the structural invariants; raises AssertionError on breach."""
-        total = exact_sum(self.pmf)
-        assert np.all(self.pmf >= 0)
-        assert 1.0 - self.tail_mass - 1e-15 <= total <= 1.0 + 1e-15
-        assert self.tail_mass <= tail_eps
-        mean, central = pmf_moments(self.pmf, order=2)
-        assert abs(mean - self.mean_n) <= 1e-12 * max(1.0, abs(mean))
-        if mean > 0:
-            q = (central[0] - mean) / mean
-            assert abs(q - self.mandel_q) <= 1e-12 * max(1.0, abs(q))
-        else:
-            assert self.mandel_q is None
-
 
 def _finalize(
     pmf: np.ndarray, label: str, thin=None, draw=None, tail=None
@@ -81,13 +79,14 @@ def _finalize(
     pmf = np.ascontiguousarray(pmf, dtype=float)
     if tail is None:
         tail = max(0.0, 1.0 - exact_sum(pmf))
-    mean, central = pmf_moments(pmf, order=2)
+    mean, central = pmf_moments(pmf, order=ORDER_MAX)
     q = (central[0] - mean) / mean if mean > 0 else None
     return PhotonNumberDistribution(
         pmf=pmf,
         n_max=pmf.size - 1,
         tail_mass=tail,
         mean_n=mean,
+        central_moments=central,
         mandel_q=q,
         label=label,
         _thin=thin,
@@ -254,15 +253,23 @@ def _truncated(law, tail_eps):
 
     Entries are evaluated from where they stop underflowing up to where the
     bound puts the rest of the tail below tail_eps * 1e-17; the tails are
-    the reverse cumulative sums of those entries.
+    the reverse cumulative sums of those entries.  A law whose entries
+    reach past MAX_N_MAX raises InvalidParameterError before any is made.
     """
     pmf, bound, mean = law
     limit = 40.0 - math.log(tail_eps)  # past hi: an entry and a tail, each < 4e-18 tail_eps
-    top = 2 * int(mean) + 2
-    while bound(top) <= limit:
-        top *= 2
+    hi = int(mean)  # hi >= int(mean): the crossing starts there
+    if hi <= MAX_N_MAX:
+        top = 2 * hi + 2
+        while bound(top) <= limit:
+            top *= 2
+        hi = int(_crossing(bound, hi, top, limit))
+    if hi > MAX_N_MAX:
+        raise InvalidParameterError(
+            f"a source of mean {mean:g} is too large to tabulate: its PMF "
+            f"reaches photon number {hi:g}, past MAX_N_MAX = {MAX_N_MAX}"
+        )
     lo = int(_crossing(bound, int(mean), -1, _UNDERFLOW))
-    hi = int(_crossing(bound, int(mean), top, limit))
     values = _evaluate(pmf, lo, hi)
     tails = np.append(np.cumsum(values[::-1])[-2::-1], 0.0)  # mass past each k
     cut = int(np.argmax(tails <= tail_eps))
@@ -355,6 +362,8 @@ def make_fock(n) -> PhotonNumberDistribution:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidParameterError(f"n must be a nonnegative integer, got {n!r}")
     n = int(n)
+    if n > MAX_N_MAX:
+        raise InvalidParameterError(f"fock n={n} is too large to tabulate: past MAX_N_MAX = {MAX_N_MAX}")
     pmf = np.zeros(n + 1)
     pmf[n] = 1.0
     return _finalize(pmf, f"fock(n={n})", thin=partial(_thin_fock, n), draw=partial(_draw_fock, n))

@@ -12,8 +12,9 @@ sweep-point statistics with ``math.fsum`` sums, the reference for its
 ``analytic_pv_cdf_gaussian`` are the closed-form voltage density and CDF
 for gaussian gains; ``detected_fano`` is mu_2(m)/<m>; ``CumulantSet``,
 ``moments_from_cumulants`` and ``cumulants_from_moments`` convert between
-cumulants and a ``MomentSet``; ``default_eta_series`` is an equally spaced
-efficiency ladder.
+cumulants and a ``MomentSet``; ``gain_central_moments`` is mu_2..mu_5 of
+one gain draw; ``default_eta_series`` is an equally spaced efficiency
+ladder; ``validate`` asserts the invariants of a photon-number law.
 """
 
 from __future__ import annotations
@@ -27,8 +28,17 @@ import numpy as np
 
 from linphot.calibration import EtaSeriesPoint
 from linphot.errors import InsufficientDataError, LinphotError
-from linphot.moments import MomentSet, _check_order, cumulants_from_raw, raw_moments_from_cumulants
+from linphot.moments import (
+    MomentSet,
+    _check_order,
+    central_from_raw,
+    cumulants_from_raw,
+    exact_sum,
+    pmf_moments,
+    raw_moments_from_cumulants,
+)
 from linphot.reconstruction import _gaussian_components
+from linphot.sources import DEFAULT_TAIL_EPS
 
 
 def block_jackknife_se(data, stat: Callable, n_blocks: int = 20) -> float:
@@ -76,7 +86,7 @@ def mixture_voltage_moments(detected, gain, dark, order: int = 5) -> tuple[float
     K2 = k * kap[1] + dark.sigma0**2
     K3 = k * kap[2]
     comp_central = {2: K2, 3: K3, 4: k * kap[3] + 3.0 * K2**2, 5: k * kap[4] + 10.0 * K3 * K2}
-    mean_v = gain.gamma_bar * detected.mean_m
+    mean_v = gain.gamma_bar * detected.mean_n
     delta = k * gain.gamma_bar - mean_v
     central = []
     for r in range(2, order + 1):
@@ -88,13 +98,21 @@ def mixture_voltage_moments(detected, gain, dark, order: int = 5) -> tuple[float
 
 
 def fsum_pmf_statistics(pmf, order: int = 5) -> tuple[float, tuple, float]:
-    """Mean, central moments mu_2..mu_order and tail mass 1 - sum of a PMF, each sum a ``math.fsum``."""
+    """Mean, central moments mu_2..mu_order and tail mass 1 - sum of a PMF, each sum a ``math.fsum``.
+
+    The terms p d^r are formed as the package forms them, d^r by running
+    products, so only the summation differs.
+    """
     p = np.asarray(pmf, dtype=float)
     k = np.arange(p.size, dtype=float)
     mean = math.fsum(k * p)
     d = k - mean
-    central = tuple(math.fsum(p * d**r) for r in range(2, order + 1))
-    return mean, central, max(0.0, 1.0 - math.fsum(p))
+    central = []
+    power = d
+    for _ in range(2, order + 1):
+        power = power * d
+        central.append(math.fsum(p * power))
+    return mean, tuple(central), max(0.0, 1.0 - math.fsum(p))
 
 
 def fsum_eta_point(eta: float, samples, dark_variance: float = 0.0) -> EtaSeriesPoint:
@@ -152,9 +170,9 @@ class UndefinedStatisticError(LinphotError, ArithmeticError):
 
 def detected_fano(dist) -> float:
     """Variance-to-mean ratio mu_2(m)/<m> of the detected counts."""
-    if dist.mean_m <= 0:
+    if dist.mean_n <= 0:
         raise UndefinedStatisticError("fano ratio undefined for <m> = 0")
-    return dist.central_moments[0] / dist.mean_m
+    return dist.central_moments[0] / dist.mean_n
 
 
 @dataclass(frozen=True)
@@ -182,6 +200,27 @@ def cumulants_from_moments(m: MomentSet) -> CumulantSet:
     return CumulantSet.from_kappa(cumulants_from_raw(m.raw))
 
 
+def gain_central_moments(gain) -> tuple:
+    """Central moments mu_2..mu_5 of one gain draw, from its cumulants."""
+    return tuple(central_from_raw(raw_moments_from_cumulants(gain.cumulants)))
+
+
 def default_eta_series(eta_max: float, count: int = 10) -> list[float]:
     """Equally spaced efficiency ladder from 0.05*eta_max to eta_max."""
     return list(np.linspace(0.05 * eta_max, eta_max, count))
+
+
+def validate(dist, tail_eps: float = DEFAULT_TAIL_EPS) -> None:
+    """Assert the structural invariants of a photon-number law; AssertionError on breach."""
+    total = exact_sum(dist.pmf)
+    assert np.all(dist.pmf >= 0)
+    assert 1.0 - dist.tail_mass - 1e-15 <= total <= 1.0 + 1e-15
+    assert dist.tail_mass <= tail_eps
+    mean, central = pmf_moments(dist.pmf, order=2)
+    assert abs(mean - dist.mean_n) <= 1e-12 * max(1.0, abs(mean))
+    assert central[0] == dist.central_moments[0]
+    if mean > 0:
+        q = (central[0] - mean) / mean
+        assert abs(q - dist.mandel_q) <= 1e-12 * max(1.0, abs(q))
+    else:
+        assert dist.mandel_q is None

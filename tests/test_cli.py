@@ -231,6 +231,44 @@ class TestConfig:
         assert "n_samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # overflowed in make_gain
+            {"gain": {"family": "gaussian", "gamma_bar": 1e300, "sigma": 1e299}},
+            # gamma_bar**2 underflowed to 0 and calibrate divided by it
+            {"gain": {"family": "gaussian", "gamma_bar": 1e-300, "sigma": 0}, "dark": {"sigma0": 1e-301}},
+        ],
+        ids=["huge", "tiny"],
+    )
+    def test_absurd_gain_scale_names_the_field_and_writes_nothing(self, tmp_path, capsys, overrides):
+        with pytest.raises(ConfigError, match="gain.gamma_bar"):
+            from_dict({**BASE, **overrides})
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "gain.gamma_bar" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "gain,dark,name",
+        [
+            ({"gamma_bar": 1e-30, "sigma": 1e30}, {"sigma0": 1e30}, None),
+            ({"gamma_bar": 1e30, "sigma": 0}, {"sigma0": 0}, None),
+            ({"gamma_bar": 1e-31}, {}, "gain.gamma_bar"),
+            ({"gamma_bar": 1e31}, {}, "gain.gamma_bar"),
+            ({"gamma_bar": 1.0, "sigma": 1e31}, {}, "gain.sigma"),
+            ({"gamma_bar": 1.0}, {"sigma0": 1e31}, "dark.sigma0"),
+        ],
+    )
+    def test_voltage_scale_range(self, gain, dark, name):
+        raw = {**BASE, "gain": gain, "dark": dark}
+        if name is None:
+            from_dict(raw)
+        else:
+            with pytest.raises(ConfigError, match=name):
+                from_dict(raw)
+
 
 class TestEnsembleCsv:
     def test_header_only_file_exits_2_without_a_warning(self, tmp_path, capsys):
@@ -866,7 +904,7 @@ class TestCliCommands:
         assert metrics["gamma_bar_source"] == "--gamma-bar"
         assert metrics["config_sha256"] is None
 
-    def test_missing_config_exits_1(self, tmp_path, capsys):
+    def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2  # config loader reports the missing path as a config error
         assert "nope.json" in capsys.readouterr().err
@@ -903,6 +941,70 @@ class TestCliCommands:
         cfg = write_config(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 2
         assert "out_dir" in capsys.readouterr().err
+
+
+KIND_SOURCES = {
+    "poisson": {"kind": "poisson", "mean": 20.0},
+    "thermal": {"kind": "thermal", "mean": 20.0},
+    "multimode_thermal": {"kind": "multimode_thermal", "mean": 20.0, "modes": 3},
+    "fock": {"kind": "fock", "n": 20},
+    "pmf": {"kind": "pmf", "pmf": [0.1, 0.0, 0.3, 0.05, 0.25, 0.0, 0.0, 0.3]},
+}
+
+
+@pytest.mark.parametrize("family", ["gaussian", "gamma"])
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_run_then_check_passes_on_every_source_kind_and_gain_family(tmp_path, capsys, kind, family):
+    # check replays the detected law of every kind: named laws thin in
+    # closed form, a pmf table through the binomial kernel
+    cfg = write_config(
+        tmp_path, {"source": KIND_SOURCES[kind], "gain": {**BASE["gain"], "family": family}}
+    )
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["check", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "[PASS]" in printed and "[FAIL]" not in printed
+
+
+# sources whose PMF would not fit in memory: each used to allocate
+# gigabytes to terabytes, overflow, or fill memory block by block
+TOO_LARGE_SOURCES = {
+    "poisson-1e9": ({"kind": "poisson", "mean": 1e9}, "mean 1e+09"),
+    "poisson-1e12": ({"kind": "poisson", "mean": 1e12}, "mean 1e+12"),
+    "poisson-1e300": ({"kind": "poisson", "mean": 1e300}, "mean 1e+300"),
+    "fock-1e12": ({"kind": "fock", "n": 10**12}, "n=1000000000000"),
+    "thermal-1e12": ({"kind": "thermal", "mean": 1e12}, "mean 1e+12"),
+    "thermal-1e6": ({"kind": "thermal", "mean": 1e6}, "mean 1e+06"),
+}
+
+
+# the CLI in a child that caps its own address space at 1.5 GB first
+CAPPED_CLI = """
+import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+runpy.run_module("linphot.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LARGE_SOURCES))
+def test_a_source_too_large_to_tabulate_exits_2_and_writes_nothing(tmp_path, name):
+    # capped and under a timeout, so a regression fails this test
+    # instead of exhausting the machine
+    source, named = TOO_LARGE_SOURCES[name]
+    cfg = write_config(tmp_path, {"source": source})
+    out = tmp_path / "o"
+    src = str(Path(linphot.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "run", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 # SHA-256 of every artifact of ``run_experiment`` on BASE.  The pins pin the

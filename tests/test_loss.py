@@ -16,7 +16,7 @@ from linphot import (
     make_thermal,
     sample_m,
 )
-from linphot.loss import KERNEL_EPS, detected_as_source
+from linphot.loss import KERNEL_EPS
 from linphot.streams import substream
 from oracles import UndefinedStatisticError, detected_fano
 
@@ -31,7 +31,7 @@ SOURCES = {
 
 # sources of every sampling path, each with its detected law from
 # scipy.stats as a function of eta: a named family draws from its thinned
-# law, a table (from_pmf, detected_as_source) by inverse CDF, then
+# law, a table (from_pmf, a detected law) by inverse CDF, then
 # Binomial(n, eta)
 LAW_SOURCES = {
     "poisson": (make_poisson(30.0), lambda eta: stats.poisson(eta * 30.0)),
@@ -42,10 +42,7 @@ LAW_SOURCES = {
     ),
     "fock": (make_fock(40), lambda eta: stats.binom(40, eta)),
     "table": (from_pmf([0.1, 0.0, 0.3, 0.05, 0.25, 0.0, 0.0, 0.3]), None),
-    "detected": (
-        detected_as_source(apply_bernoulli(make_multimode_thermal(60.0, 3), 0.7)),
-        None,
-    ),
+    "detected": (apply_bernoulli(make_multimode_thermal(60.0, 3), 0.7), None),
 }
 LAW_NAMES = sorted(LAW_SOURCES)
 LAW_ETAS = [0.0, 0.05, 0.5, 1.0]
@@ -108,7 +105,7 @@ def test_eta_zero_collapses_to_vacuum():
     det = apply_bernoulli(make_poisson(12.0), 0.0)
     assert det.pmf[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(det.pmf[1:] == 0)
-    assert det.mean_m == 0.0
+    assert det.mean_n == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
@@ -116,8 +113,8 @@ def test_eta_zero_collapses_to_vacuum():
 def test_mean_and_fano_identities(name, eta):
     src = SOURCES[name]
     det = apply_bernoulli(src, eta)
-    assert det.mean_m == pytest.approx(eta * src.mean_n, rel=1e-9)
-    if det.mean_m > 0:
+    assert det.mean_n == pytest.approx(eta * src.mean_n, rel=1e-9)
+    if det.mean_n > 0:
         expected = eta * src.mandel_q + 1.0
         if expected == 0.0:  # fock at eta = 1: variance exactly zero
             assert detected_fano(det) == pytest.approx(0.0, abs=1e-12)
@@ -141,7 +138,7 @@ def test_bright_thermal_keeps_mass_and_mean(src):
     # thinning keeps at least the mass the truncated source had
     assert 1.0 - src.tail_mass - 1e-15 <= math.fsum(det.pmf) <= 1.0 + 1e-15
     assert det.tail_mass == pytest.approx(1.0 - math.fsum(det.pmf), abs=1e-15)
-    assert det.mean_m == pytest.approx(0.5 * src.mean_n, rel=1e-9)
+    assert det.mean_n == pytest.approx(0.5 * src.mean_n, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -173,7 +170,7 @@ def test_table_kernel_is_exact_at_extreme_efficiencies(eta):
 )
 def test_composition_property(eta1, eta2):
     src = make_poisson(3.0)
-    twice = apply_bernoulli(detected_as_source(apply_bernoulli(src, eta1)), eta2)
+    twice = apply_bernoulli(apply_bernoulli(src, eta1), eta2)
     once = apply_bernoulli(src, eta1 * eta2)
     assert max_entry_gap(twice.pmf, once.pmf) < 1e-10
 
@@ -199,10 +196,10 @@ def test_errors():
         detected_fano(apply_bernoulli(make_poisson(5.0), 0.0))
 
 
-def test_m_max_inherits_parent_support():
+def test_n_max_inherits_parent_support():
     src = make_poisson(5.0)
     det = apply_bernoulli(src, 0.2)
-    assert det.m_max == src.n_max
+    assert det.n_max == src.n_max
     assert det.pmf.size == src.pmf.size
 
 
@@ -245,7 +242,7 @@ class TestSampleM:
         det = apply_bernoulli(src, 0.5)
         mu2, _, mu4, _ = det.central_moments
         m = sample_m(src, 0.5, substream(15), size=n).astype(float)
-        assert abs(m.mean() - det.mean_m) <= 5 * math.sqrt(mu2 / n)
+        assert abs(m.mean() - det.mean_n) <= 5 * math.sqrt(mu2 / n)
         assert abs(m.var(ddof=1) - mu2) <= 5 * math.sqrt((mu4 - mu2**2) / n)
 
     def test_marginal_law_chi_square(self):

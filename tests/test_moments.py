@@ -36,6 +36,7 @@ from oracles import (
     block_jackknife_se,
     cumulants_from_moments,
     fsum_pmf_statistics,
+    gain_central_moments,
     mixture_voltage_moments,
     moments_from_cumulants,
 )
@@ -315,7 +316,7 @@ def test_analytic_moments_degenerate_gain_saturates_scaling():
     gain = make_gain("gaussian", 100.0, 0.0)
     dark = DarkNoiseModel(sigma0=0.0)
     exact = analytic_voltage_moments(det, gain, dark, 5)
-    assert exact.mean == pytest.approx(100.0 * det.mean_m, rel=1e-13)
+    assert exact.mean == pytest.approx(100.0 * det.mean_n, rel=1e-13)
     scaled = [100.0**r * det.central_moments[r - 2] for r in range(2, 6)]
     np.testing.assert_allclose(exact.central, scaled, rtol=1e-12)
 
@@ -327,22 +328,22 @@ def test_analytic_moments_r2_r3_closed_forms():
         gain = make_gain(family, 100.0, sigma)
         mset = analytic_voltage_moments(det, gain, dark, 3)
         gb = gain.gamma_bar
-        mu2 = gb**2 * det.central_moments[0] + det.mean_m * gain.sigma2 + dark.sigma0**2
+        mu2 = gb**2 * det.central_moments[0] + det.mean_n * gain.sigma2 + dark.sigma0**2
         assert mset.central_moment(2) == pytest.approx(mu2, rel=1e-12)
         # mu3(v) = gb^3 mu3(m) + 3 sigma^2 gb sum_k p_k k (k - <m>) + <m> mu3_gain
         k = np.arange(det.pmf.size)
-        cross = float(np.sum(det.pmf * k * (k - det.mean_m)))
+        cross = float(np.sum(det.pmf * k * (k - det.mean_n)))
         mu3 = (
             gb**3 * det.central_moments[1]
             + 3 * gain.sigma2 * gb * cross
-            + det.mean_m * gain.central_moments[1]
+            + det.mean_n * gain_central_moments(gain)[1]
         )
         assert mset.central_moment(3) == pytest.approx(mu3, rel=1e-11)
 
 
 def test_narrow_gain_examples():
     det = apply_bernoulli(make_poisson(50), 0.5)  # coherent, <m> = 25
-    kappa_m = [det.mean_m, *cumulants_from_raw([0.0, *det.central_moments])[1:]]
+    kappa_m = [det.mean_n, *cumulants_from_raw([0.0, *det.central_moments])[1:]]
     approx = compound_cumulants(kappa_m, [100.0, 0, 0, 0, 0])
     assert approx[1] == pytest.approx(25e4, rel=1e-9)
     unit = analytic_voltage_moments(det, make_gain("gaussian", 1.0, 0.0), DarkNoiseModel(0.0), 5)
@@ -389,7 +390,7 @@ def test_bright_thermal_statistics_are_the_fsum_statistics(bright_detected):
     # 40-mode thermal <n> = 1e5 at eta = 0.5: ~2.5e5 PMF entries, 15 blocks
     det = bright_detected["thermal40"]
     mean, central, tail = fsum_pmf_statistics(det.pmf, order=5)
-    assert _same_float(det.mean_m, mean)
+    assert _same_float(det.mean_n, mean)
     assert all(_same_float(a, b) for a, b in zip(det.central_moments, central, strict=True))
     assert _same_float(det.tail_mass, tail)
 
@@ -471,7 +472,7 @@ def test_sample_scaling_ratio_with_degenerate_gain():
     ens = simulate_ensemble(src, 0.7, gain, DarkNoiseModel(0.0), 10**6, seed=74)
     det = apply_bernoulli(src, 0.7)
     for r in (2, 3):
-        ref = det.central_moments[r - 2] / det.mean_m
+        ref = det.central_moments[r - 2] / det.mean_n
 
         def ratio(v, r=r, ref=ref):
             return (np.mean((v - v.mean()) ** r) / v.mean()) / ref

@@ -19,6 +19,7 @@ from linphot import (
 from linphot import sources
 from linphot.sources import DEFAULT_TAIL_EPS
 from linphot.streams import substream
+from oracles import validate
 
 
 def tv_distance(a, b):
@@ -146,7 +147,7 @@ def test_normalization_invariant(dist):
     total = math.fsum(dist.pmf)
     assert 1.0 - dist.tail_mass - 1e-15 <= total <= 1.0 + 1e-15
     assert dist.tail_mass <= 1e-12
-    dist.validate()
+    validate(dist)
 
 
 @settings(max_examples=60)
@@ -268,4 +269,4 @@ def test_truncated_at_the_first_exact_tail_below_eps(mean, modes):
         past_cut, past_previous = tail(dist.n_max), tail(dist.n_max - 1)
     assert past_cut <= DEFAULT_TAIL_EPS < past_previous
     assert dist.tail_mass == pytest.approx(float(past_cut), rel=1e-9, abs=0)
-    dist.validate()
+    validate(dist)
