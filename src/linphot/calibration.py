@@ -14,7 +14,10 @@ detected photon must be constant across the sweep.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -152,6 +155,27 @@ def _check_eta_list(eta_list) -> list[float]:
     return etas
 
 
+def _in_order(job, items, workers: int):
+    """Yield ``job(item)`` for each of ``items``, in order, computed on ``workers`` threads.
+
+    At most ``workers`` jobs are in flight.  A job's exception is raised in
+    its turn, after the results before it; closing the generator or an
+    exception cancels the jobs not started and waits for the running ones.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # kept out of every command's start-up
+
+    items = iter(items)
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="linphot-sweep")
+    try:
+        pending = deque(pool.submit(job, item) for item in islice(items, workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(job, item) for item in islice(items, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def iter_eta_series(
     source: PhotonNumberDistribution,
     gain: GainModel,
@@ -162,19 +186,25 @@ def iter_eta_series(
     *,
     stream_tag: tuple = (ETA_SERIES,),
 ):
-    """Yield (point, ensemble) pairs for each efficiency in the sweep, unchecked."""
+    """Yield (point, ensemble) pairs for each efficiency in the sweep, unchecked.
+
+    The points are simulated and reduced on ``len(os.sched_getaffinity(0))``
+    threads, since numpy's samplers release the interpreter lock, and are
+    yielded in sweep order.  The output does not depend on the core count,
+    because each ensemble owns its substream (``streams``).  At most one
+    ensemble per worker is in flight, so up to (workers + 1) ensembles are
+    held in memory at once.
+    """
     dark_var = dark.sigma0**2
-    for i, eta in enumerate(eta_list):
+
+    def point(item):
+        i, eta = item
         ens = simulate_ensemble(
-            source,
-            eta,
-            gain,
-            dark,
-            n_samples,
-            seed,
-            stream_key=tuple(stream_tag) + (i,),
+            source, eta, gain, dark, n_samples, seed, stream_key=tuple(stream_tag) + (i,)
         )
-        yield eta_point_from_samples(eta, ens.samples, dark_variance=dark_var), ens
+        return eta_point_from_samples(eta, ens.samples, dark_variance=dark_var), ens
+
+    yield from _in_order(point, enumerate(eta_list), len(os.sched_getaffinity(0)))
 
 
 def run_eta_series(

@@ -31,6 +31,9 @@ SOURCE_KINDS = ("poisson", "thermal", "multimode_thermal", "fock", "pmf")
 # top], so the squares and fifth powers of the voltages stay finite and
 # gamma_bar^2 stays nonzero
 VOLTAGE_SCALE_RANGE = (1e-30, 1e30)
+# a gamma gain's sigma is 0 or at least this times gamma_bar, so its shape
+# (gamma_bar/sigma)^2 <= 1e300 stays finite times any photon count
+GAMMA_MIN_RELATIVE_SIGMA = 1e-150
 
 
 def _require(cond: bool, field_path: str, message: str):
@@ -172,6 +175,11 @@ def from_dict(raw: dict) -> RunConfig:
     )
     gamma_bar = _require_voltage_scale(g.get("gamma_bar"), "gain.gamma_bar", VOLTAGE_SCALE_RANGE[0])
     sigma = _require_voltage_scale(g.get("sigma", 0.0), "gain.sigma", 0.0)
+    _require(
+        family != "gamma" or sigma == 0.0 or sigma >= GAMMA_MIN_RELATIVE_SIGMA * gamma_bar,
+        "gain.sigma",
+        f"a gamma gain's sigma must be 0 or >= {GAMMA_MIN_RELATIVE_SIGMA:g} * gamma_bar, got {sigma!r}",
+    )
     gain = GainSpec(gamma_bar=gamma_bar, sigma=sigma, family=family)
 
     d = raw.get("dark", {})

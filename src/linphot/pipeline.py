@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -108,6 +109,7 @@ def _fmt(x, digits=9):
 def simulate_sweep(models: Models, out: Path):
     """Simulate and write the dark record and the sweep ensembles, each a ``.npy`` and its sidecar.
 
+    Each ensemble is written while the next ones are drawn (``iter_eta_series``).
     Returns the dark ensemble, the sweep points and the written paths.
     """
     config, sha = models.config, models.config_sha256
@@ -121,11 +123,12 @@ def simulate_sweep(models: Models, out: Path):
     sweep = iter_eta_series(
         models.source, models.gain, models.dark, config.eta_series, config.n_samples, config.seed
     )
-    for i, (point, ens) in enumerate(sweep):
-        key = f"ensemble_{i}"
-        files[key] = out / f"ensemble_{i:02d}_eta_{ens.eta:.6f}.npy"
-        files[f"{key}_sidecar"] = write_ensemble(files[key], ens, sha)
-        points.append(point)
+    with closing(sweep):  # a failed write stops the ensembles still being drawn
+        for i, (point, ens) in enumerate(sweep):
+            key = f"ensemble_{i}"
+            files[key] = out / f"ensemble_{i:02d}_eta_{ens.eta:.6f}.npy"
+            files[f"{key}_sidecar"] = write_ensemble(files[key], ens, sha)
+            points.append(point)
     return dark_ens, points, files
 
 

@@ -56,7 +56,6 @@ class PhotonNumberDistribution:
     tail_mass: float
     mean_n: float
     central_moments: tuple  # mu_2(n)..mu_5(n)
-    mandel_q: float | None
     label: str
     cdf: np.ndarray = field(repr=False, default=None)
     # (n_max, eta) -> closed-form detected PMF on 0..n_max; None for tables
@@ -80,14 +79,12 @@ def _finalize(
     if tail is None:
         tail = max(0.0, 1.0 - exact_sum(pmf))
     mean, central = pmf_moments(pmf, order=ORDER_MAX)
-    q = (central[0] - mean) / mean if mean > 0 else None
     return PhotonNumberDistribution(
         pmf=pmf,
         n_max=pmf.size - 1,
         tail_mass=tail,
         mean_n=mean,
         central_moments=central,
-        mandel_q=q,
         label=label,
         _thin=thin,
         _draw=draw,

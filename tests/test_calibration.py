@@ -1,8 +1,11 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import linphot.calibration as calibration
 from linphot import (
     DarkNoiseModel,
     EtaSeriesPoint,
@@ -22,7 +25,9 @@ from linphot import (
     run_eta_series,
     simulate_ensemble,
 )
+from linphot.calibration import iter_eta_series
 from linphot.moments import _SUM_BLOCK
+from linphot.streams import ETA_SERIES
 from oracles import default_eta_series, fsum_eta_point
 
 GAIN = 100.0
@@ -192,6 +197,91 @@ class TestRunEtaSeries:
         )
         for p in pts:
             assert p.fano_v == pytest.approx(GAIN * (1 - p.eta), abs=5 * p.se_fano_v)
+
+
+SWEEP = (make_poisson(20.0), make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0))
+SWEEP_ETAS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+
+
+def set_cores(monkeypatch, cores):
+    """Make ``iter_eta_series`` see ``cores`` usable cores, so it runs that many workers."""
+    monkeypatch.setattr(calibration.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+class TestSweepPool:
+    """``iter_eta_series`` computes its points on a thread pool and yields them in sweep order."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 16])
+    def test_each_point_is_the_serial_point(self, monkeypatch, cores):
+        set_cores(monkeypatch, cores)
+        got = list(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5))
+        assert len(got) == len(SWEEP_ETAS)
+        source, gain, dark = SWEEP
+        for i, (eta, (point, ens)) in enumerate(zip(SWEEP_ETAS, got)):
+            serial = simulate_ensemble(source, eta, gain, dark, 2000, 5, stream_key=(ETA_SERIES, i))
+            assert np.array_equal(ens.samples, serial.samples)
+            assert point == eta_point_from_samples(eta, serial.samples, dark_variance=100.0)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_never_more_jobs_than_workers_at_once(self, monkeypatch, cores):
+        set_cores(monkeypatch, cores)
+        lock = threading.Lock()
+        running = peak = started = 0
+
+        def counted(*args, **kwargs):
+            nonlocal running, peak, started
+            with lock:
+                running += 1
+                started += 1
+                peak = max(peak, running)
+            try:
+                time.sleep(0.02)  # long enough for every worker to start a job
+                return simulate_ensemble(*args, **kwargs)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(calibration, "simulate_ensemble", counted)
+        etas = []
+        for j, (point, _) in enumerate(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5)):
+            time.sleep(0.03)  # a slow consumer: the workers must not run ahead of it
+            with lock:
+                assert started <= j + 1 + cores  # at most `cores` ensembles besides the one held
+            etas.append(point.eta)
+        assert etas == SWEEP_ETAS
+        assert peak == cores
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_an_error_at_point_k_follows_the_points_before_it(self, monkeypatch, k):
+        set_cores(monkeypatch, 2)
+
+        def failing(*args, stream_key, **kwargs):
+            if stream_key[-1] == k:
+                raise InvalidParameterError(f"point {k}")
+            return simulate_ensemble(*args, stream_key=stream_key, **kwargs)
+
+        monkeypatch.setattr(calibration, "simulate_ensemble", failing)
+        before = threading.enumerate()
+        etas = []
+        with pytest.raises(InvalidParameterError, match=f"point {k}"):
+            for point, _ in iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5):
+                etas.append(point.eta)
+        assert etas == SWEEP_ETAS[:k]
+        assert new_threads(before) == []
+
+    def test_closing_after_the_first_point_leaves_no_thread(self, monkeypatch):
+        set_cores(monkeypatch, 2)
+        before = threading.enumerate()
+        sweep = iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5)
+        point, _ = next(sweep)
+        assert point.eta == SWEEP_ETAS[0]
+        assert new_threads(before)  # the pool is still drawing the next points
+        sweep.close()
+        assert new_threads(before) == []
 
 
 class TestSlopeSign:

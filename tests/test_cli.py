@@ -1,11 +1,13 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -23,6 +25,7 @@ from linphot.cli import main
 from linphot.config import (
     SOURCE_KINDS,
     RunConfig,
+    build_gain,
     build_source,
     config_hash,
     from_dict,
@@ -232,23 +235,45 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides,name",
         [
             # overflowed in make_gain
-            {"gain": {"family": "gaussian", "gamma_bar": 1e300, "sigma": 1e299}},
+            ({"gain": {"family": "gaussian", "gamma_bar": 1e300, "sigma": 1e299}}, "gain.gamma_bar"),
             # gamma_bar**2 underflowed to 0 and calibrate divided by it
-            {"gain": {"family": "gaussian", "gamma_bar": 1e-300, "sigma": 0}, "dark": {"sigma0": 1e-301}},
+            (
+                {"gain": {"family": "gaussian", "gamma_bar": 1e-300, "sigma": 0}, "dark": {"sigma0": 1e-301}},
+                "gain.gamma_bar",
+            ),
+            # the gamma shape (gamma_bar/sigma)^2 was inf: run wrote config.json,
+            # then failed on the non-finite dark record
+            ({"gain": {"family": "gamma", "gamma_bar": 1.0, "sigma": 1e-160}}, "gain.sigma"),
         ],
-        ids=["huge", "tiny"],
+        ids=["huge", "tiny", "narrow-gamma"],
     )
-    def test_absurd_gain_scale_names_the_field_and_writes_nothing(self, tmp_path, capsys, overrides):
-        with pytest.raises(ConfigError, match="gain.gamma_bar"):
+    def test_absurd_gain_scale_names_the_field_and_writes_nothing(self, tmp_path, capsys, overrides, name):
+        with pytest.raises(ConfigError, match=name):
             from_dict({**BASE, **overrides})
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "gain.gamma_bar" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "gain",
+        [
+            {"family": "gamma", "gamma_bar": 1.0, "sigma": 1e-150},
+            {"family": "gamma", "gamma_bar": 1e30, "sigma": 1e-120},
+            {"family": "gamma", "gamma_bar": 1e-30, "sigma": 1e-180},  # sigma^2 underflows: a point mass
+            {"family": "gamma", "gamma_bar": 1.0, "sigma": 0.0},
+            {"family": "gaussian", "gamma_bar": 1.0, "sigma": 1e-160},
+        ],
+    )
+    def test_the_narrowest_gains_accepted_draw_finite_sums(self, gain):
+        model = build_gain(from_dict({**BASE, "gain": gain}))
+        assert all(math.isfinite(k) for k in model.cumulants)
+        sums = model.sample_sums(np.random.default_rng(1), np.array([0, 1, 5, 2**24, 10**8]))
+        assert np.all(np.isfinite(sums))
 
     @pytest.mark.parametrize(
         "gain,dark,name",
@@ -1070,6 +1095,39 @@ def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
     assert digest == GAIN_SCALING_CALIBRATION_SHA256
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_pinned_hashes_hold_on_any_core_count(tmp_path, monkeypatch, cores):
+    # the sweep runs one worker per usable core; each ensemble owns its substream
+    monkeypatch.setattr(linphot.calibration.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    before = threading.enumerate()
+    result = run_experiment(from_dict(BASE), tmp_path / "out")
+    for path in result.files.values():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ARTIFACT_SHA256[path.name], path.name
+    scaled = run_experiment(from_dict({**BASE, "gain_scale_factors": [0.5, 2.0]}), tmp_path / "scaled")
+    digest = hashlib.sha256(scaled.files["calibration"].read_bytes()).hexdigest()
+    assert digest == GAIN_SCALING_CALIBRATION_SHA256
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_a_failed_ensemble_write_stops_the_sweep(tmp_path, monkeypatch):
+    written = []
+
+    def fail_second(path, ens, sha):
+        if len(written) == 2:  # dark.npy, then ensemble 0
+            raise OSError("disk full")
+        written.append(path.name)
+        return write_ensemble(path, ens, sha)
+
+    monkeypatch.setattr(linphot.pipeline, "write_ensemble", fail_second)
+    before = threading.enumerate()
+    with pytest.raises(OSError, match="disk full") as excinfo:
+        run_experiment(from_dict(BASE), tmp_path / "out")
+    assert written == ["dark.npy", "ensemble_00_eta_0.100000.npy"]
+    # excinfo keeps the traceback alive, and with it the frame that holds the sweep
+    assert excinfo.traceback
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
 def test_two_cli_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {"n_samples": 10_000})
     out1 = tmp_path / "r1"
@@ -1313,18 +1371,18 @@ class TestGainScalingInRun:
         assert "[PASS] report.md replayed byte for byte" in printed
 
 
-SCIPY_PROBE = """
+MODULE_PROBE = """
 import sys
 {body}
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in {names!r})))
 """
 
 
-def loaded_scipy(body, *args):
-    """Run ``body`` in a fresh interpreter; return every scipy module it loaded."""
+def loaded_modules(body, *args, names=("scipy",)):
+    """Run ``body`` in a fresh interpreter; return every module it loaded in the packages ``names``."""
     src = str(Path(linphot.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE.format(body=body), *args],
+        [sys.executable, "-c", MODULE_PROBE.format(body=body, names=names), *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -1337,13 +1395,14 @@ class TestStartupImports:
     """No command loads scipy: the photon-number laws are evaluated in numpy."""
 
     def test_import_cli_and_load_config(self, tmp_path):
+        # every command's start-up; the sweep's pool imports concurrent.futures only when a sweep runs
         cfg = write_config(tmp_path)
         body = "import linphot.cli, linphot.config\nlinphot.config.load(sys.argv[1])"
-        assert loaded_scipy(body, str(cfg)) == "[]"
+        assert loaded_modules(body, str(cfg), names=("concurrent.futures", "scipy")) == "[]"
 
     def test_check_a_finished_run(self, finished_run):
         body = "from linphot import cli\nassert cli.main(['check', '--out', sys.argv[1]]) == 0"
-        assert loaded_scipy(body, str(finished_run)) == "[]"
+        assert loaded_modules(body, str(finished_run)) == "[]"
 
     def test_law_evaluating_commands(self, tmp_path):
         sources = {
@@ -1361,4 +1420,4 @@ class TestStartupImports:
         commands.append(["simulate", "--config", base, "--out", str(tmp_path / "sim")])
         commands.append(["calibrate", "--config", base, "--out", str(tmp_path / "cal")])
         body = "import json\nfrom linphot import cli\nfor args in json.loads(sys.argv[1]):\n    assert cli.main(args) == 0, args"
-        assert loaded_scipy(body, json.dumps(commands)) == "[]"
+        assert loaded_modules(body, json.dumps(commands)) == "[]"

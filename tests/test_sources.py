@@ -19,7 +19,7 @@ from linphot import (
 from linphot import sources
 from linphot.sources import DEFAULT_TAIL_EPS
 from linphot.streams import substream
-from oracles import validate
+from oracles import mandel_q, validate
 
 
 def tv_distance(a, b):
@@ -33,11 +33,11 @@ class TestPoisson:
     def test_vacuum(self):
         d = make_poisson(0.0)
         assert d.pmf.tolist() == [1.0]
-        assert d.mandel_q is None
+        assert mandel_q(d) is None
         assert d.mean_n == 0.0
 
     def test_mean50_is_poissonian(self):
-        assert make_poisson(50.0).mandel_q == pytest.approx(0.0, abs=1e-10)
+        assert mandel_q(make_poisson(50.0)) == pytest.approx(0.0, abs=1e-10)
 
     def test_pmf5_direct_formula(self):
         # oracle: e^-5 5^5 / 5!
@@ -64,7 +64,7 @@ class TestThermal:
         assert d.pmf[1] == pytest.approx(0.25, rel=1e-12)
 
     def test_mean10_mandel_q(self):
-        assert make_thermal(10.0).mandel_q == pytest.approx(10.0, abs=1e-8)
+        assert mandel_q(make_thermal(10.0)) == pytest.approx(10.0, abs=1e-8)
 
 
 class TestMultimodeThermal:
@@ -76,7 +76,7 @@ class TestMultimodeThermal:
             assert a.tail_mass == b.tail_mass
 
     def test_fifty_modes_unit_q(self):
-        assert make_multimode_thermal(50.0, 50).mandel_q == pytest.approx(1.0, abs=1e-8)
+        assert mandel_q(make_multimode_thermal(50.0, 50)) == pytest.approx(1.0, abs=1e-8)
 
     def test_many_modes_converges_to_poisson(self):
         d = make_multimode_thermal(50.0, 10**5)
@@ -96,9 +96,9 @@ class TestFock:
         assert d.pmf[n] == 1.0
         assert d.mean_n == float(n)
         if n >= 1:
-            assert d.mandel_q == pytest.approx(-1.0, abs=1e-14)
+            assert mandel_q(d) == pytest.approx(-1.0, abs=1e-14)
         else:
-            assert d.mandel_q is None
+            assert mandel_q(d) is None
 
     def test_errors(self):
         with pytest.raises(InvalidParameterError):
@@ -119,7 +119,7 @@ class TestFromPmf:
         d = from_pmf([1, 1, 1, 1])
         assert d.mean_n == pytest.approx(1.5)
         # mu2 = 1.25 by direct sum
-        assert d.mandel_q == pytest.approx((1.25 - 1.5) / 1.5, rel=1e-12)
+        assert mandel_q(d) == pytest.approx((1.25 - 1.5) / 1.5, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(InvalidParameterError):
