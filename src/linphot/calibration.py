@@ -9,15 +9,24 @@ slope; each point's weight is the delta-method standard error of its ratio.
 Two consistency checks accompany the fit: the intercept must scale by g
 when an output gain g multiplies every voltage, and the mean voltage per
 detected photon must be constant across the sweep.
+
+A command draws all its ensembles through one ordered stream
+(``iter_ensembles``) on one thread per usable core: ``run`` the dark
+record, the sweep and the reconstruction ensemble, ``simulate`` the dark
+record and the sweep, ``calibrate --config`` the sweep, and the
+gain-scaling check every factor's sweep.  Only sweep draws are reduced to
+an ``EtaSeriesPoint``.  The stream holds at most ``workers + 2``
+ensembles: one with the consumer, one drawn on each worker and one
+finished and waiting its turn.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass
-from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,25 +164,126 @@ def _check_eta_list(eta_list) -> list[float]:
     return etas
 
 
+def _check_n_samples(n_samples: int) -> None:
+    if n_samples < MIN_SAMPLES_PER_POINT:
+        raise InvalidParameterError(
+            f"n_samples must be >= {MIN_SAMPLES_PER_POINT}, got {n_samples}"
+        )
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; the CPU count where the OS has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows
+        return os.cpu_count() or 1
+
+
 def _in_order(job, items, workers: int):
     """Yield ``job(item)`` for each of ``items``, in order, computed on ``workers`` threads.
 
-    At most ``workers`` jobs are in flight.  A job's exception is raised in
-    its turn, after the results before it; closing the generator or an
-    exception cancels the jobs not started and waits for the running ones.
+    Each thread takes the next item under a lock and runs its job, so at
+    most ``workers`` jobs run at once.  An item is taken only while at most
+    ``workers`` others are started and not yet yielded, so a worker that
+    finishes early starts the next job instead of waiting for the consumer,
+    and at most ``workers + 1`` results are started but not yet consumed.  A
+    job's exception is raised in its turn, after the results before it;
+    closing the generator, or an exception, stops new jobs and joins the
+    running ones.
     """
-    from concurrent.futures import ThreadPoolExecutor  # kept out of every command's start-up
+    items = list(items)
+    cond = threading.Condition()
+    done = {}  # index -> (raised, result or exception)
+    taken = consumed = 0
+    stop = False
 
-    items = iter(items)
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="linphot-sweep")
+    def work():
+        nonlocal taken
+        while True:
+            with cond:
+                while not stop and taken < len(items) and taken > consumed + workers:
+                    cond.wait()
+                if stop or taken == len(items):
+                    return
+                i = taken
+                taken += 1
+            try:
+                result = (False, job(items[i]))
+            except BaseException as exc:  # raised in the consumer, in its turn
+                result = (True, exc)
+            with cond:
+                done[i] = result
+                cond.notify_all()
+
+    threads = [
+        threading.Thread(target=work, name="linphot-stream", daemon=True)
+        for _ in range(min(workers, len(items)))
+    ]
+    for thread in threads:
+        thread.start()
     try:
-        pending = deque(pool.submit(job, item) for item in islice(items, workers))
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(job, item) for item in islice(items, 1))
+        for i in range(len(items)):
+            with cond:
+                while i not in done:
+                    cond.wait()
+                raised, result = done.pop(i)
+                consumed = i + 1
+                cond.notify_all()
+            if raised:
+                raise result
             yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
+
+
+class Draw(NamedTuple):
+    """One ensemble of a stream: its efficiency, shot count and substream key.
+
+    ``is_point``: reduce it to the sweep point of its efficiency.
+    """
+
+    eta: float
+    n_samples: int
+    stream_key: tuple
+    is_point: bool = False
+
+
+def sweep_draws(eta_list, n_samples: int, stream_tag: tuple = (ETA_SERIES,)) -> list[Draw]:
+    """The sweep's draws: point i at ``eta_list[i]`` on substream ``stream_tag + (i,)``."""
+    return [Draw(eta, n_samples, tuple(stream_tag) + (i,), True) for i, eta in enumerate(eta_list)]
+
+
+def _draw(source, gain, dark, seed, draw: Draw):
+    ens = simulate_ensemble(
+        source, draw.eta, gain, dark, draw.n_samples, seed, stream_key=draw.stream_key
+    )
+    if not draw.is_point:
+        return None, ens
+    return eta_point_from_samples(draw.eta, ens.samples, dark_variance=dark.sigma0**2), ens
+
+
+def iter_ensembles(
+    source: PhotonNumberDistribution,
+    gain: GainModel,
+    dark: DarkNoiseModel,
+    draws,
+    seed: int,
+):
+    """Yield a (point, ensemble) pair for each of ``draws``, in order; point is None unless ``is_point``.
+
+    The ensembles are drawn, and the sweep points reduced, in one stream on
+    one thread per usable core, since numpy's samplers release the
+    interpreter lock (``_in_order``).  The output does not depend on the
+    core count, because each ensemble owns its substream (``streams``).
+    Up to ``workers + 2`` ensembles are held in memory at once.
+    """
+    return _in_order(
+        lambda draw: _draw(source, gain, dark, seed, draw), draws, _usable_cores()
+    )
 
 
 def iter_eta_series(
@@ -188,23 +298,13 @@ def iter_eta_series(
 ):
     """Yield (point, ensemble) pairs for each efficiency in the sweep, unchecked.
 
-    The points are simulated and reduced on ``len(os.sched_getaffinity(0))``
-    threads, since numpy's samplers release the interpreter lock, and are
-    yielded in sweep order.  The output does not depend on the core count,
-    because each ensemble owns its substream (``streams``).  At most one
-    ensemble per worker is in flight, so up to (workers + 1) ensembles are
-    held in memory at once.
+    The sweep alone as one ordered stream (``iter_ensembles``): its points
+    are drawn and reduced on every usable core and yielded in sweep order,
+    and at most ``workers + 2`` ensembles are held in memory at once.
+    ``run`` and ``simulate`` draw the sweep in a longer stream that also
+    holds the dark record (``pipeline.simulate_sweep``).
     """
-    dark_var = dark.sigma0**2
-
-    def point(item):
-        i, eta = item
-        ens = simulate_ensemble(
-            source, eta, gain, dark, n_samples, seed, stream_key=tuple(stream_tag) + (i,)
-        )
-        return eta_point_from_samples(eta, ens.samples, dark_variance=dark_var), ens
-
-    yield from _in_order(point, enumerate(eta_list), len(os.sched_getaffinity(0)))
+    return iter_ensembles(source, gain, dark, sweep_draws(eta_list, n_samples, stream_tag), seed)
 
 
 def run_eta_series(
@@ -219,10 +319,7 @@ def run_eta_series(
 ) -> list[EtaSeriesPoint]:
     """Check the sweep design, simulate it and return one point per eta."""
     etas = _check_eta_list(eta_list)
-    if n_samples < MIN_SAMPLES_PER_POINT:
-        raise InvalidParameterError(
-            f"n_samples must be >= {MIN_SAMPLES_PER_POINT}, got {n_samples}"
-        )
+    _check_n_samples(n_samples)
     return [
         point
         for point, _ in iter_eta_series(
@@ -366,22 +463,28 @@ def gain_scaling_check(
     refs = [e * source.mean_n for e in etas]
     sigma2_rel = gain.sigma2 / gain.gamma_bar**2
 
-    def _series(factor_index: int, g: float) -> CalibrationFit:
-        pts = run_eta_series(
-            source,
-            make_gain(gain.family, g * gain.gamma_bar, g * gain.sigma),
-            DarkNoiseModel(g * dark.sigma0),
-            etas,
-            n_samples,
-            seed,
-            stream_tag=(GAIN_SCALING, factor_index),
-        )
-        return fit_fano_line(pts, sigma2_rel=sigma2_rel)
+    # every rescaled factor's sweep in one stream
+    scaled = {
+        i: (make_gain(gain.family, g * gain.gamma_bar, g * gain.sigma), DarkNoiseModel(g * dark.sigma0))
+        for i, g in enumerate(factors)
+        if g != 1.0
+    }
+    if scaled:
+        _check_n_samples(n_samples)
+    items = [(i, draw) for i in scaled for draw in sweep_draws(etas, n_samples, (GAIN_SCALING, i + 1))]
+    stream = _in_order(
+        lambda item: _draw(source, *scaled[item[0]], seed, item[1])[0], items, _usable_cores()
+    )
+    points = list(stream)
+    fits = {
+        i: fit_fano_line(points[k * len(etas) : (k + 1) * len(etas)], sigma2_rel=sigma2_rel)
+        for k, i in enumerate(scaled)
+    }
 
     rows = []
     constancy = []
     for i, g in enumerate(factors):
-        fit = baseline if g == 1.0 else _series(i + 1, g)
+        fit = fits.get(i, baseline)
         ratio = fit.intercept / baseline.intercept
         if fit is baseline:
             ratio_se = 0.0

@@ -14,7 +14,13 @@ table's as n by inverse CDF, then Binomial(n, eta)),
 :meth:`GainModel.sample_sums` each shot's summed gain and
 :meth:`DarkNoiseModel.sample` the dark noise.  The sum of m gains is
 drawn in one step, Normal(m gamma_bar, m sigma^2) or Gamma(m k, theta),
-so a shot costs the same however many photons it holds.
+so a shot costs the same however many photons it holds.  The sum is
+formed in place from numpy's standard draws, with the bits of
+``normal(loc, scale)`` (loc + scale z) and ``gamma(k, theta)``
+(theta times a standard gamma draw), and the dark noise is added to it
+in place.  A command draws its ensembles through one ordered stream
+(``calibration.iter_ensembles``); each ensemble owns its substream, so
+the draws do not depend on which thread makes them.
 """
 
 from __future__ import annotations
@@ -54,16 +60,23 @@ class GainModel:
         Exact in distribution: Normal(m gamma_bar, m sigma^2) for the
         gaussian family and Gamma(m k, theta) for the gamma family, one
         draw per count; a zero count gives exactly 0 (numpy returns loc for
-        scale 0 and 0 for shape 0).
+        scale 0 and 0 for shape 0).  The draws are numpy's standard normal
+        and standard gamma, scaled in place: the bits of ``normal(m gamma_bar,
+        sigma sqrt(m))`` and ``gamma(m k, theta)`` without their broadcast
+        temporaries.
         """
         counts = np.asarray(counts)
         if self.sigma2 == 0.0:
             return counts * self.gamma_bar
         if self.family == "gaussian":
-            return rng.normal(counts * self.gamma_bar, self.sigma * np.sqrt(counts))
+            sums = rng.standard_normal(counts.shape)
+            sums *= self.sigma * np.sqrt(counts)
+            sums += counts * self.gamma_bar
+            return sums
         shape = self.gamma_bar**2 / self.sigma2
-        scale = self.sigma2 / self.gamma_bar
-        return rng.gamma(counts * shape, scale)
+        sums = rng.standard_gamma(counts * shape)
+        sums *= self.sigma2 / self.gamma_bar
+        return sums
 
 
 @dataclass(frozen=True)
@@ -130,7 +143,8 @@ def make_gain(family: str, gamma_bar, sigma=0.0) -> GainModel:
 def _simulate_chunk(source, eta, gain, dark, size, seed, key) -> np.ndarray:
     rng = substream(seed, key)
     v = gain.sample_sums(rng, sample_m(source, eta, rng, size=size))
-    return v + dark.sample(rng, size)
+    v += dark.sample(rng, size)
+    return v
 
 
 def simulate_ensemble(
@@ -152,15 +166,15 @@ def simulate_ensemble(
     n from a table, then Binomial(n, eta)), each shot's summed gain in one draw
     (:meth:`GainModel.sample_sums`) and the dark noise
     (:meth:`DarkNoiseModel.sample`).  The detected-count PMF the shots are
-    drawn from is ``loss.apply_bernoulli(source, eta)``.
+    drawn from is ``loss.apply_bernoulli(source, eta)``.  An ensemble of
+    one chunk is that chunk's array, not a copy of it.
     """
     eta = _check_eta(eta)
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
-    v = np.concatenate(
-        [
-            _simulate_chunk(source, eta, gain, dark, size, seed, tuple(stream_key) + (ci,))
-            for ci, size in enumerate(chunk_sizes(n_samples))
-        ]
-    )
+    chunks = [
+        _simulate_chunk(source, eta, gain, dark, size, seed, tuple(stream_key) + (ci,))
+        for ci, size in enumerate(chunk_sizes(n_samples))
+    ]
+    v = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return VoltageEnsemble(samples=v, eta=eta, n_samples=int(n_samples), seed=int(seed))

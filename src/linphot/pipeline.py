@@ -24,15 +24,17 @@ from pathlib import Path
 from . import config as cfgmod
 from .calibration import (
     CalibrationFit,
+    Draw,
     GainScalingReport,
     MeanConstancyReport,
     eta_point_from_samples,
     fit_fano_line,
     gain_scaling_check,
-    iter_eta_series,
+    iter_ensembles,
     mean_constancy_check,
+    sweep_draws,
 )
-from .detector import VoltageEnsemble, simulate_ensemble
+from .detector import VoltageEnsemble
 from .errors import InvalidParameterError, LinphotError
 from .files import pm_csv_text, read_ensemble, write_ensemble, write_json
 from .loss import apply_bernoulli
@@ -106,30 +108,41 @@ def _fmt(x, digits=9):
     return f"{x:.{digits}g}"
 
 
-def simulate_sweep(models: Models, out: Path):
-    """Simulate and write the dark record and the sweep ensembles, each a ``.npy`` and its sidecar.
+def simulate_sweep(models: Models, out: Path, *, reconstruction: bool = False):
+    """Draw and write the dark record and the sweep ensembles, each a ``.npy`` and its sidecar.
 
-    Each ensemble is written while the next ones are drawn (``iter_eta_series``).
-    Returns the dark ensemble, the sweep points and the written paths.
+    Given ``reconstruction`` the reconstruction ensemble follows them.  All
+    are drawn in one ordered stream on every usable core
+    (``calibration.iter_ensembles``), and each is written, in that order,
+    while the next ones are drawn; only the sweep ensembles are reduced to
+    points.  The stream holds at most ``workers + 2`` ensembles at once;
+    the dark and reconstruction ensembles are kept to be returned.
+    Returns the dark ensemble, the sweep points, the reconstruction
+    ensemble (None without ``reconstruction``) and the written paths.
     """
     config, sha = models.config, models.config_sha256
     # eta = 0 yields the dark record only
-    dark_ens = simulate_ensemble(
-        models.source, 0.0, models.gain, models.dark, config.n_samples, config.seed, stream_key=(DARK,)
+    entries = [("dark", out / "dark.npy", Draw(0.0, config.n_samples, (DARK,)))]
+    entries += [
+        (f"ensemble_{i}", out / f"ensemble_{i:02d}_eta_{draw.eta:.6f}.npy", draw)
+        for i, draw in enumerate(sweep_draws(config.eta_series, config.n_samples))
+    ]
+    if reconstruction:
+        rec_draw = Draw(config.reconstruct_eta, config.reconstruction_n_samples, (RECONSTRUCTION,))
+        entries.append(("reconstruction_ensemble", reconstruction_path(out, config), rec_draw))
+    stream = iter_ensembles(
+        models.source, models.gain, models.dark, [draw for _, _, draw in entries], config.seed
     )
-    files = {"dark": out / "dark.npy"}
-    files["dark_sidecar"] = write_ensemble(files["dark"], dark_ens, sha)
-    points = []
-    sweep = iter_eta_series(
-        models.source, models.gain, models.dark, config.eta_series, config.n_samples, config.seed
-    )
-    with closing(sweep):  # a failed write stops the ensembles still being drawn
-        for i, (point, ens) in enumerate(sweep):
-            key = f"ensemble_{i}"
-            files[key] = out / f"ensemble_{i:02d}_eta_{ens.eta:.6f}.npy"
-            files[f"{key}_sidecar"] = write_ensemble(files[key], ens, sha)
-            points.append(point)
-    return dark_ens, points, files
+    files, points, ensembles = {}, [], {}
+    with closing(stream):  # a failed write stops the ensembles still being drawn
+        for (key, path, _), (point, ens) in zip(entries, stream):
+            files[key] = path
+            files[f"{key}_sidecar"] = write_ensemble(path, ens, sha)
+            if point is None:
+                ensembles[key] = ens
+            else:
+                points.append(point)
+    return ensembles["dark"], points, ensembles.get("reconstruction_ensemble"), files
 
 
 def reconstruction_path(out: Path, config: cfgmod.RunConfig) -> Path:
@@ -352,7 +365,7 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     cfgmod.save(config, out / "config.json")
     files = {"config": out / "config.json"}
 
-    dark_ens, points, sweep_files = simulate_sweep(models, out)
+    dark_ens, points, rec_ens, sweep_files = simulate_sweep(models, out, reconstruction=True)
     files.update(sweep_files)
 
     calibration = calibrate(points, models.dark.sigma0**2, models)
@@ -361,14 +374,6 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     write_json(files["calibration"], record)
 
     # reconstruction at the chosen efficiency
-    rec_ens = simulate_ensemble(
-        models.source, config.reconstruct_eta, models.gain, models.dark,
-        config.reconstruction_n_samples, config.seed, stream_key=(RECONSTRUCTION,),
-    )
-    files["reconstruction_ensemble"] = reconstruction_path(out, config)
-    files["reconstruction_ensemble_sidecar"] = write_ensemble(
-        files["reconstruction_ensemble"], rec_ens, models.config_sha256
-    )
     gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
     shifted = subtract_offset(rec_ens, float(dark_ens.samples.mean()))
     truth = apply_bernoulli(models.source, config.reconstruct_eta)

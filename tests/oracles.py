@@ -15,6 +15,9 @@ for gaussian gains; ``detected_fano`` is mu_2(m)/<m>; ``CumulantSet``,
 cumulants and a ``MomentSet``; ``gain_central_moments`` is mu_2..mu_5 of
 one gain draw; ``default_eta_series`` is an equally spaced efficiency
 ladder; ``validate`` asserts the invariants of a photon-number law.
+``broadcast_ensemble_samples`` draws ``simulate_ensemble``'s voltages with
+numpy's broadcasting ``normal`` and ``gamma`` samplers, the reference for
+its in-place gain sums.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 from linphot.calibration import EtaSeriesPoint
 from linphot.errors import InsufficientDataError, LinphotError
+from linphot.loss import sample_m
 from linphot.moments import (
     MomentSet,
     _check_order,
@@ -39,6 +43,7 @@ from linphot.moments import (
 )
 from linphot.reconstruction import _gaussian_components
 from linphot.sources import DEFAULT_TAIL_EPS
+from linphot.streams import chunk_sizes, substream
 
 
 def block_jackknife_se(data, stat: Callable, n_blocks: int = 20) -> float:
@@ -224,3 +229,25 @@ def validate(dist, tail_eps: float = DEFAULT_TAIL_EPS) -> None:
     mean, central = pmf_moments(dist.pmf, order=2)
     assert abs(mean - dist.mean_n) <= 1e-12 * max(1.0, abs(mean))
     assert central[0] == dist.central_moments[0]
+
+
+def broadcast_ensemble_samples(source, eta, gain, dark, n_samples, seed, stream_key=()) -> np.ndarray:
+    """The voltages of ``simulate_ensemble``, each chunk's gain sums drawn by broadcasting.
+
+    Per chunk substream: the detected counts m, then Normal(m gamma_bar,
+    sigma sqrt(m)) or Gamma(m k, theta) in one broadcast call (m gamma_bar
+    for sigma = 0), plus the dark noise; the chunks are concatenated.
+    """
+    chunks = []
+    for ci, size in enumerate(chunk_sizes(n_samples)):
+        rng = substream(seed, tuple(stream_key) + (ci,))
+        m = sample_m(source, eta, rng, size=size)
+        if gain.sigma2 == 0.0:
+            v = m * gain.gamma_bar
+        elif gain.family == "gaussian":
+            v = rng.normal(m * gain.gamma_bar, gain.sigma * np.sqrt(m))
+        else:
+            v = rng.gamma(m * (gain.gamma_bar**2 / gain.sigma2), gain.sigma2 / gain.gamma_bar)
+        dark_v = np.zeros(size) if dark.sigma0 == 0.0 else rng.normal(0.0, dark.sigma0, size)
+        chunks.append(v + dark_v)
+    return np.concatenate(chunks)

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import linphot.calibration as calibration
+import linphot.pipeline as pipeline
 from linphot import (
     DarkNoiseModel,
     EtaSeriesPoint,
@@ -26,8 +28,9 @@ from linphot import (
     simulate_ensemble,
 )
 from linphot.calibration import iter_eta_series
+from linphot.config import from_dict
 from linphot.moments import _SUM_BLOCK
-from linphot.streams import ETA_SERIES
+from linphot.streams import DARK, ETA_SERIES, RECONSTRUCTION
 from oracles import default_eta_series, fsum_eta_point
 
 GAIN = 100.0
@@ -204,7 +207,7 @@ SWEEP_ETAS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
 
 
 def set_cores(monkeypatch, cores):
-    """Make ``iter_eta_series`` see ``cores`` usable cores, so it runs that many workers."""
+    """Make the ensemble streams see ``cores`` usable cores, so they run that many workers."""
     monkeypatch.setattr(calibration.os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
@@ -213,7 +216,7 @@ def new_threads(before):
 
 
 class TestSweepPool:
-    """``iter_eta_series`` computes its points on a thread pool and yields them in sweep order."""
+    """``iter_eta_series`` computes its points on one thread per core and yields them in sweep order."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 16])
     def test_each_point_is_the_serial_point(self, monkeypatch, cores):
@@ -247,13 +250,18 @@ class TestSweepPool:
 
         monkeypatch.setattr(calibration, "simulate_ensemble", counted)
         etas = []
+        ahead = 0
         for j, (point, _) in enumerate(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5)):
             time.sleep(0.03)  # a slow consumer: the workers must not run ahead of it
+            consumed = j + 1  # the point held here is consumed
             with lock:
-                assert started <= j + 1 + cores  # at most `cores` ensembles besides the one held
+                # one job on each worker and one finished result waiting its turn
+                assert started <= consumed + cores + 1
+                ahead = max(ahead, started - consumed)
             etas.append(point.eta)
         assert etas == SWEEP_ETAS
         assert peak == cores
+        assert ahead == cores + 1
 
     @pytest.mark.parametrize("k", [0, 3, 7])
     def test_an_error_at_point_k_follows_the_points_before_it(self, monkeypatch, k):
@@ -281,6 +289,124 @@ class TestSweepPool:
         assert point.eta == SWEEP_ETAS[0]
         assert new_threads(before)  # the pool is still drawing the next points
         sweep.close()
+        assert new_threads(before) == []
+
+    def test_without_an_affinity_call_the_cpu_count_sets_the_workers(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        expected = list(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5))
+        monkeypatch.delattr(calibration.os, "sched_getaffinity")
+        got = list(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5))
+        assert [point for point, _ in got] == [point for point, _ in expected]
+
+    def test_many_tiny_jobs_on_more_workers_than_cores_arrive_in_order(self):
+        n = 5000
+        got = []
+
+        def job(x):
+            if x % 7 == 0:
+                time.sleep(0)  # hand the interpreter to another thread mid-stream
+            return x * x
+
+        def consume():
+            got.extend(calibration._in_order(job, range(n), workers=8))
+
+        before = threading.enumerate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer = threading.Thread(target=consume, daemon=True)
+            consumer.start()
+            consumer.join(timeout=60)
+            assert not consumer.is_alive(), "the stream stalled"
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [x * x for x in range(n)]
+        assert new_threads(before) == []
+
+
+RUN = {
+    "schema_version": 1,
+    "source": {"kind": "poisson", "mean": 20.0},
+    "gain": {"family": "gaussian", "gamma_bar": GAIN, "sigma": 2.0},
+    "dark": {"sigma0": 10.0},
+    "eta_series": [0.1, 0.3, 0.5],
+    "n_samples": 10_000,
+    "reconstruct_eta": 0.4,
+    "reconstruction_n_samples": 3000,
+    "seed": 5,
+}
+# run's stream: the dark record, the sweep, then the reconstruction ensemble
+RUN_KEYS = [(DARK,)] + [(ETA_SERIES, i) for i in range(3)] + [(RECONSTRUCTION,)]
+RUN_NAMES = [
+    "dark.npy",
+    "ensemble_00_eta_0.100000.npy",
+    "ensemble_01_eta_0.300000.npy",
+    "ensemble_02_eta_0.500000.npy",
+    "reconstruction_eta_0.400000.npy",
+]
+
+
+def record_writes(monkeypatch, fail_at=None):
+    """Record the names ``pipeline.write_ensemble`` writes, in order; raise OSError at write ``fail_at``."""
+    written = []
+    real = pipeline.write_ensemble
+
+    def write(path, ens, sha):
+        if len(written) == fail_at:
+            raise OSError("disk full")
+        written.append(path.name)
+        return real(path, ens, sha)
+
+    monkeypatch.setattr(pipeline, "write_ensemble", write)
+    return written
+
+
+class TestRunStream:
+    """``run`` draws the dark record, the sweep and the reconstruction ensemble in one ordered stream."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 16])
+    def test_each_ensemble_is_the_serial_ensemble_in_order(self, tmp_path, monkeypatch, cores):
+        set_cores(monkeypatch, cores)
+        written = record_writes(monkeypatch)
+        models = pipeline.Models(from_dict(RUN))
+        dark_ens, points, rec_ens, files = pipeline.simulate_sweep(models, tmp_path, reconstruction=True)
+        assert written == RUN_NAMES
+        source, gain, dark = models.source, models.gain, models.dark
+        serial = simulate_ensemble(source, 0.0, gain, dark, 10_000, 5, stream_key=(DARK,))
+        assert dark_ens.samples.tobytes() == serial.samples.tobytes()
+        serial = simulate_ensemble(source, 0.4, gain, dark, 3000, 5, stream_key=(RECONSTRUCTION,))
+        assert rec_ens.samples.tobytes() == serial.samples.tobytes()
+        for i, (eta, point) in enumerate(zip(RUN["eta_series"], points)):
+            serial = simulate_ensemble(source, eta, gain, dark, 10_000, 5, stream_key=(ETA_SERIES, i))
+            assert point == eta_point_from_samples(eta, serial.samples, dark_variance=100.0)
+            assert np.load(files[f"ensemble_{i}"]).tobytes() == serial.samples.tobytes()
+
+    @pytest.mark.parametrize("k", range(len(RUN_KEYS)))
+    def test_an_error_at_ensemble_k_follows_the_ensembles_before_it(self, tmp_path, monkeypatch, k):
+        set_cores(monkeypatch, 2)
+        written = record_writes(monkeypatch)
+
+        def failing(*args, stream_key, **kwargs):
+            if stream_key == RUN_KEYS[k]:
+                raise InvalidParameterError(f"ensemble {k}")
+            return simulate_ensemble(*args, stream_key=stream_key, **kwargs)
+
+        monkeypatch.setattr(calibration, "simulate_ensemble", failing)
+        before = threading.enumerate()
+        with pytest.raises(InvalidParameterError, match=f"ensemble {k}"):
+            pipeline.simulate_sweep(pipeline.Models(from_dict(RUN)), tmp_path, reconstruction=True)
+        assert written == RUN_NAMES[:k]
+        assert new_threads(before) == []
+
+    def test_a_failed_first_write_leaves_no_thread(self, tmp_path, monkeypatch):
+        set_cores(monkeypatch, 2)
+        written = record_writes(monkeypatch, fail_at=1)
+        before = threading.enumerate()
+        with pytest.raises(OSError, match="disk full") as excinfo:
+            pipeline.simulate_sweep(pipeline.Models(from_dict(RUN)), tmp_path, reconstruction=True)
+        assert written == ["dark.npy"]
+        # excinfo keeps the traceback alive, and with it the frame that holds the stream
+        assert excinfo.traceback
         assert new_threads(before) == []
 
 

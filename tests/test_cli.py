@@ -1363,7 +1363,8 @@ class TestGainScalingInRun:
         def refuse(*args, **kwargs):
             raise AssertionError("check simulated an ensemble")
 
-        for module in (linphot.detector, linphot.calibration, linphot.pipeline):
+        # every module that binds the sampler; pipeline draws through calibration's stream
+        for module in (linphot.detector, linphot.calibration):
             monkeypatch.setattr(module, "simulate_ensemble", refuse)
         assert main(["check", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
@@ -1392,10 +1393,10 @@ def loaded_modules(body, *args, names=("scipy",)):
 
 
 class TestStartupImports:
-    """No command loads scipy: the photon-number laws are evaluated in numpy."""
+    """No command loads scipy, nor concurrent.futures: the laws are evaluated in numpy, the streams run on bare threads."""
 
     def test_import_cli_and_load_config(self, tmp_path):
-        # every command's start-up; the sweep's pool imports concurrent.futures only when a sweep runs
+        # every command's start-up
         cfg = write_config(tmp_path)
         body = "import linphot.cli, linphot.config\nlinphot.config.load(sys.argv[1])"
         assert loaded_modules(body, str(cfg), names=("concurrent.futures", "scipy")) == "[]"
@@ -1420,4 +1421,4 @@ class TestStartupImports:
         commands.append(["simulate", "--config", base, "--out", str(tmp_path / "sim")])
         commands.append(["calibrate", "--config", base, "--out", str(tmp_path / "cal")])
         body = "import json\nfrom linphot import cli\nfor args in json.loads(sys.argv[1]):\n    assert cli.main(args) == 0, args"
-        assert loaded_modules(body, json.dumps(commands)) == "[]"
+        assert loaded_modules(body, json.dumps(commands), names=("concurrent.futures", "scipy")) == "[]"

@@ -9,6 +9,7 @@ from linphot import (
     UnsupportedOracleError,
     analytic_voltage_moments,
     apply_bernoulli,
+    from_pmf,
     make_fock,
     make_gain,
     make_poisson,
@@ -16,8 +17,14 @@ from linphot import (
     sample_moments,
     simulate_ensemble,
 )
-from linphot.streams import substream
-from oracles import analytic_pv_cdf_gaussian, analytic_pv_gaussian, block_jackknife_se, gain_central_moments
+from linphot.streams import CHUNK_SIZE, substream
+from oracles import (
+    analytic_pv_cdf_gaussian,
+    analytic_pv_gaussian,
+    block_jackknife_se,
+    broadcast_ensemble_samples,
+    gain_central_moments,
+)
 
 
 class TestMakeGain:
@@ -55,6 +62,25 @@ def test_dark_noise_validation():
     with pytest.raises(InvalidParameterError):
         DarkNoiseModel(sigma0=-1.0)
     assert DarkNoiseModel(sigma0=0.0).sample(substream(1), 5).tolist() == [0.0] * 5
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("sigma0", [0.0, 10.0])
+@pytest.mark.parametrize(
+    "gain",
+    # spreads whose sigma and theta are not powers of two, so every rounding shows
+    [make_gain("gaussian", 100.0, 3.0), make_gain("gamma", 100.0, 7.0), make_gain("gaussian", 100.0, 0.0)],
+    ids=["gaussian", "gamma", "point-mass"],
+)
+@pytest.mark.parametrize(
+    "source", [make_poisson(30.0), from_pmf([0.1, 0.2, 0.3, 0.4])], ids=["poisson", "table"]
+)
+def test_in_place_gain_sums_are_the_broadcast_draws(source, gain, sigma0, eta):
+    # two chunks: a full one and 17 shots
+    dark = DarkNoiseModel(sigma0)
+    ens = simulate_ensemble(source, eta, gain, dark, CHUNK_SIZE + 17, seed=44, stream_key=(9,))
+    expected = broadcast_ensemble_samples(source, eta, gain, dark, CHUNK_SIZE + 17, 44, (9,))
+    assert ens.samples.tobytes() == expected.tobytes()
 
 
 class TestSimulateEnsemble:
