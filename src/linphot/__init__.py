@@ -23,16 +23,7 @@ from .detector import (
     make_gain,
     simulate_ensemble,
 )
-from .errors import (
-    ConfigError,
-    InsufficientDataError,
-    InsufficientDesignError,
-    InvalidParameterError,
-    LinphotError,
-    SingularFitError,
-    UnsupportedOracleError,
-    UnsupportedOrderError,
-)
+from .errors import ConfigError, InvalidParameterError, LinphotError
 from .loss import apply_bernoulli, sample_m
 from .moments import (
     MomentSet,
@@ -68,17 +59,12 @@ __all__ = [
     "DarkNoiseModel",
     "EtaSeriesPoint",
     "GainModel",
-    "InsufficientDataError",
-    "InsufficientDesignError",
     "InvalidParameterError",
     "LinphotError",
     "MomentSet",
     "PhotonNumberDistribution",
     "ReconstructionResult",
     "RunResult",
-    "SingularFitError",
-    "UnsupportedOracleError",
-    "UnsupportedOrderError",
     "VoltageEnsemble",
     "analytic_voltage_moments",
     "apply_bernoulli",

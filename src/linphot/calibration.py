@@ -31,11 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detector import DarkNoiseModel, GainModel, make_gain, simulate_ensemble
-from .errors import (
-    InsufficientDesignError,
-    InvalidParameterError,
-    SingularFitError,
-)
+from .errors import InvalidParameterError
 from .moments import exact_sum
 from .sources import PhotonNumberDistribution
 from .streams import ETA_SERIES, GAIN_SCALING
@@ -128,7 +124,8 @@ def eta_point_from_samples(
     standard error is sd(d (d - F)) / (|mean| sqrt(n)) with d = x - mean,
     i.e. sqrt((mu4 - mu2^2 - 2 F mu3 + F^2 mu2) / n) / |mean|; being only a
     fit weight, it takes numpy's own sum where mean and mu2 are correctly
-    rounded (``moments.exact_sum``).
+    rounded (``moments.exact_sum``).  A mean of exactly 0 has no ratio and
+    raises, naming ``eta``.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
@@ -137,6 +134,10 @@ def eta_point_from_samples(
         raise InvalidParameterError("samples must be finite (found NaN or inf)")
     n = x.size
     mean = exact_sum(x) / n
+    if mean == 0.0:
+        raise InvalidParameterError(
+            f"eta={float(eta):g}: the mean voltage is exactly 0, so its fano ratio is undefined"
+        )
     d = x - mean
     mu2 = exact_sum(d**2) / n
     fano = (mu2 - dark_variance) / mean
@@ -155,7 +156,7 @@ def eta_point_from_samples(
 def _check_eta_list(eta_list) -> list[float]:
     etas = [float(e) for e in eta_list]
     if len(set(etas)) < MIN_ETA_POINTS:
-        raise InsufficientDesignError(
+        raise InvalidParameterError(
             f"need at least {MIN_ETA_POINTS} distinct eta values, got {len(set(etas))}"
         )
     for i, e in enumerate(etas):
@@ -286,27 +287,6 @@ def iter_ensembles(
     )
 
 
-def iter_eta_series(
-    source: PhotonNumberDistribution,
-    gain: GainModel,
-    dark: DarkNoiseModel,
-    eta_list,
-    n_samples: int,
-    seed: int,
-    *,
-    stream_tag: tuple = (ETA_SERIES,),
-):
-    """Yield (point, ensemble) pairs for each efficiency in the sweep, unchecked.
-
-    The sweep alone as one ordered stream (``iter_ensembles``): its points
-    are drawn and reduced on every usable core and yielded in sweep order,
-    and at most ``workers + 2`` ensembles are held in memory at once.
-    ``run`` and ``simulate`` draw the sweep in a longer stream that also
-    holds the dark record (``pipeline.simulate_sweep``).
-    """
-    return iter_ensembles(source, gain, dark, sweep_draws(eta_list, n_samples, stream_tag), seed)
-
-
 def run_eta_series(
     source: PhotonNumberDistribution,
     gain: GainModel,
@@ -320,12 +300,8 @@ def run_eta_series(
     """Check the sweep design, simulate it and return one point per eta."""
     etas = _check_eta_list(eta_list)
     _check_n_samples(n_samples)
-    return [
-        point
-        for point, _ in iter_eta_series(
-            source, gain, dark, etas, n_samples, seed, stream_tag=stream_tag
-        )
-    ]
+    sweep = iter_ensembles(source, gain, dark, sweep_draws(etas, n_samples, stream_tag), seed)
+    return [point for point, _ in sweep]
 
 
 def fit_fano_line(points, sigma2_rel: float | None = None) -> CalibrationFit:
@@ -337,7 +313,7 @@ def fit_fano_line(points, sigma2_rel: float | None = None) -> CalibrationFit:
     """
     points = tuple(points)
     if len(points) < MIN_ETA_POINTS:
-        raise InsufficientDesignError(
+        raise InvalidParameterError(
             f"need at least {MIN_ETA_POINTS} points, got {len(points)}"
         )
     x = np.array([p.mean_v for p in points])
@@ -348,7 +324,7 @@ def fit_fano_line(points, sigma2_rel: float | None = None) -> CalibrationFit:
     if np.any(se <= 0):
         raise InvalidParameterError("all points need positive se_fano_v")
     if np.ptp(x) == 0:
-        raise SingularFitError("all mean_v values coincide; cannot fit a line")
+        raise InvalidParameterError("all mean_v values coincide; cannot fit a line")
 
     w = 1.0 / se**2
     s = w.sum()
@@ -358,7 +334,7 @@ def fit_fano_line(points, sigma2_rel: float | None = None) -> CalibrationFit:
     sxy = (w * x * y).sum()
     delta = s * sxx - sx * sx
     if not (delta > 0) or delta <= 1e-14 * s * sxx:
-        raise SingularFitError("degenerate design matrix")
+        raise InvalidParameterError("degenerate design matrix")
     slope = (s * sxy - sx * sy) / delta
     intercept = (sxx * sy - sx * sxy) / delta
     slope_se = math.sqrt(s / delta)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .calibration import iter_eta_series
+from .calibration import iter_ensembles, sweep_draws
 from .errors import ConfigError, InvalidParameterError, LinphotError
 from .files import canonical_json, pm_csv_text, read_ensemble, read_json, write_json
 from .loss import apply_bernoulli
@@ -98,9 +98,8 @@ def _cmd_calibrate(args) -> int:
     out = _resolve_out(args, config)
     if config is not None:
         models = Models(config)
-        sweep = iter_eta_series(
-            models.source, models.gain, models.dark, config.eta_series, config.n_samples, config.seed
-        )
+        draws = sweep_draws(config.eta_series, config.n_samples)
+        sweep = iter_ensembles(models.source, models.gain, models.dark, draws, config.seed)
         record = calibrate([point for point, _ in sweep], models.dark.sigma0**2, models)
     else:
         ens_dir = Path(args.ensembles)

@@ -98,7 +98,6 @@ class RunConfig:
     seed: int
     schema_version: int = SCHEMA_VERSION
     gain_scale_factors: tuple = ()
-    moment_order: int = 5
     tail_epsilon: float = DEFAULT_TAIL_EPS
     reconstruct_eta: float = field(default=None)
     reconstruction_n_samples: int = field(default=None)
@@ -202,11 +201,12 @@ def from_dict(raw: dict) -> RunConfig:
         )
     eta_series = tuple(float(e) for e in etas)
 
+    # every ensemble is reduced to a mean and a variance
     n_samples = raw.get("n_samples")
     _require(
-        _is_int(n_samples) and n_samples >= 1,
+        _is_int(n_samples) and n_samples >= 2,
         "n_samples",
-        f"must be a positive integer, got {n_samples!r}",
+        f"must be an integer >= 2, got {n_samples!r}",
     )
     seed = raw.get("seed")
     _require(
@@ -231,12 +231,6 @@ def from_dict(raw: dict) -> RunConfig:
         f"need n_samples >= {MIN_SAMPLES_PER_POINT} and {MIN_ETA_POINTS} distinct eta_series values",
     )
 
-    order = raw.get("moment_order", 5)
-    _require(
-        _is_int(order) and 2 <= order <= 5,
-        "moment_order",
-        f"must be an integer in [2, 5], got {order!r}",
-    )
     tail_eps = raw.get("tail_epsilon", DEFAULT_TAIL_EPS)
     _require(
         isinstance(tail_eps, float) and 0 < tail_eps < 1,
@@ -252,9 +246,9 @@ def from_dict(raw: dict) -> RunConfig:
     )
     rec_n = raw.get("reconstruction_n_samples", n_samples)
     _require(
-        _is_int(rec_n) and rec_n >= 1,
+        _is_int(rec_n) and rec_n >= 2,
         "reconstruction_n_samples",
-        f"must be a positive integer, got {rec_n!r}",
+        f"must be an integer >= 2, got {rec_n!r}",
     )
     out_dir = raw.get("out_dir")
     _require(
@@ -271,7 +265,6 @@ def from_dict(raw: dict) -> RunConfig:
         n_samples=n_samples,
         seed=seed,
         gain_scale_factors=tuple(float(f) for f in factors),
-        moment_order=order,
         tail_epsilon=tail_eps,
         reconstruct_eta=float(rec_eta),
         reconstruction_n_samples=rec_n,

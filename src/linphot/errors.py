@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line exits 2 on any of them; a missing file or an I/O
+failure (``FileNotFoundError``, ``OSError``) exits 1.
+"""
 
 
 class LinphotError(Exception):
@@ -6,27 +10,7 @@ class LinphotError(Exception):
 
 
 class InvalidParameterError(LinphotError, ValueError):
-    """An argument violates the precondition of a constructor or operation."""
-
-
-class InsufficientDataError(LinphotError, ValueError):
-    """Too few samples to form the requested estimate."""
-
-
-class UnsupportedOrderError(LinphotError, ValueError):
-    """Moment/cumulant order outside the supported range (2..5)."""
-
-
-class UnsupportedOracleError(LinphotError, ValueError):
-    """No closed-form oracle is available for this model family."""
-
-
-class InsufficientDesignError(LinphotError, ValueError):
-    """The experimental design is too small for the requested analysis."""
-
-
-class SingularFitError(LinphotError, ArithmeticError):
-    """Degenerate regression design (no spread in the predictor)."""
+    """An argument or input violates the precondition of a constructor or operation."""
 
 
 class ConfigError(LinphotError, ValueError):

@@ -17,11 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    InvalidParameterError,
-    UnsupportedOrderError,
-)
+from .errors import InvalidParameterError
 
 if TYPE_CHECKING:
     from .detector import DarkNoiseModel, GainModel
@@ -39,9 +35,9 @@ _SUM_BINS = _SUM_EXP_OFFSET + 1025
 
 def _check_order(order) -> int:
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise UnsupportedOrderError(f"order must be an integer, got {order!r}")
+        raise InvalidParameterError(f"order must be an integer, got {order!r}")
     if not ORDER_MIN <= order <= ORDER_MAX:
-        raise UnsupportedOrderError(
+        raise InvalidParameterError(
             f"order must be in [{ORDER_MIN}, {ORDER_MAX}], got {order}"
         )
     return int(order)
@@ -226,7 +222,7 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
     if x.ndim != 1:
         raise InvalidParameterError("samples must be one-dimensional")
     if x.size < 2:
-        raise InsufficientDataError(f"need at least 2 samples, got {x.size}")
+        raise InvalidParameterError(f"need at least 2 samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("samples must be finite")
     n = x.size

@@ -38,7 +38,7 @@ from .detector import VoltageEnsemble
 from .errors import InvalidParameterError, LinphotError
 from .files import pm_csv_text, read_ensemble, write_ensemble, write_json
 from .loss import apply_bernoulli
-from .moments import analytic_voltage_moments, sample_moments
+from .moments import ORDER_MAX, analytic_voltage_moments, sample_moments
 from .reconstruction import (
     ReconstructionResult,
     SelfConsistencyReport,
@@ -345,11 +345,11 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, s
         "| order | sample | analytic |",
         "|------:|-------:|---------:|",
     ]
-    sample_m5 = sample_moments(shifted.samples, order=config.moment_order)
-    analytic_m5 = analytic_voltage_moments(truth, gain, dark, order=config.moment_order)
+    sample_m5 = sample_moments(shifted.samples, order=ORDER_MAX)
+    analytic_m5 = analytic_voltage_moments(truth, gain, dark, order=ORDER_MAX)
     lines += [
         f"| {r} | {_fmt(sample_m5.central_moment(r))} | {_fmt(analytic_m5.central_moment(r))} |"
-        for r in range(2, config.moment_order + 1)
+        for r in range(2, ORDER_MAX + 1)
     ]
     return "\n".join(lines + [""])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detector import DarkNoiseModel, GainModel, VoltageEnsemble
-from .errors import InvalidParameterError, UnsupportedOracleError
+from .errors import InvalidParameterError
 from .sources import MAX_N_MAX, PhotonNumberDistribution
 
 # highest photon-count bin rebin allocates (a 128 MB count array), the
@@ -45,11 +45,9 @@ class ReconstructionResult:
 class SelfConsistencyReport:
     """Agreement of the reconstructed mean with mean_v / gamma_bar."""
 
-    mean_m_hat: float
     mean_v_over_gamma: float
     difference: float
     tolerance: float
-    underflow_fraction: float
     passed: bool
 
 
@@ -120,11 +118,9 @@ def self_consistency_check(
     )
     tol = 5.0 * se + 0.5 * result.underflow_fraction
     return SelfConsistencyReport(
-        mean_m_hat=result.mean_m_hat,
         mean_v_over_gamma=target,
         difference=diff,
         tolerance=tol,
-        underflow_fraction=result.underflow_fraction,
         passed=bool(diff <= tol),
     )
 
@@ -159,14 +155,14 @@ def _gaussian_components(
     detected: PhotonNumberDistribution, gain: GainModel, dark: DarkNoiseModel
 ):
     if gain.family != "gaussian":
-        raise UnsupportedOracleError(
+        raise InvalidParameterError(
             f"closed-form voltage density requires gaussian gain, got {gain.family!r}"
         )
     k = np.arange(detected.pmf.size)
     var = k * gain.sigma2 + dark.sigma0**2
     mask = detected.pmf > 0
     if np.any(var[mask] == 0):
-        raise UnsupportedOracleError(
+        raise InvalidParameterError(
             "mixture has a zero-variance component; need sigma > 0 or sigma0 > 0"
         )
     centers = k * gain.gamma_bar

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from linphot.calibration import EtaSeriesPoint
-from linphot.errors import InsufficientDataError, LinphotError
+from linphot.errors import InvalidParameterError, LinphotError
 from linphot.loss import sample_m
 from linphot.moments import (
     MomentSet,
@@ -53,7 +53,7 @@ def block_jackknife_se(data, stat: Callable, n_blocks: int = 20) -> float:
     """
     x = np.asarray(data, dtype=float)
     if x.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 samples for a jackknife")
+        raise InvalidParameterError("need at least 2 samples for a jackknife")
     b = min(int(n_blocks), x.shape[0])
     edges = np.linspace(0, x.shape[0], b + 1).astype(int)
     thetas = np.array(

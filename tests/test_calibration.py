@@ -11,9 +11,7 @@ import linphot.pipeline as pipeline
 from linphot import (
     DarkNoiseModel,
     EtaSeriesPoint,
-    InsufficientDesignError,
     InvalidParameterError,
-    SingularFitError,
     analytic_voltage_moments,
     apply_bernoulli,
     eta_point_from_samples,
@@ -27,7 +25,7 @@ from linphot import (
     run_eta_series,
     simulate_ensemble,
 )
-from linphot.calibration import iter_eta_series
+from linphot.calibration import iter_ensembles, sweep_draws
 from linphot.config import from_dict
 from linphot.moments import _SUM_BLOCK
 from linphot.streams import DARK, ETA_SERIES, RECONSTRUCTION
@@ -71,6 +69,12 @@ class TestEtaPoint:
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):
             eta_point_from_samples(0.1, [1.0])
+
+    @pytest.mark.parametrize("samples", [[-1.0, 1.0], [0.0] * 5], ids=["symmetric", "zeros"])
+    def test_a_zero_mean_names_eta(self, samples):
+        # the fano ratio (mu2 - D) / mean divided by zero
+        with pytest.raises(InvalidParameterError, match=r"eta=0\.3: the mean voltage is exactly 0"):
+            eta_point_from_samples(0.3, samples)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_raise(self, bad):
@@ -149,10 +153,10 @@ class TestFitFanoLine:
 
     def test_errors(self):
         pts = synthetic_points(0.3, 7.0, [10.0, 25.0, 40.0])
-        with pytest.raises(InsufficientDesignError):
+        with pytest.raises(InvalidParameterError, match="need at least 3 points"):
             fit_fano_line(pts[:2])
         degenerate = synthetic_points(0.0, 7.0, [10.0, 10.0, 10.0])
-        with pytest.raises(SingularFitError):
+        with pytest.raises(InvalidParameterError, match="all mean_v values coincide"):
             fit_fano_line(degenerate)
         bad_se = synthetic_points(0.3, 7.0, [10.0, 25.0, 40.0], se=0.0)
         with pytest.raises(InvalidParameterError):
@@ -164,7 +168,7 @@ class TestRunEtaSeries:
         src = make_poisson(10.0)
         gain = make_gain("gaussian", GAIN, 2.0)
         dark = DarkNoiseModel(10.0)
-        with pytest.raises(InsufficientDesignError):
+        with pytest.raises(InvalidParameterError, match="need at least 3 distinct eta values"):
             run_eta_series(src, gain, dark, [0.5, 0.5, 0.5], 10**4, seed=1)
         with pytest.raises(InvalidParameterError):
             run_eta_series(src, gain, dark, [0.1, 0.5, 1.5], 10**4, seed=1)
@@ -204,6 +208,7 @@ class TestRunEtaSeries:
 
 SWEEP = (make_poisson(20.0), make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0))
 SWEEP_ETAS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+SWEEP_DRAWS = sweep_draws(SWEEP_ETAS, 2000)
 
 
 def set_cores(monkeypatch, cores):
@@ -216,12 +221,12 @@ def new_threads(before):
 
 
 class TestSweepPool:
-    """``iter_eta_series`` computes its points on one thread per core and yields them in sweep order."""
+    """``iter_ensembles`` computes a sweep's points on one thread per core and yields them in sweep order."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 16])
     def test_each_point_is_the_serial_point(self, monkeypatch, cores):
         set_cores(monkeypatch, cores)
-        got = list(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5))
+        got = list(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5))
         assert len(got) == len(SWEEP_ETAS)
         source, gain, dark = SWEEP
         for i, (eta, (point, ens)) in enumerate(zip(SWEEP_ETAS, got)):
@@ -251,7 +256,7 @@ class TestSweepPool:
         monkeypatch.setattr(calibration, "simulate_ensemble", counted)
         etas = []
         ahead = 0
-        for j, (point, _) in enumerate(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5)):
+        for j, (point, _) in enumerate(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5)):
             time.sleep(0.03)  # a slow consumer: the workers must not run ahead of it
             consumed = j + 1  # the point held here is consumed
             with lock:
@@ -276,7 +281,7 @@ class TestSweepPool:
         before = threading.enumerate()
         etas = []
         with pytest.raises(InvalidParameterError, match=f"point {k}"):
-            for point, _ in iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5):
+            for point, _ in iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5):
                 etas.append(point.eta)
         assert etas == SWEEP_ETAS[:k]
         assert new_threads(before) == []
@@ -284,7 +289,7 @@ class TestSweepPool:
     def test_closing_after_the_first_point_leaves_no_thread(self, monkeypatch):
         set_cores(monkeypatch, 2)
         before = threading.enumerate()
-        sweep = iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5)
+        sweep = iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5)
         point, _ = next(sweep)
         assert point.eta == SWEEP_ETAS[0]
         assert new_threads(before)  # the pool is still drawing the next points
@@ -293,9 +298,9 @@ class TestSweepPool:
 
     def test_without_an_affinity_call_the_cpu_count_sets_the_workers(self, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity
-        expected = list(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5))
+        expected = list(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5))
         monkeypatch.delattr(calibration.os, "sched_getaffinity")
-        got = list(iter_eta_series(*SWEEP, SWEEP_ETAS, 2000, seed=5))
+        got = list(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5))
         assert [point for point, _ in got] == [point for point, _ in expected]
 
     def test_many_tiny_jobs_on_more_workers_than_cores_arrive_in_order(self):

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import hashlib
 import io
 import json
@@ -128,7 +130,7 @@ class TestConfig:
             ("n_samples", True),
             ("seed", True),
             ("seed", False),
-            ("moment_order", True),
+            ("reconstruct_eta", True),
             ("reconstruction_n_samples", True),
             ("source", {"kind": "fock", "n": True}),
             ("source", {"kind": "multimode_thermal", "mean": 4.0, "modes": True}),
@@ -171,6 +173,7 @@ class TestConfig:
             ({"dark": {"sigma": 10.0}}, "dark.sigma"),
             ({"eta_max": 0.5}, "eta_max"),
             ({"eta_count": 4}, "eta_count"),
+            ({"moment_order": 5}, "moment_order"),
         ],
     )
     def test_unknown_key_names_it_and_writes_nothing(self, tmp_path, capsys, overrides, name):
@@ -274,6 +277,27 @@ class TestConfig:
         assert all(math.isfinite(k) for k in model.cumulants)
         sums = model.sample_sums(np.random.default_rng(1), np.array([0, 1, 5, 2**24, 10**8]))
         assert np.all(np.isfinite(sums))
+
+    @pytest.mark.parametrize("field", ["n_samples", "reconstruction_n_samples"])
+    def test_a_one_shot_ensemble_names_the_field_and_writes_nothing(self, tmp_path, capsys, field):
+        # run wrote config.json and dark.npy, then failed at the first sweep
+        # point, or wrote a NaN tolerance and no report.md
+        with pytest.raises(ConfigError, match=f"{field}: must be an integer >= 2, got 1"):
+            from_dict({**BASE, field: 1})
+        cfg = write_config(tmp_path, {field: 1})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{field}: must be an integer >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_shot_ensembles_run_and_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n_samples": 2, "reconstruction_n_samples": 2})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "report.md").exists()
+        capsys.readouterr()  # two shots per point may fail run's statistical verdicts
+        assert main(["check", "--out", str(out)]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "gain,dark,name",
@@ -1032,37 +1056,89 @@ def test_a_source_too_large_to_tabulate_exits_2_and_writes_nothing(tmp_path, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "simulate", "calibrate"])
+def test_a_zero_mean_voltage_exits_2_naming_the_point(tmp_path, command):
+    # a vacuum source without dark noise gives voltages of exactly 0, whose
+    # fano ratio divided by zero: a ZeroDivisionError traceback and exit 1
+    cfg = write_config(tmp_path, {"source": {"kind": "poisson", "mean": 0.0}, "dark": {"sigma0": 0.0}})
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "calibrate":  # blind, on recorded all-zero ensembles
+        recorded = tmp_path / "recorded"
+        recorded.mkdir()
+        for name, eta in [("dark.npy", 0.0), ("ensemble_00_eta_0.100000.npy", 0.1)]:
+            zeros = VoltageEnsemble(samples=np.zeros(10), eta=eta, n_samples=10, seed=1)
+            write_ensemble(recorded / name, zeros, "abc")
+        args = [command, "--ensembles", str(recorded), "--out", str(tmp_path / "o")]
+    src = str(Path(linphot.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "linphot.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "eta=0.1: the mean voltage is exactly 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+ERROR_TYPES = {"LinphotError", "InvalidParameterError", "ConfigError"}
+
+
+def raised_names(tree):
+    """The name each ``raise`` in ``tree`` raises: the class it calls, or the object it re-raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+
+
+def test_the_package_raises_three_error_types():
+    # the command line tells apart only ConfigError, LinphotError and OSError
+    defined = {name for name, obj in vars(linphot.errors).items() if isinstance(obj, type)}
+    assert defined == ERROR_TYPES
+    package = Path(__file__).resolve().parents[1] / "src" / "linphot"
+    others = {
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        for name in raised_names(ast.parse(path.read_text()))
+        if name not in ERROR_TYPES and not isinstance(getattr(builtins, name, None), type)
+    }
+    # the one other raise hands a job's own exception to the stream's consumer
+    assert others == {("calibration.py", "result")}
+
+
 # SHA-256 of every artifact of ``run_experiment`` on BASE.  The pins pin the
 # random stream: they change only in a change that means to move it, and
 # CHANGES.md then says so.  They assume the draws of the numpy release the
 # suite runs with (PCG64 Poisson and normal), which numpy may change
 # between releases.
 ARTIFACT_SHA256 = {
-    "calibration.json": "020dfba7dcbc5393110a51a020b7722ef1eebd957fc85ed977bffe5d4e456078",
-    "config.json": "8eda591e739779df11b5006369ad862fff24dd806eca67b1bb12d53f19a19996",
-    "dark.json": "88042cdd03f5a0f83869ca1224950d5492aca1b36532b5ad1c52675ca8afdf94",
+    "calibration.json": "fd76cfabca4983b32cb6f234f8b8839e5cb7fd63007315fe7df1c85e51502ae9",
+    "config.json": "a1809df4fbe2367615d668ab441d0df7489719116609a9edf24bac9fbd0066d1",
+    "dark.json": "a5bfec6150d3d263da93071ea63a82a9a7ca388d095db0814e57ae0b24345939",
     "dark.npy": "9e8ab31c84e4b75685d581863c32e1dc10c8b4adf44a86381eb52941b711a338",
-    "ensemble_00_eta_0.100000.json": "f64ee2febb6d7d0d3da56f402b631eb46cd0f40441dbf5a551d94abd7f09df31",
+    "ensemble_00_eta_0.100000.json": "992143824f9ef0cebe18118adca6ff89223ee1a8458cdbb147fe340da4b15e50",
     "ensemble_00_eta_0.100000.npy": "2fcacba2f68d3c472cdfb970b51f0585777f88690f8c7b6bca34016a6fa52954",
-    "ensemble_01_eta_0.300000.json": "0e29fdaa3ab411a16481c0fc9f7bb0919f1d34b065d1b8172b51042cbd008b5a",
+    "ensemble_01_eta_0.300000.json": "51001643e7ec3b7771bb147985d16ed64623b39c47b55b0156d38033d846d34d",
     "ensemble_01_eta_0.300000.npy": "04ea21b53ec3e23a1da6f965971f54fc8007fa2ca3feba56ffcb0ec44921e282",
-    "ensemble_02_eta_0.500000.json": "6df16bb06fb01d300a90155b5e2c5634008316841a3676bc29a0cccbcc6fc669",
+    "ensemble_02_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "ensemble_02_eta_0.500000.npy": "5bb34711b051cd9fa76d376271e53f608404da0a61603b708da32222f3daf7de",
-    "pm.csv": "48cb5106250abd7928306babefe7c402c25ebdb21dfe43b7da85130fbed307ef",
-    "pm_metrics.json": "a7c9f8f05bf65204a9d2f1670569e3ddd397d231102e95064ba6d8e33b9a2e42",
-    "reconstruction_eta_0.500000.json": "6df16bb06fb01d300a90155b5e2c5634008316841a3676bc29a0cccbcc6fc669",
+    "pm.csv": "3b2680736b8a76ae7e1cb40dd8c5a5f6cc26f604bfa4d10e6bb86ed6f4e6b0e1",
+    "pm_metrics.json": "044bf65df743a2c76c046c1b83b5706cb7b4b83f95ea315359f49a2688684ca1",
+    "reconstruction_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "reconstruction_eta_0.500000.npy": "9154f0b2a4eb2c012211a9b46684728bc31cd72fa4922dac804a0a97b143fe7b",
-    "report.md": "050e912f6bf3dfdfeac6b94679332bcbf6361049c8edb24c33a495e723ea037c",
+    "report.md": "813801e42119d678cdca7f3fc8dc67ea4c642d0261a0843cb862e60eee534503",
 }
 
 # SHA-256 of the ensemble CSVs of the same run when ensembles were written
 # as CSV: the .npy samples, formatted as that CSV, must give these bytes.
 CSV_SHA256 = {
-    "dark.csv": "7b43fead1b241797a0cbc6382f90874695ad9248266117c3a4718b59d366d9a3",
-    "ensemble_00_eta_0.100000.csv": "235c8fe2f6f2d76c524559a3e5f6f841941c777dc044f6e2879b7d8171614304",
-    "ensemble_01_eta_0.300000.csv": "74ed62ba652012be01129054217134cb690f7bf62d34e1418ea1c682d2340afa",
-    "ensemble_02_eta_0.500000.csv": "16efaf3185797580748de95b4704dfdad92ab942f9a026a942894cf71ae591f1",
-    "reconstruction_eta_0.500000.csv": "6062c3fa86f36acaaf9cb7a7c8b78521a64b1c0f0568742e2b6d945ff8db5b75",
+    "dark.csv": "9585a77de903cc7a6c610b2a0a8b212326f68a90428789eabd7642e5af03932f",
+    "ensemble_00_eta_0.100000.csv": "e544551363b0ce36697c970cf391f8f77cf51b57e7f6ad63123c322189d7f45b",
+    "ensemble_01_eta_0.300000.csv": "8e2bee13b7c6511793eb49173deda166d7a6fa9d3a9443b568540f5c96118ece",
+    "ensemble_02_eta_0.500000.csv": "765dc0ddfc3d4964794215a0ead8d9e72f3fd80d50090a1014ea606e3c8249be",
+    "reconstruction_eta_0.500000.csv": "e0ad6ea0f9c93762d557a4f070e21fe2473c8b68fc487c696e16eff6498a12b4",
 }
 
 
@@ -1085,7 +1161,7 @@ def test_npy_samples_are_the_csv_samples_bit_for_bit(finished_run, tmp_path):
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
 # one pinned document that holds a GainScalingReport.
-GAIN_SCALING_CALIBRATION_SHA256 = "64c930ac02f471a74d0fb47a8b2ea1dbb676bd2545ef7a98c61f6bc0fe7461b0"
+GAIN_SCALING_CALIBRATION_SHA256 = "b0a9aa83b55bf506a320ef6fc8a8a53044509b96f48fa8153772349157cce48e"
 
 
 def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from linphot import (
     DarkNoiseModel,
     InvalidParameterError,
-    UnsupportedOracleError,
     analytic_voltage_moments,
     apply_bernoulli,
     from_pmf,
@@ -244,9 +243,9 @@ class TestAnalyticPv:
 
     def test_unsupported_families(self):
         det = apply_bernoulli(make_poisson(2.0), 0.5)
-        with pytest.raises(UnsupportedOracleError):
+        with pytest.raises(InvalidParameterError, match="requires gaussian gain"):
             analytic_pv_gaussian(det, make_gain("gamma", 100.0, 5.0), DarkNoiseModel(5.0), [0.0])
-        with pytest.raises(UnsupportedOracleError):
+        with pytest.raises(InvalidParameterError, match="zero-variance component"):
             # zero-variance dark component at k = 0
             analytic_pv_gaussian(det, make_gain("gaussian", 100.0, 5.0), DarkNoiseModel(0.0), [0.0])
 

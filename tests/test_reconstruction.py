@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from linphot import (
     DarkNoiseModel,
     InvalidParameterError,
-    UnsupportedOracleError,
     VoltageEnsemble,
     apply_bernoulli,
     compare,
@@ -254,7 +253,7 @@ class TestExpectedRebinnedPmf:
 
     def test_requires_gaussian_noise(self):
         det = apply_bernoulli(make_poisson(5.0), 0.5)
-        with pytest.raises(UnsupportedOracleError):
+        with pytest.raises(InvalidParameterError, match="requires gaussian gain"):
             expected_rebinned_pmf(det, make_gain("gamma", GAIN, 5.0), DarkNoiseModel(1.0), GAIN)
-        with pytest.raises(UnsupportedOracleError):
+        with pytest.raises(InvalidParameterError, match="zero-variance component"):
             expected_rebinned_pmf(det, make_gain("gaussian", GAIN, 5.0), DarkNoiseModel(0.0), GAIN)
