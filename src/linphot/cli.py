@@ -19,17 +19,16 @@ from . import config as cfgmod
 from .calibration import iter_ensembles, sweep_draws
 from .errors import ConfigError, InvalidParameterError, LinphotError
 from .files import canonical_json, pm_csv_text, read_ensemble, read_json, write_json
-from .loss import apply_bernoulli
 from .moments import sample_moments
 from .pipeline import (
     Models,
     calibrate,
+    derive,
+    gain_scaling_lines,
     read_dark,
-    reconstruct,
     reconstruction_gamma,
     reconstruction_metrics,
     reconstruction_path,
-    report_text,
     run_experiment,
     simulate_sweep,
     sweep_points,
@@ -133,18 +132,41 @@ def _cmd_reconstruct(args) -> int:
             return 1
         gamma = reconstruction_gamma(fit, None)
     dark_mean = float(read_ensemble(args.dark).samples.mean()) if args.dark else 0.0
+    result, metrics = reconstruction_metrics(subtract_offset(ens, dark_mean), *gamma)
     out = Path(args.out)
-    _, metrics = reconstruct(subtract_offset(ens, dark_mean), *gamma, out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "pm.csv").write_text(pm_csv_text(result, {}))
+    write_json(out / "pm_metrics.json", asdict(metrics))
     print(f"wrote {out / 'pm.csv'} and {out / 'pm_metrics.json'}")
     print(f"[{'PASS' if metrics.self_consistency.passed else 'FAIL'}] self-consistency")
     return 0
 
 
+def _recorded_gain_scaling(path):
+    """The recorded ``checks.gain_scaling`` section of ``calibration.json`` at ``path``; None where there is none.
+
+    A section that the report cannot render raises an error naming the file.
+    """
+    try:
+        scaling = read_json(path)["checks"]["gain_scaling"]
+    except (FileNotFoundError, KeyError, TypeError):  # missing or malformed: fails the replay
+        return None
+    if scaling is not None:
+        try:
+            gain_scaling_lines(scaling)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameterError(
+                f"calibration file is malformed: {path}: checks.gain_scaling: {exc!r}"
+            ) from exc
+    return scaling
+
+
 def _cmd_check(args) -> int:
-    """Replay ``run``'s stages on a run directory's inputs; each derived artifact must match byte for byte.
+    """Replay ``run``'s derivation on a run directory's inputs; each derived artifact must match byte for byte.
 
     A malformed input (``config.json``, an ensemble or its sidecar, the dark
-    record) or a ``calibration.json`` that is not JSON exits 2 naming it.
+    record), a ``calibration.json`` that is not JSON or whose gain-scaling
+    section is malformed exits 2 naming it.
     """
     out = Path(args.out)
     failures = []
@@ -159,7 +181,7 @@ def _cmd_check(args) -> int:
     dark = read_dark(out)
     # raw ensembles and the config's dark variance, as run computed the points
     points = sweep_points(out, 0.0, models.dark.sigma0**2)
-    shifted = subtract_offset(read_ensemble(reconstruction_path(out, config)), float(dark.samples.mean()))
+    reconstruction = read_ensemble(reconstruction_path(out, config))
     sidecars = {path.name: read_json(path) for path in sorted(p.with_suffix(".json") for p in out.glob("*.npy"))}
     stale = [
         name for name, doc in sidecars.items()
@@ -174,32 +196,12 @@ def _cmd_check(args) -> int:
     verdict(f"one ensemble per configured eta ({len(points)} ensembles, {len(etas)} etas)", matched)
     if not matched:  # everything derived depends on the sweep
         return 1
-    try:  # the one recorded section no replay re-derives: only re-simulation could
-        gain_scaling = read_json(out / "calibration.json")["checks"]["gain_scaling"]
-    except (FileNotFoundError, KeyError, TypeError):  # missing or malformed: fails below
-        gain_scaling = None
-    record = asdict(calibrate(points, models.dark.sigma0**2, models, gain_scaling=gain_scaling))
-    truth = apply_bernoulli(models.source, config.reconstruct_eta)
-    result, metrics = reconstruction_metrics(
-        shifted,
-        *reconstruction_gamma(record["fit"], models.gain.gamma_bar),
-        config_sha256=models.config_sha256,
-        truth=truth,
-    )
-    try:
-        report = report_text(models, points, record, metrics, shifted, truth)
-    except (KeyError, TypeError, ValueError):  # a malformed recorded gain-scaling section
-        report = None
-    replayed = {
-        "calibration.json": canonical_json(record),
-        "pm.csv": pm_csv_text(result, {"config_sha256": models.config_sha256}),
-        "pm_metrics.json": canonical_json(asdict(metrics)),
-        "report.md": report,
-    }
-    for name, text in replayed.items():
+    # the one recorded section no replay re-derives: only re-simulation could
+    gain_scaling = _recorded_gain_scaling(out / "calibration.json")
+    derived = derive(models, dark, points, reconstruction, gain_scaling=gain_scaling)
+    for name, text in derived.texts.items():
         path = out / name
-        same = text is not None and path.exists() and path.read_bytes() == text.encode()
-        verdict(f"{name} replayed byte for byte", same)
+        verdict(f"{name} replayed byte for byte", path.exists() and path.read_bytes() == text.encode())
     return 1 if failures else 0
 
 

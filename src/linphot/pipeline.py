@@ -1,12 +1,14 @@
 """End-to-end experiment runner: simulate, calibrate, reconstruct, report.
 
-``run_experiment`` calls the stages ``simulate_sweep``, ``calibrate``
-(whose ``CalibrationRecord`` is ``calibration.json``), ``reconstruct``
-(whose ``PmMetrics`` is ``pm_metrics.json``) and ``report_text`` in
-order; each CLI subcommand calls the stage it is named for.  ``check``
-replays the same stages on a run directory's recorded ensembles and
-renders each derived artifact with the code that wrote it, so a run
-directory is verified by comparing bytes.  Ensembles are written as
+``run_experiment`` draws a run's ensembles with ``simulate_sweep`` and
+hands them to ``derive``, the one derivation of the four derived
+artifacts: the ``CalibrationRecord`` of ``calibrate`` is
+``calibration.json``, the rebinned table and its ``PmMetrics`` of
+``reconstruction_metrics`` are ``pm.csv`` and ``pm_metrics.json``, and
+``report_text`` is ``report.md``.  ``check`` calls ``derive`` on a run
+directory's recorded ensembles and compares the texts with the files
+byte for byte, so ``run`` and ``check`` cannot drift apart.  Each other
+CLI subcommand calls the stage it is named for.  Ensembles are written as
 ``.npy`` with a JSON sidecar (``files.write_ensemble``).  ``check`` and
 blind ``calibrate`` read a sweep directory, ``.npy`` or CSV, with
 ``read_dark`` and ``sweep_points``.  All artifacts carry the config hash;
@@ -19,6 +21,7 @@ import math
 import re
 from contextlib import closing
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 from pathlib import Path
 
 from . import config as cfgmod
@@ -36,7 +39,7 @@ from .calibration import (
 )
 from .detector import VoltageEnsemble
 from .errors import InvalidParameterError, LinphotError
-from .files import pm_csv_text, read_ensemble, write_ensemble, write_json
+from .files import canonical_json, pm_csv_text, read_ensemble, write_ensemble
 from .loss import apply_bernoulli
 from .moments import ORDER_MAX, analytic_voltage_moments, sample_moments
 from .reconstruction import (
@@ -96,8 +99,6 @@ class PmMetrics:
 
 @dataclass(frozen=True)
 class RunResult:
-    out_dir: Path
-    config_sha256: str
     calibration: CalibrationFit | None
     reconstruction: ReconstructionResult
     verdicts: dict
@@ -267,16 +268,17 @@ def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *
     )
 
 
-def reconstruct(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, out: Path, *, config_sha256=None, truth=None):
-    """Write ``pm.csv`` and ``pm_metrics.json`` of :func:`reconstruction_metrics` in ``out``; return both."""
-    result, metrics = reconstruction_metrics(
-        shifted, gamma_bar, se_gamma_bar, gamma_bar_source, config_sha256=config_sha256, truth=truth
-    )
-    out.mkdir(parents=True, exist_ok=True)
-    header = {} if config_sha256 is None else {"config_sha256": config_sha256}
-    (out / "pm.csv").write_text(pm_csv_text(result, header))
-    write_json(out / "pm_metrics.json", asdict(metrics))
-    return result, metrics
+def gain_scaling_lines(scaling: dict) -> list[str]:
+    """The report's section for the ``asdict`` gain-scaling report ``scaling``.
+
+    A malformed section raises KeyError, TypeError, ValueError or
+    OverflowError; ``check`` renders a recorded one here to validate it.
+    """
+    return ["", "## Gain-scaling check", ""] + [
+        f"- [{'PASS' if row['passed'] else 'FAIL'}] factor {row['factor']:g}: "
+        f"intercept ratio = {_fmt(row['ratio'])} +- {_fmt(row['ratio_se'])}"
+        for row in scaling["rows"]
+    ]
 
 
 def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, shifted, truth) -> str:
@@ -322,11 +324,7 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, s
             f"pooled mean_v/<m> = {_fmt(constancy['pooled_ratio'])})"
         )
     if scaling is not None:
-        lines += ["", "## Gain-scaling check", ""] + [
-            f"- [{'PASS' if row['passed'] else 'FAIL'}] factor {row['factor']:g}: "
-            f"intercept ratio = {_fmt(row['ratio'])} +- {_fmt(row['ratio_se'])}"
-            for row in scaling["rows"]
-        ]
+        lines += gain_scaling_lines(scaling)
     lines += [
         "",
         "## Reconstruction",
@@ -354,10 +352,44 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, s
     return "\n".join(lines + [""])
 
 
+class Derivation(NamedTuple):
+    """A run's derived artifacts: the records and the text of each file, by file name."""
+
+    calibration: CalibrationRecord
+    reconstruction: ReconstructionResult
+    metrics: PmMetrics
+    texts: dict
+
+
+def derive(models: Models, dark, points, reconstruction, *, gain_scaling=_SIMULATE) -> Derivation:
+    """Derive ``calibration.json``, ``pm.csv``, ``pm_metrics.json`` and ``report.md`` from a run's ensembles.
+
+    ``dark`` and ``reconstruction`` are the raw dark and reconstruction
+    ensembles, ``points`` the sweep points; ``gain_scaling`` goes to
+    :func:`calibrate`.  ``run`` writes the texts and ``check`` compares
+    them with the files.
+    """
+    config, sha = models.config, models.config_sha256
+    calibration = calibrate(points, models.dark.sigma0**2, models, gain_scaling=gain_scaling)
+    record = asdict(calibration)
+    gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
+    shifted = subtract_offset(reconstruction, float(dark.samples.mean()))
+    truth = apply_bernoulli(models.source, config.reconstruct_eta)
+    result, metrics = reconstruction_metrics(shifted, *gamma, config_sha256=sha, truth=truth)
+    texts = {
+        "calibration.json": canonical_json(record),
+        "pm.csv": pm_csv_text(result, {"config_sha256": sha}),
+        "pm_metrics.json": canonical_json(asdict(metrics)),
+        "report.md": report_text(models, points, record, metrics, shifted, truth),
+    }
+    return Derivation(calibration, result, metrics, texts)
+
+
 def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     """Run the full pipeline and write all artifacts into ``out_dir``.
 
-    The models are built first, so a source that cannot be built writes nothing.
+    The models are built first, so a source that cannot be built writes
+    nothing; the four derived texts are all formed before any is written.
     """
     models = Models(config)
     out = Path(out_dir)
@@ -367,33 +399,21 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
 
     dark_ens, points, rec_ens, sweep_files = simulate_sweep(models, out, reconstruction=True)
     files.update(sweep_files)
+    derived = derive(models, dark_ens, points, rec_ens)
+    for name, text in derived.texts.items():
+        path = out / name
+        path.write_text(text)
+        files[path.stem] = path  # calibration, pm, pm_metrics, report
 
-    calibration = calibrate(points, models.dark.sigma0**2, models)
-    files["calibration"] = out / "calibration.json"
-    record = asdict(calibration)
-    write_json(files["calibration"], record)
-
-    # reconstruction at the chosen efficiency
-    gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
-    shifted = subtract_offset(rec_ens, float(dark_ens.samples.mean()))
-    truth = apply_bernoulli(models.source, config.reconstruct_eta)
-    result, metrics = reconstruct(shifted, *gamma, out, config_sha256=models.config_sha256, truth=truth)
-    files["pm"], files["pm_metrics"] = out / "pm.csv", out / "pm_metrics.json"
-
-    files["report"] = out / "report.md"
-    files["report"].write_text(report_text(models, points, record, metrics, shifted, truth))
-
-    fit, checks = calibration.fit, calibration.checks
+    fit, checks = derived.calibration.fit, derived.calibration.checks
     return RunResult(
-        out_dir=out,
-        config_sha256=models.config_sha256,
         calibration=fit,
-        reconstruction=result,
+        reconstruction=derived.reconstruction,
         verdicts={
             "calibration_valid": bool(fit is not None and fit.valid),
             "mean_constancy": None if checks.mean_constancy is None else checks.mean_constancy.passed,
             "gain_scaling": None if checks.gain_scaling is None else checks.gain_scaling.passed,
-            "self_consistency": metrics.self_consistency.passed,
+            "self_consistency": derived.metrics.self_consistency.passed,
         },
         files=files,
     )

@@ -1447,6 +1447,27 @@ class TestGainScalingInRun:
         assert "[FAIL]" not in printed
         assert "[PASS] report.md replayed byte for byte" in printed
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda scaling: scaling.pop("rows"), lambda scaling: scaling["rows"][0].update(factor="0.5")],
+        ids=["rows-deleted", "factor-a-string"],
+    )
+    def test_a_malformed_recorded_section_exits_2_naming_the_file(self, tmp_path, edit):
+        # the one recorded section check takes as it is; the report could not render it
+        out = tmp_path / "out"
+        run_experiment(from_dict({**BASE, "gain_scale_factors": [0.5, 2.0]}), out)
+        edit_json("calibration.json", lambda doc: edit(doc["checks"]["gain_scaling"]))(out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "linphot.cli", "check", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(linphot.__file__).resolve().parents[1])},
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"calibration file is malformed: {out / 'calibration.json'}: checks.gain_scaling" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 MODULE_PROBE = """
 import sys
