@@ -32,7 +32,7 @@ import numpy as np
 
 from .detector import DarkNoiseModel, GainModel, make_gain, simulate_ensemble
 from .errors import InvalidParameterError
-from .moments import exact_sum
+from .moments import sample_moments
 from .sources import PhotonNumberDistribution
 from .streams import ETA_SERIES, GAIN_SCALING
 
@@ -123,23 +123,18 @@ def eta_point_from_samples(
     before the ratio F = (mu2 - D) / mean is formed.  Its delta-method
     standard error is sd(d (d - F)) / (|mean| sqrt(n)) with d = x - mean,
     i.e. sqrt((mu4 - mu2^2 - 2 F mu3 + F^2 mu2) / n) / |mean|; being only a
-    fit weight, it takes numpy's own sum where mean and mu2 are correctly
-    rounded (``moments.exact_sum``).  A mean of exactly 0 has no ratio and
+    fit weight, it takes numpy's own sum where mean and mu2 are those of
+    ``moments.sample_moments``.  A mean of exactly 0 has no ratio and
     raises, naming ``eta``.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise InvalidParameterError("need at least 2 samples per point")
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("samples must be finite (found NaN or inf)")
-    n = x.size
-    mean = exact_sum(x) / n
+    moments = sample_moments(x, order=2)
+    n, mean, mu2 = x.size, moments.mean, moments.central_moment(2)
     if mean == 0.0:
         raise InvalidParameterError(
             f"eta={float(eta):g}: the mean voltage is exactly 0, so its fano ratio is undefined"
         )
     d = x - mean
-    mu2 = exact_sum(d**2) / n
     fano = (mu2 - dark_variance) / mean
     se_mean = math.sqrt(mu2 / n)
     se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))

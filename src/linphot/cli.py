@@ -13,8 +13,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .calibration import iter_ensembles, sweep_draws
 from .errors import ConfigError, InvalidParameterError, LinphotError
@@ -102,10 +100,9 @@ def _cmd_calibrate(args) -> int:
         record = calibrate([point for point, _ in sweep], models.dark.sigma0**2, models)
     else:
         ens_dir = Path(args.ensembles)
-        dark_ens = read_dark(ens_dir)
-        dark_mean = float(dark_ens.samples.mean())
-        dark_var = float(np.mean((dark_ens.samples - dark_mean) ** 2))
-        points = sweep_points(ens_dir, dark_mean, dark_var)
+        dark = sample_moments(read_dark(ens_dir).samples, order=2)
+        dark_var = dark.central_moment(2)
+        points = sweep_points(ens_dir, dark.mean, dark_var)
         if not points:
             print(f"error: no ensemble_*.npy or ensemble_*.csv files in {ens_dir}", file=sys.stderr)
             return 1
@@ -131,8 +128,8 @@ def _cmd_reconstruct(args) -> int:
             print(f"error: no valid fit in {args.from_calibration}", file=sys.stderr)
             return 1
         gamma = reconstruction_gamma(fit, None)
-    dark_mean = float(read_ensemble(args.dark).samples.mean()) if args.dark else 0.0
-    result, metrics = reconstruction_metrics(subtract_offset(ens, dark_mean), *gamma)
+    dark_mean = sample_moments(read_ensemble(args.dark).samples, order=2).mean if args.dark else 0.0
+    result, metrics, _ = reconstruction_metrics(subtract_offset(ens, dark_mean), *gamma)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "pm.csv").write_text(pm_csv_text(result, {}))

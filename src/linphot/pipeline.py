@@ -244,16 +244,19 @@ def reconstruction_gamma(fit, configured_gamma_bar: float) -> tuple[float, float
 
 
 def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *, config_sha256=None, truth=None):
-    """Rebin a zero-set ensemble; return the result and its ``PmMetrics``.
+    """Rebin a zero-set ensemble; return the result, its ``PmMetrics`` and the ensemble's sample moments.
 
-    The reconstructed mean is checked against mean_v / gamma_bar; the
-    result is compared with the generating ``truth`` when given.
+    The one reduction of the ensemble, ``sample_moments`` through
+    ``ORDER_MAX``, gives mean_v and its SE; the reconstructed mean is
+    checked against mean_v / gamma_bar.  The result is compared with the
+    generating ``truth`` when given.
     """
     result = rebin(shifted, gamma_bar)
     if truth is not None:
         result = compare(result, truth)
-    mean_v = float(shifted.samples.mean())
-    se_mean_v = float(shifted.samples.std(ddof=1) / math.sqrt(shifted.n_samples))
+    moments = sample_moments(shifted.samples, order=ORDER_MAX)
+    mean_v = moments.mean
+    se_mean_v = math.sqrt(moments.central_moment(2) / shifted.n_samples)  # as a sweep point's
     consistency = self_consistency_check(result, mean_v, se_mean_v=se_mean_v, se_gamma_bar=se_gamma_bar)
     return result, PmMetrics(
         config_sha256=config_sha256,
@@ -265,7 +268,7 @@ def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *
         self_consistency=consistency,
         tv_distance=result.tv_distance,
         fidelity=result.fidelity,
-    )
+    ), moments
 
 
 def gain_scaling_lines(scaling: dict) -> list[str]:
@@ -281,11 +284,12 @@ def gain_scaling_lines(scaling: dict) -> list[str]:
     ]
 
 
-def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, shifted, truth) -> str:
+def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, result, moments, truth) -> str:
     """The text of ``report.md``, from the ``asdict`` calibration record and the reconstruction's metrics.
 
-    Its moment table sets the zero-set reconstruction ensemble ``shifted``
-    beside the exact voltage moments of the detected ``truth``.
+    Its moment table sets the ``moments`` of the zero-set reconstruction
+    ensemble, rebinned to ``result``, beside the exact voltage moments of
+    the detected ``truth``.
     """
     config, source, gain, dark = models.config, models.source, models.gain, models.dark
     fit, checks, consistency = calibration["fit"], calibration["checks"], metrics.self_consistency
@@ -329,7 +333,7 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, s
         "",
         "## Reconstruction",
         "",
-        f"- ensemble: eta = {config.reconstruct_eta:.4f}, N = {shifted.n_samples}",
+        f"- ensemble: eta = {config.reconstruct_eta:.4f}, N = {result.n_samples}",
         f"- gamma_bar used = {_fmt(metrics.gamma_bar_used)} ({metrics.gamma_bar_source})",
         f"- underflow fraction = {_fmt(metrics.underflow_fraction)}",
         f"- reconstructed <m> = {_fmt(metrics.mean_m_hat)}, mean_v/gamma_bar = {_fmt(consistency.mean_v_over_gamma)}",
@@ -343,10 +347,9 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, s
         "| order | sample | analytic |",
         "|------:|-------:|---------:|",
     ]
-    sample_m5 = sample_moments(shifted.samples, order=ORDER_MAX)
-    analytic_m5 = analytic_voltage_moments(truth, gain, dark, order=ORDER_MAX)
+    analytic = analytic_voltage_moments(truth, gain, dark, order=ORDER_MAX)
     lines += [
-        f"| {r} | {_fmt(sample_m5.central_moment(r))} | {_fmt(analytic_m5.central_moment(r))} |"
+        f"| {r} | {_fmt(moments.central_moment(r))} | {_fmt(analytic.central_moment(r))} |"
         for r in range(2, ORDER_MAX + 1)
     ]
     return "\n".join(lines + [""])
@@ -373,14 +376,14 @@ def derive(models: Models, dark, points, reconstruction, *, gain_scaling=_SIMULA
     calibration = calibrate(points, models.dark.sigma0**2, models, gain_scaling=gain_scaling)
     record = asdict(calibration)
     gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
-    shifted = subtract_offset(reconstruction, float(dark.samples.mean()))
+    shifted = subtract_offset(reconstruction, sample_moments(dark.samples, order=2).mean)
     truth = apply_bernoulli(models.source, config.reconstruct_eta)
-    result, metrics = reconstruction_metrics(shifted, *gamma, config_sha256=sha, truth=truth)
+    result, metrics, moments = reconstruction_metrics(shifted, *gamma, config_sha256=sha, truth=truth)
     texts = {
         "calibration.json": canonical_json(record),
         "pm.csv": pm_csv_text(result, {"config_sha256": sha}),
         "pm_metrics.json": canonical_json(asdict(metrics)),
-        "report.md": report_text(models, points, record, metrics, shifted, truth),
+        "report.md": report_text(models, points, record, metrics, result, moments, truth),
     }
     return Derivation(calibration, result, metrics, texts)
 

@@ -12,6 +12,7 @@ from linphot import (
     DarkNoiseModel,
     EtaSeriesPoint,
     InvalidParameterError,
+    VoltageEnsemble,
     analytic_voltage_moments,
     apply_bernoulli,
     eta_point_from_samples,
@@ -23,6 +24,7 @@ from linphot import (
     make_thermal,
     mean_constancy_check,
     run_eta_series,
+    self_consistency_check,
     simulate_ensemble,
 )
 from linphot.calibration import iter_ensembles, sweep_draws
@@ -81,6 +83,24 @@ class TestEtaPoint:
         # a raw array with NaN used to give an all-NaN point
         with pytest.raises(InvalidParameterError, match="finite"):
             eta_point_from_samples(0.5, [100.0, bad, 300.0])
+
+
+def test_a_reconstruction_reduces_its_ensemble_as_a_sweep_point(monkeypatch):
+    # mean_v and the SE of mean_v that the self-consistency tolerance takes
+    # are a sweep point's, bit for bit, on the same samples
+    samples = np.random.default_rng(11).normal(1000.0, 40.0, 100_001)
+    seen = {}
+
+    def spy(result, mean_v, **kwargs):
+        seen.update(kwargs)
+        return self_consistency_check(result, mean_v, **kwargs)
+
+    monkeypatch.setattr(pipeline, "self_consistency_check", spy)
+    ensemble = VoltageEnsemble(samples=samples, eta=0.5, n_samples=samples.size, seed=0)
+    metrics = pipeline.reconstruction_metrics(ensemble, 100.0, 0.0, "given")[1]
+    point = eta_point_from_samples(0.5, samples)
+    assert metrics.mean_v.hex() == point.mean_v.hex()
+    assert seen["se_mean_v"].hex() == point.se_mean_v.hex()
 
 
 def exact_se_fano(source, eta, gain, dark, n):

@@ -1125,10 +1125,10 @@ ARTIFACT_SHA256 = {
     "ensemble_02_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "ensemble_02_eta_0.500000.npy": "5bb34711b051cd9fa76d376271e53f608404da0a61603b708da32222f3daf7de",
     "pm.csv": "3b2680736b8a76ae7e1cb40dd8c5a5f6cc26f604bfa4d10e6bb86ed6f4e6b0e1",
-    "pm_metrics.json": "044bf65df743a2c76c046c1b83b5706cb7b4b83f95ea315359f49a2688684ca1",
+    "pm_metrics.json": "904a1b5d9f4c141aff0b1c282d2656403ae8cb5ec6271c841ed4be74ceb1847c",
     "reconstruction_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "reconstruction_eta_0.500000.npy": "9154f0b2a4eb2c012211a9b46684728bc31cd72fa4922dac804a0a97b143fe7b",
-    "report.md": "813801e42119d678cdca7f3fc8dc67ea4c642d0261a0843cb862e60eee534503",
+    "report.md": "1d831e2a735e2cac1bb40052e2485c90272d487a3f30a4654802dd1f3b916fab",
 }
 
 # SHA-256 of the ensemble CSVs of the same run when ensembles were written

@@ -270,6 +270,38 @@ def test_exact_sum_is_the_one_summation_path():
     assert {name: scopes for name, scopes in uses.items() if scopes} == {"moments.py": ["exact_sum"]}
 
 
+def _numpy_reductions(tree) -> list:
+    """The enclosing function and name of each call of ``mean``, ``std`` or ``var`` (``x.mean()``, ``np.std(x)``)."""
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("mean", "std", "var"):
+                calls.append((scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return calls
+
+
+def test_sample_moments_is_the_one_ensemble_reducer():
+    # a voltage ensemble's mean and variance come from sample_moments; the one
+    # numpy reduction left is the fit weight of a sweep point, as documented
+    package = Path(__file__).resolve().parents[1] / "src" / "linphot"
+    calls = {
+        path.name: _numpy_reductions(ast.parse(path.read_text()))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in calls.items() if found} == {
+        "calibration.py": [("eta_point_from_samples", "std")]
+    }
+
+
 def test_compound_map_with_fixed_count_scales_gain_cumulants():
     # m fixed at k (kappa_1 = k, higher cumulants 0): v is a sum of k i.i.d. draws
     gain = [100.0, 4.0, 0.5, 0.25, 0.125]
