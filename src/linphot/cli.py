@@ -21,14 +21,15 @@ from .moments import sample_moments
 from .pipeline import (
     Models,
     calibrate,
+    dark_path,
     derive,
     gain_scaling_lines,
-    read_dark,
     reconstruction_gamma,
     reconstruction_metrics,
     reconstruction_path,
     run_experiment,
     simulate_sweep,
+    sweep_paths,
     sweep_points,
 )
 from .reconstruction import subtract_offset
@@ -100,9 +101,9 @@ def _cmd_calibrate(args) -> int:
         record = calibrate([point for point, _ in sweep], models.dark.sigma0**2, models)
     else:
         ens_dir = Path(args.ensembles)
-        dark = sample_moments(read_dark(ens_dir).samples, order=2)
+        dark = sample_moments(read_ensemble(dark_path(ens_dir)).samples, order=2)
         dark_var = dark.central_moment(2)
-        points = sweep_points(ens_dir, dark.mean, dark_var)
+        points = sweep_points(sweep_paths(ens_dir), dark.mean, dark_var)
         if not points:
             print(f"error: no ensemble_*.npy or ensemble_*.csv files in {ens_dir}", file=sys.stderr)
             return 1
@@ -140,21 +141,16 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _recorded_gain_scaling(path):
-    """The recorded ``checks.gain_scaling`` section of ``calibration.json`` at ``path``; None where there is none.
-
-    A section that the report cannot render raises an error naming the file.
-    """
+    """The ``checks.gain_scaling`` section of the calibration file ``path``; one the report cannot render raises."""
     try:
         scaling = read_json(path)["checks"]["gain_scaling"]
     except (FileNotFoundError, KeyError, TypeError):  # missing or malformed: fails the replay
         return None
-    if scaling is not None:
-        try:
+    try:
+        if scaling is not None:
             gain_scaling_lines(scaling)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidParameterError(
-                f"calibration file is malformed: {path}: checks.gain_scaling: {exc!r}"
-            ) from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"calibration file is malformed: {path}: checks.gain_scaling: {exc!r}") from exc
     return scaling
 
 
@@ -175,14 +171,15 @@ def _cmd_check(args) -> int:
 
     config = cfgmod.load(out / "config.json")
     models = Models(config)
-    dark = read_dark(out)
+    paths = [dark_path(out), *sweep_paths(out), reconstruction_path(out, config)]
+    dark = read_ensemble(paths[0])
     # raw ensembles and the config's dark variance, as run computed the points
-    points = sweep_points(out, 0.0, models.dark.sigma0**2)
-    reconstruction = read_ensemble(reconstruction_path(out, config))
-    sidecars = {path.name: read_json(path) for path in sorted(p.with_suffix(".json") for p in out.glob("*.npy"))}
+    points = sweep_points(paths[1:-1], 0.0, models.dark.sigma0**2)
+    reconstruction = read_ensemble(paths[-1])
+    # a .npy carries the hash in its sidecar; a CSV carries none
     stale = [
-        name for name, doc in sidecars.items()
-        if not isinstance(doc, dict) or doc.get("config_sha256") != models.config_sha256
+        path.name for path in (p.with_suffix(".json") if p.suffix == ".npy" else p for p in paths)
+        if path.suffix != ".json" or read_json(path).get("config_sha256") != models.config_sha256
     ]
     verdict(
         "config_sha256 of config.json in every ensemble sidecar" + (f" (not in {', '.join(stale)})" if stale else ""),
@@ -195,8 +192,8 @@ def _cmd_check(args) -> int:
         return 1
     # the one recorded section no replay re-derives: only re-simulation could
     gain_scaling = _recorded_gain_scaling(out / "calibration.json")
-    derived = derive(models, dark, points, reconstruction, gain_scaling=gain_scaling)
-    for name, text in derived.texts.items():
+    *_, texts = derive(models, dark, points, reconstruction, gain_scaling=gain_scaling)
+    for name, text in texts.items():
         path = out / name
         verdict(f"{name} replayed byte for byte", path.exists() and path.read_bytes() == text.encode())
     return 1 if failures else 0

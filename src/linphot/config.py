@@ -223,7 +223,7 @@ def from_dict(raw: dict) -> RunConfig:
             f"gain_scale_factors[{i}]",
             f"must be positive, got {f!r}",
         )
-    # the gain-scaling check re-runs the sweep through run_eta_series
+    # gain_scaling_check re-simulates the sweep and refuses a design this small
     _require(
         not factors
         or (n_samples >= MIN_SAMPLES_PER_POINT and len(set(eta_series)) >= MIN_ETA_POINTS),

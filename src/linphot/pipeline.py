@@ -1,18 +1,16 @@
 """End-to-end experiment runner: simulate, calibrate, reconstruct, report.
 
-``run_experiment`` draws a run's ensembles with ``simulate_sweep`` and
-hands them to ``derive``, the one derivation of the four derived
-artifacts: the ``CalibrationRecord`` of ``calibrate`` is
-``calibration.json``, the rebinned table and its ``PmMetrics`` of
-``reconstruction_metrics`` are ``pm.csv`` and ``pm_metrics.json``, and
-``report_text`` is ``report.md``.  ``check`` calls ``derive`` on a run
-directory's recorded ensembles and compares the texts with the files
-byte for byte, so ``run`` and ``check`` cannot drift apart.  Each other
-CLI subcommand calls the stage it is named for.  Ensembles are written as
-``.npy`` with a JSON sidecar (``files.write_ensemble``).  ``check`` and
-blind ``calibrate`` read a sweep directory, ``.npy`` or CSV, with
-``read_dark`` and ``sweep_points``.  All artifacts carry the config hash;
-outputs are byte-identical for a fixed (config, seed).
+``run_experiment`` draws a run's ensembles (``simulate_sweep``) and hands
+them to ``derive``, the one derivation of ``calibration.json``
+(``calibrate``), ``pm.csv`` and ``pm_metrics.json``
+(``reconstruction_metrics``) and ``report.md`` (``report_text``).
+``check`` calls ``derive`` on a run directory's ensembles and compares
+the texts with the files byte for byte; each other CLI subcommand calls
+the stage it is named for.  Ensembles are written as ``.npy`` with a JSON
+sidecar (``files.write_ensemble``); ``check`` and blind ``calibrate``
+read a sweep directory, ``.npy`` or CSV, with ``dark_path``,
+``sweep_paths`` and ``sweep_points``.  All artifacts carry the config
+hash; outputs are byte-identical for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import math
 import re
 from contextlib import closing
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 from pathlib import Path
 
 from . import config as cfgmod
@@ -37,7 +34,6 @@ from .calibration import (
     mean_constancy_check,
     sweep_draws,
 )
-from .detector import VoltageEnsemble
 from .errors import InvalidParameterError, LinphotError
 from .files import canonical_json, pm_csv_text, read_ensemble, write_ensemble
 from .loss import apply_bernoulli
@@ -151,7 +147,7 @@ def reconstruction_path(out: Path, config: cfgmod.RunConfig) -> Path:
     return out / f"reconstruction_eta_{config.reconstruct_eta:.6f}.npy"
 
 
-def read_dark(directory) -> VoltageEnsemble:
+def dark_path(directory) -> Path:
     """The dark record of a sweep directory: ``dark.npy`` or ``dark.csv``, not both."""
     directory = Path(directory)
     paths = [path for path in (directory / "dark.npy", directory / "dark.csv") if path.exists()]
@@ -159,16 +155,15 @@ def read_dark(directory) -> VoltageEnsemble:
         raise FileNotFoundError(f"no dark record (dark.npy or dark.csv) in {directory}")
     if len(paths) > 1:
         raise InvalidParameterError(f"two dark records: {paths[0]} and {paths[1]}")
-    return read_ensemble(paths[0])
+    return paths[0]
 
 
-def sweep_points(directory, dark_mean: float, dark_variance: float) -> list:
-    """The points of the ``ensemble_<i>*`` ``.npy`` or ``.csv`` files in ``directory``, in sweep order.
+def sweep_paths(directory) -> list[Path]:
+    """The ``ensemble_<i>*`` ``.npy`` or ``.csv`` files in ``directory``, in sweep order.
 
     The order is the number ``i`` (``ensemble_100`` follows ``ensemble_99``);
     two files with one number are an error, and ``.json`` sidecars are not
-    ensembles.  Each ensemble is zero-set by ``dark_mean``; its point takes
-    its ``eta``.
+    ensembles.
     """
     indexed = {}
     for path in sorted(Path(directory).glob("ensemble_*")):
@@ -181,11 +176,13 @@ def sweep_points(directory, dark_mean: float, dark_variance: float) -> list:
         if i in indexed:
             raise InvalidParameterError(f"two ensemble files with sweep index {i}: {indexed[i]} and {path}")
         indexed[i] = path
-    points = []
-    for i in sorted(indexed):
-        ens = subtract_offset(read_ensemble(indexed[i]), dark_mean)
-        points.append(eta_point_from_samples(ens.eta, ens.samples, dark_variance=dark_variance))
-    return points
+    return [indexed[i] for i in sorted(indexed)]
+
+
+def sweep_points(paths, dark_mean: float, dark_variance: float) -> list:
+    """The sweep point of each ensemble file in ``paths``, zero-set by ``dark_mean``, at its ``eta``."""
+    ensembles = (subtract_offset(read_ensemble(path), dark_mean) for path in paths)
+    return [eta_point_from_samples(ens.eta, ens.samples, dark_variance=dark_variance) for ens in ensembles]
 
 
 _SIMULATE = object()
@@ -244,12 +241,10 @@ def reconstruction_gamma(fit, configured_gamma_bar: float) -> tuple[float, float
 
 
 def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *, config_sha256=None, truth=None):
-    """Rebin a zero-set ensemble; return the result, its ``PmMetrics`` and the ensemble's sample moments.
+    """Rebin a zero-set ensemble; return the result, its ``PmMetrics`` and the ensemble's ``sample_moments``.
 
-    The one reduction of the ensemble, ``sample_moments`` through
-    ``ORDER_MAX``, gives mean_v and its SE; the reconstructed mean is
-    checked against mean_v / gamma_bar.  The result is compared with the
-    generating ``truth`` when given.
+    The reconstructed mean is checked against mean_v / gamma_bar; the
+    result is compared with the generating ``truth`` when given.
     """
     result = rebin(shifted, gamma_bar)
     if truth is not None:
@@ -272,11 +267,7 @@ def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *
 
 
 def gain_scaling_lines(scaling: dict) -> list[str]:
-    """The report's section for the ``asdict`` gain-scaling report ``scaling``.
-
-    A malformed section raises KeyError, TypeError, ValueError or
-    OverflowError; ``check`` renders a recorded one here to validate it.
-    """
+    """The report's section on the ``asdict`` gain-scaling report ``scaling``; ``check`` validates one with it."""
     return ["", "## Gain-scaling check", ""] + [
         f"- [{'PASS' if row['passed'] else 'FAIL'}] factor {row['factor']:g}: "
         f"intercept ratio = {_fmt(row['ratio'])} +- {_fmt(row['ratio_se'])}"
@@ -287,9 +278,8 @@ def gain_scaling_lines(scaling: dict) -> list[str]:
 def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, result, moments, truth) -> str:
     """The text of ``report.md``, from the ``asdict`` calibration record and the reconstruction's metrics.
 
-    Its moment table sets the ``moments`` of the zero-set reconstruction
-    ensemble, rebinned to ``result``, beside the exact voltage moments of
-    the detected ``truth``.
+    Its moment table sets the sample ``moments`` of the reconstruction
+    ensemble beside the exact voltage moments of the detected ``truth``.
     """
     config, source, gain, dark = models.config, models.source, models.gain, models.dark
     fit, checks, consistency = calibration["fit"], calibration["checks"], metrics.self_consistency
@@ -355,29 +345,19 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, r
     return "\n".join(lines + [""])
 
 
-class Derivation(NamedTuple):
-    """A run's derived artifacts: the records and the text of each file, by file name."""
+def derive(models: Models, dark, points, reconstruction, *, gain_scaling=_SIMULATE):
+    """The ``CalibrationRecord``, ``ReconstructionResult`` and ``PmMetrics`` of a run, and its texts by file name.
 
-    calibration: CalibrationRecord
-    reconstruction: ReconstructionResult
-    metrics: PmMetrics
-    texts: dict
-
-
-def derive(models: Models, dark, points, reconstruction, *, gain_scaling=_SIMULATE) -> Derivation:
-    """Derive ``calibration.json``, ``pm.csv``, ``pm_metrics.json`` and ``report.md`` from a run's ensembles.
-
-    ``dark`` and ``reconstruction`` are the raw dark and reconstruction
-    ensembles, ``points`` the sweep points; ``gain_scaling`` goes to
-    :func:`calibrate`.  ``run`` writes the texts and ``check`` compares
-    them with the files.
+    From the raw ``dark`` and ``reconstruction`` ensembles and the sweep
+    ``points``; ``gain_scaling`` goes to :func:`calibrate`.  The texts are
+    ``calibration.json``, ``pm.csv``, ``pm_metrics.json`` and ``report.md``.
     """
-    config, sha = models.config, models.config_sha256
+    sha = models.config_sha256
     calibration = calibrate(points, models.dark.sigma0**2, models, gain_scaling=gain_scaling)
     record = asdict(calibration)
     gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
     shifted = subtract_offset(reconstruction, sample_moments(dark.samples, order=2).mean)
-    truth = apply_bernoulli(models.source, config.reconstruct_eta)
+    truth = apply_bernoulli(models.source, models.config.reconstruct_eta)
     result, metrics, moments = reconstruction_metrics(shifted, *gamma, config_sha256=sha, truth=truth)
     texts = {
         "calibration.json": canonical_json(record),
@@ -385,7 +365,7 @@ def derive(models: Models, dark, points, reconstruction, *, gain_scaling=_SIMULA
         "pm_metrics.json": canonical_json(asdict(metrics)),
         "report.md": report_text(models, points, record, metrics, result, moments, truth),
     }
-    return Derivation(calibration, result, metrics, texts)
+    return calibration, result, metrics, texts
 
 
 def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
@@ -402,21 +382,21 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
 
     dark_ens, points, rec_ens, sweep_files = simulate_sweep(models, out, reconstruction=True)
     files.update(sweep_files)
-    derived = derive(models, dark_ens, points, rec_ens)
-    for name, text in derived.texts.items():
+    calibration, result, metrics, texts = derive(models, dark_ens, points, rec_ens)
+    for name, text in texts.items():
         path = out / name
         path.write_text(text)
         files[path.stem] = path  # calibration, pm, pm_metrics, report
 
-    fit, checks = derived.calibration.fit, derived.calibration.checks
+    fit, checks = calibration.fit, calibration.checks
     return RunResult(
         calibration=fit,
-        reconstruction=derived.reconstruction,
+        reconstruction=result,
         verdicts={
             "calibration_valid": bool(fit is not None and fit.valid),
             "mean_constancy": None if checks.mean_constancy is None else checks.mean_constancy.passed,
             "gain_scaling": None if checks.gain_scaling is None else checks.gain_scaling.passed,
-            "self_consistency": derived.metrics.self_consistency.passed,
+            "self_consistency": metrics.self_consistency.passed,
         },
         files=files,
     )

@@ -57,7 +57,6 @@ class PhotonNumberDistribution:
     mean_n: float
     central_moments: tuple  # mu_2(n)..mu_5(n)
     label: str
-    cdf: np.ndarray = field(repr=False, default=None)
     # (n_max, eta) -> closed-form detected PMF on 0..n_max; None for tables
     _thin: Callable[[int, float], np.ndarray] | None = field(repr=False, default=None)
     # (eta, rng, size) -> detected counts drawn from the thinned law; None for tables
@@ -66,10 +65,7 @@ class PhotonNumberDistribution:
     )
 
     def __post_init__(self):
-        if self.cdf is None:
-            object.__setattr__(self, "cdf", np.cumsum(self.pmf))
         self.pmf.setflags(write=False)
-        self.cdf.setflags(write=False)
 
 
 def _finalize(
@@ -386,4 +382,4 @@ def from_pmf(table) -> PhotonNumberDistribution:
 def sample_n(dist: PhotonNumberDistribution, rng: np.random.Generator, size) -> np.ndarray:
     """Draw ``size`` photon numbers by inverse-CDF lookup over the truncated PMF."""
     u = rng.random(size)
-    return np.minimum(np.searchsorted(dist.cdf, u, side="right"), dist.n_max)
+    return np.minimum(np.searchsorted(np.cumsum(dist.pmf), u, side="right"), dist.n_max)

@@ -1369,6 +1369,23 @@ class TestCheckReadsTheSweepInOrder:
         assert main(["check", "--out", str(out)]) == 2
         assert f"two dark records: {out / 'dark.npy'} and {out / 'dark.csv'}" in capsys.readouterr().err
 
+    def test_csv_ensembles_in_a_run_directory_fail_the_hash_verdict(self, finished_run, tmp_path, capsys):
+        # the same samples as CSV, even with the hash in a header: a CSV has no sidecar
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        sha = config_hash(load(out / "config.json"))
+        for stem in ("dark", "ensemble_01_eta_0.300000"):
+            write_ensemble_csv(out / f"{stem}.csv", read_ensemble(out / f"{stem}.npy"), config_sha256=sha)
+            (out / f"{stem}.npy").unlink()
+            (out / f"{stem}.json").unlink()
+        assert main(["check", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.count("[FAIL]") == 1
+        assert (
+            "[FAIL] config_sha256 of config.json in every ensemble sidecar "
+            "(not in dark.csv, ensemble_01_eta_0.300000.csv)"
+        ) in printed
+
     def test_blind_calibrate_writes_the_same_fit_from_npy_and_csv(self, finished_run, tmp_path):
         csv_dir = tmp_path / "csv"
         csv_dir.mkdir()
