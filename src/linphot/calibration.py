@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +39,7 @@ MIN_ETA_POINTS = 3
 MIN_SAMPLES_PER_POINT = 10_000
 
 
-@dataclass(frozen=True)
-class EtaSeriesPoint:
+class EtaSeriesPoint(NamedTuple):
     """Summary statistics of one ensemble in the efficiency sweep."""
 
     eta: float
@@ -52,8 +50,7 @@ class EtaSeriesPoint:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class CalibrationFit:
+class CalibrationFit(NamedTuple):
     """Weighted straight-line fit of fano_v against mean_v.
 
     ``intercept`` is the raw gamma_bar estimate; when the true relative gain
@@ -71,8 +68,7 @@ class CalibrationFit:
     gamma_bar_corrected: float | None = None
 
 
-@dataclass(frozen=True)
-class MeanConstancyRow:
+class MeanConstancyRow(NamedTuple):
     eta: float
     ratio: float
     se_ratio: float
@@ -81,8 +77,7 @@ class MeanConstancyRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class MeanConstancyReport:
+class MeanConstancyReport(NamedTuple):
     """Constancy of mean_v / <m> across the sweep, compared to the intercept."""
 
     rows: tuple
@@ -90,8 +85,7 @@ class MeanConstancyReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class GainScalingRow:
+class GainScalingRow(NamedTuple):
     factor: float
     intercept: float
     intercept_se: float
@@ -101,8 +95,7 @@ class GainScalingRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class GainScalingReport:
+class GainScalingReport(NamedTuple):
     """Intercepts measured under known output-gain factors, vs the baseline."""
 
     baseline_intercept: float

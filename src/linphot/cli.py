@@ -9,18 +9,19 @@ ensemble or dark record exits 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import config as cfgmod
 from .calibration import iter_ensembles, sweep_draws
 from .errors import ConfigError, InvalidParameterError, LinphotError
-from .files import canonical_json, pm_csv_text, read_ensemble, read_json, write_json
+from .files import as_dict, canonical_json, pm_csv_text, read_ensemble, read_json, write_json
 from .moments import sample_moments
 from .pipeline import (
     Models,
     calibrate,
+    dark_moments,
     dark_path,
     derive,
     gain_scaling_lines,
@@ -101,7 +102,7 @@ def _cmd_calibrate(args) -> int:
         record = calibrate([point for point, _ in sweep], models.dark.sigma0**2, models)
     else:
         ens_dir = Path(args.ensembles)
-        dark = sample_moments(read_ensemble(dark_path(ens_dir)).samples, order=2)
+        dark = dark_moments(dark_path(ens_dir))
         dark_var = dark.central_moment(2)
         points = sweep_points(sweep_paths(ens_dir), dark.mean, dark_var)
         if not points:
@@ -112,7 +113,7 @@ def _cmd_calibrate(args) -> int:
     if fit is None:
         raise LinphotError(record.fit_error)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "calibration.json", asdict(record))
+    write_json(out / "calibration.json", as_dict(record))
     print(f"gamma_bar_est = {fit.intercept!r} +- {fit.intercept_se!r}")
     print(f"slope = {fit.slope!r} +- {fit.slope_se!r}")
     print(f"wrote {out / 'calibration.json'}")
@@ -129,12 +130,12 @@ def _cmd_reconstruct(args) -> int:
             print(f"error: no valid fit in {args.from_calibration}", file=sys.stderr)
             return 1
         gamma = reconstruction_gamma(fit, None)
-    dark_mean = sample_moments(read_ensemble(args.dark).samples, order=2).mean if args.dark else 0.0
+    dark_mean = dark_moments(args.dark).mean if args.dark else 0.0
     result, metrics, _ = reconstruction_metrics(subtract_offset(ens, dark_mean), *gamma)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "pm.csv").write_text(pm_csv_text(result, {}))
-    write_json(out / "pm_metrics.json", asdict(metrics))
+    write_json(out / "pm_metrics.json", as_dict(metrics))
     print(f"wrote {out / 'pm.csv'} and {out / 'pm_metrics.json'}")
     print(f"[{'PASS' if metrics.self_consistency.passed else 'FAIL'}] self-consistency")
     return 0
@@ -158,8 +159,9 @@ def _cmd_check(args) -> int:
     """Replay ``run``'s derivation on a run directory's inputs; each derived artifact must match byte for byte.
 
     A malformed input (``config.json``, an ensemble or its sidecar, the dark
-    record), a ``calibration.json`` that is not JSON or whose gain-scaling
-    section is malformed exits 2 naming it.
+    record), a sweep ensemble or dark record that cannot be reduced (one
+    sample, say), a ``calibration.json`` that is not JSON or whose
+    gain-scaling section is malformed exits 2 naming it.
     """
     out = Path(args.out)
     failures = []
@@ -172,7 +174,7 @@ def _cmd_check(args) -> int:
     config = cfgmod.load(out / "config.json")
     models = Models(config)
     paths = [dark_path(out), *sweep_paths(out), reconstruction_path(out, config)]
-    dark = read_ensemble(paths[0])
+    dark_mean = dark_moments(paths[0]).mean
     # raw ensembles and the config's dark variance, as run computed the points
     points = sweep_points(paths[1:-1], 0.0, models.dark.sigma0**2)
     reconstruction = read_ensemble(paths[-1])
@@ -192,7 +194,7 @@ def _cmd_check(args) -> int:
         return 1
     # the one recorded section no replay re-derives: only re-simulation could
     gain_scaling = _recorded_gain_scaling(out / "calibration.json")
-    *_, texts = derive(models, dark, points, reconstruction, gain_scaling=gain_scaling)
+    *_, texts = derive(models, dark_mean, points, reconstruction, gain_scaling=gain_scaling)
     for name, text in texts.items():
         path = out / name
         verdict(f"{name} replayed byte for byte", path.exists() and path.read_bytes() == text.encode())
@@ -276,5 +278,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The ``linphot`` command: run :func:`main`, then exit with its code.
+
+    Freezing the collector first moves every object into the permanent
+    generation, which the interpreter's collections at exit do not walk, so
+    the process does not trace numpy's whole object graph just to end.
+    atexit handlers still run and stdio is still flushed.  ``main`` itself
+    leaves the collector alone for callers that stay in process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -6,13 +6,13 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .calibration import MIN_ETA_POINTS, MIN_SAMPLES_PER_POINT
 from .detector import GAIN_FAMILIES, DarkNoiseModel, GainModel, make_gain
 from .errors import ConfigError
-from .files import canonical_json
+from .files import as_dict, canonical_json
 from .sources import (
     DEFAULT_TAIL_EPS,
     PhotonNumberDistribution,
@@ -62,8 +62,7 @@ def _require_voltage_scale(x, field_path: str, lo: float) -> float:
     return float(x)
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+class SourceSpec(NamedTuple):
     kind: str
     mean: float | None = None
     modes: int | None = None
@@ -71,23 +70,20 @@ class SourceSpec:
     pmf: tuple | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in as_dict(self).items() if v is not None}
 
 
-@dataclass(frozen=True)
-class GainSpec:
+class GainSpec(NamedTuple):
     gamma_bar: float
     sigma: float
     family: str = "gaussian"
 
 
-@dataclass(frozen=True)
-class DarkSpec:
+class DarkSpec(NamedTuple):
     sigma0: float
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything needed to reproduce one experiment end to end."""
 
     source: SourceSpec
@@ -99,17 +95,17 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
     gain_scale_factors: tuple = ()
     tail_epsilon: float = DEFAULT_TAIL_EPS
-    reconstruct_eta: float = field(default=None)
-    reconstruction_n_samples: int = field(default=None)
+    reconstruct_eta: float = None
+    reconstruction_n_samples: int = None
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "source": self.source.to_dict()}
+        return {**as_dict(self), "source": self.source.to_dict()}
 
 
 def _parse_source(raw: dict) -> SourceSpec:
     _require(isinstance(raw, dict), "source", "must be an object")
-    _reject_unknown(raw, [f.name for f in fields(SourceSpec)], "source.")
+    _reject_unknown(raw, SourceSpec._fields, "source.")
     kind = raw.get("kind")
     _require(kind in SOURCE_KINDS, "source.kind", f"must be one of {SOURCE_KINDS}, got {kind!r}")
     pmf = raw.get("pmf")
@@ -157,7 +153,7 @@ def _parse_source(raw: dict) -> SourceSpec:
 def from_dict(raw: dict) -> RunConfig:
     """Parse and validate a config document; errors name the field."""
     _require(isinstance(raw, dict), "config", "must be a JSON object")
-    _reject_unknown(raw, [f.name for f in fields(RunConfig)])
+    _reject_unknown(raw, RunConfig._fields)
     version = raw.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, "schema_version", f"unsupported version {version!r}")
 
@@ -165,7 +161,7 @@ def from_dict(raw: dict) -> RunConfig:
 
     g = raw.get("gain")
     _require(isinstance(g, dict), "gain", "must be an object")
-    _reject_unknown(g, [f.name for f in fields(GainSpec)], "gain.")
+    _reject_unknown(g, GainSpec._fields, "gain.")
     family = g.get("family", "gaussian")
     _require(
         family in GAIN_FAMILIES,
@@ -183,7 +179,7 @@ def from_dict(raw: dict) -> RunConfig:
 
     d = raw.get("dark", {})
     _require(isinstance(d, dict), "dark", "must be an object")
-    _reject_unknown(d, [f.name for f in fields(DarkSpec)], "dark.")
+    _reject_unknown(d, DarkSpec._fields, "dark.")
     sigma0 = _require_voltage_scale(d.get("sigma0", 0.1 * gain.gamma_bar), "dark.sigma0", 0.0)
     dark = DarkSpec(sigma0=sigma0)
 

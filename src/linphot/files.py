@@ -12,10 +12,11 @@ for bit.  A file whose sample count disagrees with its header or sidecar,
 that is cut short or carries bytes past its samples is rejected.  P_m CSV
 (:func:`pm_csv_text`): ``# key=value`` headers, then ``m,pmf_hat,count``
 rows; nothing reads it back, since ``check`` renders it again and compares
-bytes.  Every JSON artifact is exactly one dataclass (``config.RunConfig``,
-``pipeline.CalibrationRecord``, ``pipeline.PmMetrics``) written with
-``dataclasses.asdict`` by :func:`canonical_json` (sorted keys), so repeated
-runs are byte-identical.
+bytes.  Every JSON artifact is exactly one ``NamedTuple`` record
+(``config.RunConfig``, ``pipeline.CalibrationRecord``,
+``pipeline.PmMetrics``), turned into plain dicts and lists by
+:func:`as_dict` and written by :func:`canonical_json` (sorted keys), so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -165,6 +166,18 @@ def pm_csv_text(result: ReconstructionResult, extra_header: dict) -> str:
     lines += [f"# gamma_bar={result.gamma_bar_used!r}\n", f"# n_samples={result.n_samples}\n", "m,pmf_hat,count\n"]
     lines += [f"{m},{p:.17e},{c}\n" for m, (p, c) in enumerate(zip(result.pmf_hat, result.counts))]
     return "".join(lines)
+
+
+def as_dict(record):
+    """``record`` as plain JSON values: each ``NamedTuple`` a dict and each other tuple a list, at every depth.
+
+    ``_asdict`` alone is shallow, and ``json`` writes a ``NamedTuple`` as a list.
+    """
+    if hasattr(record, "_fields"):
+        return {key: as_dict(value) for key, value in zip(record._fields, record)}
+    if isinstance(record, tuple):
+        return [as_dict(value) for value in record]
+    return record
 
 
 def canonical_json(obj) -> str:

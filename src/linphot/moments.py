@@ -11,9 +11,8 @@ those of m and of one response through K_v(t) = K_m(K_X(t)) + sigma0^2 t^2/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,8 +82,10 @@ def exact_sum(values) -> float:
     bins = _significand_bins(x)
     total = 0
     if bins is not None:
-        for i in np.flatnonzero(bins.any(axis=0)).tolist():
-            total += ((int(bins[0, i]) << 26) + int(bins[1, i])) << i
+        used = np.flatnonzero(bins.any(axis=0))
+        # one tolist of the occupied bins: numpy scalar indexing per bin is the slow part
+        for i, hi, lo in zip(used.tolist(), *bins[:, used].tolist()):
+            total += ((hi << 26) + lo) << i
     if total == 0:
         return math.fsum(x.tolist())
     return total / (1 << (_SUM_EXP_OFFSET + 53))
@@ -167,8 +168,7 @@ def compound_cumulants(kappa_m: Sequence, kappa_x: Sequence, dark_variance=0) ->
 # ---------------------------------------------------------------------------
 # containers
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(NamedTuple):
     """Mean, central moments mu_2..mu_order and raw moments mu'_1..mu'_order."""
 
     order: int

@@ -9,7 +9,8 @@ the texts with the files byte for byte; each other CLI subcommand calls
 the stage it is named for.  Ensembles are written as ``.npy`` with a JSON
 sidecar (``files.write_ensemble``); ``check`` and blind ``calibrate``
 read a sweep directory, ``.npy`` or CSV, with ``dark_path``,
-``sweep_paths`` and ``sweep_points``.  All artifacts carry the config
+``dark_moments``, ``sweep_paths`` and ``sweep_points``, which name the
+file whose ensemble cannot be reduced.  All artifacts carry the config
 hash; outputs are byte-identical for a fixed (config, seed).
 """
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 import re
 from contextlib import closing
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import config as cfgmod
 from .calibration import (
@@ -35,7 +36,7 @@ from .calibration import (
     sweep_draws,
 )
 from .errors import InvalidParameterError, LinphotError
-from .files import canonical_json, pm_csv_text, read_ensemble, write_ensemble
+from .files import as_dict, canonical_json, pm_csv_text, read_ensemble, write_ensemble
 from .loss import apply_bernoulli
 from .moments import ORDER_MAX, analytic_voltage_moments, sample_moments
 from .reconstruction import (
@@ -60,14 +61,12 @@ class Models:
         self.dark = cfgmod.build_dark(config)
 
 
-@dataclass(frozen=True)
-class CalibrationChecks:
+class CalibrationChecks(NamedTuple):
     mean_constancy: MeanConstancyReport | None = None
     gain_scaling: GainScalingReport | None = None
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
+class CalibrationRecord(NamedTuple):
     """The ``calibration.json`` document: the fit, or why none fits, and its checks."""
 
     config_sha256: str | None
@@ -78,8 +77,7 @@ class CalibrationRecord:
     schema_version: int = 1
 
 
-@dataclass(frozen=True)
-class PmMetrics:
+class PmMetrics(NamedTuple):
     """The ``pm_metrics.json`` document; None where no config or true P_m is known."""
 
     config_sha256: str | None
@@ -93,8 +91,7 @@ class PmMetrics:
     fidelity: float | None
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     calibration: CalibrationFit | None
     reconstruction: ReconstructionResult
     verdicts: dict
@@ -179,10 +176,27 @@ def sweep_paths(directory) -> list[Path]:
     return [indexed[i] for i in sorted(indexed)]
 
 
+def _reduced(path, reduce):
+    """``reduce`` of the ensemble read from ``path``; a reduction that fails raises an error naming the file."""
+    ensemble = read_ensemble(path)
+    try:
+        return reduce(ensemble)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{exc}: {path}") from exc
+
+
+def dark_moments(path):
+    """The mean and variance (``sample_moments`` of order 2) of the dark record ``path``."""
+    return _reduced(path, lambda ens: sample_moments(ens.samples, order=2))
+
+
 def sweep_points(paths, dark_mean: float, dark_variance: float) -> list:
     """The sweep point of each ensemble file in ``paths``, zero-set by ``dark_mean``, at its ``eta``."""
-    ensembles = (subtract_offset(read_ensemble(path), dark_mean) for path in paths)
-    return [eta_point_from_samples(ens.eta, ens.samples, dark_variance=dark_variance) for ens in ensembles]
+
+    def point(ens):
+        return eta_point_from_samples(ens.eta, subtract_offset(ens, dark_mean).samples, dark_variance=dark_variance)
+
+    return [_reduced(path, point) for path in paths]
 
 
 _SIMULATE = object()
@@ -267,7 +281,7 @@ def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *
 
 
 def gain_scaling_lines(scaling: dict) -> list[str]:
-    """The report's section on the ``asdict`` gain-scaling report ``scaling``; ``check`` validates one with it."""
+    """The report's section on the ``files.as_dict`` gain-scaling report ``scaling``; ``check`` validates one with it."""
     return ["", "## Gain-scaling check", ""] + [
         f"- [{'PASS' if row['passed'] else 'FAIL'}] factor {row['factor']:g}: "
         f"intercept ratio = {_fmt(row['ratio'])} +- {_fmt(row['ratio_se'])}"
@@ -276,7 +290,7 @@ def gain_scaling_lines(scaling: dict) -> list[str]:
 
 
 def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, result, moments, truth) -> str:
-    """The text of ``report.md``, from the ``asdict`` calibration record and the reconstruction's metrics.
+    """The text of ``report.md``, from the ``files.as_dict`` calibration record and the reconstruction's metrics.
 
     Its moment table sets the sample ``moments`` of the reconstruction
     ensemble beside the exact voltage moments of the detected ``truth``.
@@ -345,24 +359,25 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, r
     return "\n".join(lines + [""])
 
 
-def derive(models: Models, dark, points, reconstruction, *, gain_scaling=_SIMULATE):
+def derive(models: Models, dark_mean: float, points, reconstruction, *, gain_scaling=_SIMULATE):
     """The ``CalibrationRecord``, ``ReconstructionResult`` and ``PmMetrics`` of a run, and its texts by file name.
 
-    From the raw ``dark`` and ``reconstruction`` ensembles and the sweep
-    ``points``; ``gain_scaling`` goes to :func:`calibrate`.  The texts are
-    ``calibration.json``, ``pm.csv``, ``pm_metrics.json`` and ``report.md``.
+    From the dark record's mean ``dark_mean``, the sweep ``points`` and the
+    raw ``reconstruction`` ensemble; ``gain_scaling`` goes to
+    :func:`calibrate`.  The texts are ``calibration.json``, ``pm.csv``,
+    ``pm_metrics.json`` and ``report.md``.
     """
     sha = models.config_sha256
     calibration = calibrate(points, models.dark.sigma0**2, models, gain_scaling=gain_scaling)
-    record = asdict(calibration)
+    record = as_dict(calibration)
     gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
-    shifted = subtract_offset(reconstruction, sample_moments(dark.samples, order=2).mean)
+    shifted = subtract_offset(reconstruction, dark_mean)
     truth = apply_bernoulli(models.source, models.config.reconstruct_eta)
     result, metrics, moments = reconstruction_metrics(shifted, *gamma, config_sha256=sha, truth=truth)
     texts = {
         "calibration.json": canonical_json(record),
         "pm.csv": pm_csv_text(result, {"config_sha256": sha}),
-        "pm_metrics.json": canonical_json(asdict(metrics)),
+        "pm_metrics.json": canonical_json(as_dict(metrics)),
         "report.md": report_text(models, points, record, metrics, result, moments, truth),
     }
     return calibration, result, metrics, texts
@@ -382,7 +397,8 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
 
     dark_ens, points, rec_ens, sweep_files = simulate_sweep(models, out, reconstruction=True)
     files.update(sweep_files)
-    calibration, result, metrics, texts = derive(models, dark_ens, points, rec_ens)
+    dark_mean = sample_moments(dark_ens.samples, order=2).mean
+    calibration, result, metrics, texts = derive(models, dark_mean, points, rec_ens)
     for name, text in texts.items():
         path = out / name
         path.write_text(text)

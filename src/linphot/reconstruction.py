@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,7 @@ class ReconstructionResult:
         self.counts.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SelfConsistencyReport:
+class SelfConsistencyReport(NamedTuple):
     """Agreement of the reconstructed mean with mean_v / gamma_bar."""
 
     mean_v_over_gamma: float

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import gc
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from linphot.config import (
     from_dict,
     load,
 )
-from linphot.files import canonical_json, read_ensemble, write_ensemble
+from linphot.files import as_dict, canonical_json, read_ensemble, write_ensemble
+from linphot.pipeline import Models, calibrate, sweep_paths, sweep_points
 from oracles import write_ensemble_csv
 
 BASE = {
@@ -76,7 +78,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=8,
 )
-CONFIG_KEYS = [f.name for f in fields(RunConfig)]
+CONFIG_KEYS = list(RunConfig._fields)
 
 
 class TestConfig:
@@ -1214,6 +1216,105 @@ def test_two_cli_runs_are_byte_identical(tmp_path):
     assert names == sorted(path.name for path in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def is_plain_json(value) -> bool:
+    """Whether ``value`` holds only dicts with string keys, lists, strings, numbers and None, at every depth."""
+    if isinstance(value, dict):
+        return all(isinstance(key, str) and is_plain_json(item) for key, item in value.items())
+    if isinstance(value, list):
+        return all(is_plain_json(item) for item in value)
+    return value is None or isinstance(value, (str, int, float))
+
+
+def test_as_dict_turns_a_calibration_record_into_dicts_and_lists(finished_run):
+    # json writes a NamedTuple as a list, so every level must be converted
+    record = calibrate(sweep_points(sweep_paths(finished_run), 0.0, 100.0), 100.0, Models(from_dict(BASE)))
+    doc = as_dict(record)
+    assert is_plain_json(doc)
+    assert list(doc) == list(record._fields)
+    assert doc["fit"]["points"] == [dict(zip(p._fields, p)) for p in record.fit.points]
+    rows = doc["checks"]["mean_constancy"]["rows"]
+    assert rows == [dict(zip(r._fields, r)) for r in record.checks.mean_constancy.rows]
+    assert doc["checks"]["gain_scaling"] is None
+
+
+# runs the CLI module as ``python -m linphot.cli`` does, after a prelude
+CLI_AFTER = """
+{prelude}
+import runpy
+runpy.run_module("linphot.cli", run_name="__main__", alter_sys=True)
+"""
+
+# reports at exit whether the collector was frozen
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+"""
+
+
+def cli_process(*args, prelude=""):
+    """``python -m linphot.cli ARGS`` in a fresh interpreter, after running ``prelude``; the finished process."""
+    return subprocess.run(
+        [sys.executable, "-c", CLI_AFTER.format(prelude=prelude), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(linphot.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+
+
+class TestEntry:
+    """The command exits with the collector frozen; ``main`` in process leaves it alone."""
+
+    def test_the_command_exits_with_mains_code_after_freezing(self, finished_run, tmp_path, capsys):
+        for out in (finished_run, tmp_path / "missing"):
+            proc = cli_process("check", "--out", str(out), prelude=FREEZE_PROBE)
+            code = main(["check", "--out", str(out)])
+            assert proc.returncode == code, proc.stderr
+            assert proc.stdout == capsys.readouterr().out  # stdout is flushed at exit
+            assert "frozen at exit: True" in proc.stderr
+        assert code == 2
+
+    def test_main_leaves_the_collector_unfrozen(self, finished_run, capsys):
+        before = gc.get_freeze_count()
+        assert main(["check", "--out", str(finished_run)]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_the_script_is_the_entry_function(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert 'linphot = "linphot.cli:entry"' in pyproject
+
+
+def keep_first_sample(path):
+    """Rewrite the ensemble ``.npy`` at ``path`` to its first sample, with a matching sidecar."""
+    ens = read_ensemble(path)
+    sha = json.loads(path.with_suffix(".json").read_text())["config_sha256"]
+    write_ensemble(path, replace(ens, samples=ens.samples[:1], n_samples=1), sha)
+
+
+@pytest.mark.parametrize("case", ["check-dark", "check-sweep", "blind-calibrate-dark", "reconstruct-dark"])
+def test_a_one_sample_ensemble_exits_2_naming_it(finished_run, tmp_path, case):
+    # sample_moments refuses it; the message names the file it was read from
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    (reconstruction,) = out.glob("reconstruction_eta_*.npy")
+    path = sorted(out.glob("ensemble_*.npy"))[1] if case == "check-sweep" else out / "dark.npy"
+    keep_first_sample(path)
+    args = {
+        "check-dark": ["check", "--out", str(out)],
+        "check-sweep": ["check", "--out", str(out)],
+        "blind-calibrate-dark": ["calibrate", "--ensembles", str(out), "--out", str(tmp_path / "c")],
+        "reconstruct-dark": [
+            "reconstruct", "--input", str(reconstruction), "--gamma-bar", "100", "--dark", str(path),
+            "--out", str(tmp_path / "r"),
+        ],
+    }[case]
+    proc = cli_process(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: need at least 2 samples, got 1: {path}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "simulate"])

@@ -24,6 +24,7 @@ from linphot import (
 from linphot.detector import DarkNoiseModel
 from linphot.moments import (
     _SUM_BLOCK,
+    _significand_bins,
     compound_cumulants,
     cumulants_from_raw,
     exact_sum,
@@ -268,6 +269,31 @@ def test_exact_sum_is_the_one_summation_path():
         for path in sorted(package.glob("*.py"))
     }
     assert {name: scopes for name, scopes in uses.items() if scopes} == {"moments.py": ["exact_sum"]}
+
+
+def test_exact_sum_matches_fsum_on_a_pmf_over_hundreds_of_exponents():
+    # k p of a bright Poisson occupies one exponent bin per binade it spans;
+    # the combine reads every occupied bin
+    dist = make_poisson(1400)
+    x = np.arange(dist.pmf.size) * dist.pmf
+    assert np.count_nonzero(_significand_bins(x).any(axis=0)) > 700
+    assert exact_sum(x) == math.fsum(x.tolist())
+
+
+# the types that validate their input or hold an array; every other record is
+# a NamedTuple, since a dataclass execs generated code at each import
+MODEL_TYPES = {"GainModel", "DarkNoiseModel", "VoltageEnsemble", "PhotonNumberDistribution", "ReconstructionResult"}
+
+
+def test_only_the_model_types_are_dataclasses():
+    package = Path(__file__).resolve().parents[1] / "src" / "linphot"
+    decorated = {
+        node.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    }
+    assert decorated == MODEL_TYPES
 
 
 def _numpy_reductions(tree) -> list:
