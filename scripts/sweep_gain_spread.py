@@ -6,7 +6,10 @@ true mean response and reports the total-variation distance to the exact
 detected-photon PMF, next to the infinite-sample misassignment floor from
 the gaussian bin-overlap oracle.  This is the empirical answer to "how
 narrow does the single-photon response need to be": there is no sharp
-cutoff, the table shows the degradation curve.
+cutoff, the table shows the degradation curve.  It needs the ``test``
+extra (``pip install -e '.[test]'``): the floor's oracle,
+``expected_rebinned_pmf``, imports scipy, which the package itself does
+not depend on.
 """
 
 import argparse

@@ -112,25 +112,26 @@ def eta_point_from_samples(
 ) -> EtaSeriesPoint:
     """Reduce one voltage ensemble to its sweep-point statistics.
 
-    The known (or separately measured) baseline variance D is subtracted
-    before the ratio F = (mu2 - D) / mean is formed.  Its delta-method
-    standard error is sd(d (d - F)) / (|mean| sqrt(n)) with d = x - mean,
-    i.e. sqrt((mu4 - mu2^2 - 2 F mu3 + F^2 mu2) / n) / |mean|; being only a
-    fit weight, it takes numpy's own sum where mean and mu2 are those of
-    ``moments.sample_moments``.  A mean of exactly 0 has no ratio and
-    raises, naming ``eta``.
+    Every statistic is a closed form of the one ``moments.sample_moments``
+    of order 4.  The known (or separately measured) baseline variance D is
+    subtracted before the ratio F = (mu2 - D) / mean is formed.  Its
+    delta-method standard error is sd(d (d - F)) / (|mean| sqrt(n)) with
+    d = x - mean, i.e. sqrt((mu4 - mu2^2 - 2 F mu3 + F^2 mu2) / n) / |mean|;
+    a radicand that rounds below 0 gives 0, as for a constant ensemble.  A
+    mean of exactly 0 has no ratio and raises, naming ``eta``.
     """
     x = np.asarray(samples, dtype=float)
-    moments = sample_moments(x, order=2)
-    n, mean, mu2 = x.size, moments.mean, moments.central_moment(2)
+    moments = sample_moments(x, order=4)
+    n, mean = x.size, moments.mean
+    mu2, mu3, mu4 = moments.central
     if mean == 0.0:
         raise InvalidParameterError(
             f"eta={float(eta):g}: the mean voltage is exactly 0, so its fano ratio is undefined"
         )
-    d = x - mean
     fano = (mu2 - dark_variance) / mean
     se_mean = math.sqrt(mu2 / n)
-    se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))
+    radicand = mu4 - mu2 * mu2 - 2.0 * fano * mu3 + fano * fano * mu2
+    se_fano = math.sqrt(max(radicand, 0.0) / n) / abs(mean)
     return EtaSeriesPoint(
         eta=float(eta),
         mean_v=mean,

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import config as cfgmod
 from .calibration import iter_ensembles, sweep_draws
 from .errors import ConfigError, InvalidParameterError, LinphotError
-from .files import as_dict, canonical_json, pm_csv_text, read_ensemble, read_json, write_json
+from .files import as_dict, canonical_json, pm_csv_text, read_json, write_json
 from .moments import sample_moments
 from .pipeline import (
     Models,
@@ -25,6 +25,7 @@ from .pipeline import (
     dark_path,
     derive,
     gain_scaling_lines,
+    read_reducible,
     reconstruction_gamma,
     reconstruction_metrics,
     reconstruction_path,
@@ -86,7 +87,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    ens = read_ensemble(args.input)
+    ens = read_reducible(args.input)
     mset = sample_moments(ens.samples, order=args.order)
     print(canonical_json(mset.to_dict()), end="")
     return 0
@@ -121,7 +122,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    ens = read_ensemble(args.input)
+    ens = read_reducible(args.input)
     if args.gamma_bar is not None:
         gamma = (args.gamma_bar, 0.0, "--gamma-bar")
     else:
@@ -159,9 +160,9 @@ def _cmd_check(args) -> int:
     """Replay ``run``'s derivation on a run directory's inputs; each derived artifact must match byte for byte.
 
     A malformed input (``config.json``, an ensemble or its sidecar, the dark
-    record), a sweep ensemble or dark record that cannot be reduced (one
-    sample, say), a ``calibration.json`` that is not JSON or whose
-    gain-scaling section is malformed exits 2 naming it.
+    record), an ensemble of one sample, a sweep ensemble of mean 0, a
+    ``calibration.json`` that is not JSON or whose gain-scaling section is
+    malformed exits 2 naming it.
     """
     out = Path(args.out)
     failures = []
@@ -177,7 +178,7 @@ def _cmd_check(args) -> int:
     dark_mean = dark_moments(paths[0]).mean
     # raw ensembles and the config's dark variance, as run computed the points
     points = sweep_points(paths[1:-1], 0.0, models.dark.sigma0**2)
-    reconstruction = read_ensemble(paths[-1])
+    reconstruction = read_reducible(paths[-1])
     # a .npy carries the hash in its sidecar; a CSV carries none
     stale = [
         path.name for path in (p.with_suffix(".json") if p.suffix == ".npy" else p for p in paths)

@@ -129,18 +129,6 @@ def raw_from_central(mean, central: Sequence) -> list:
     return raw
 
 
-def central_from_raw(raw: Sequence) -> list:
-    """Central moments mu_2..mu_order from raw moments mu'_1..mu'_order."""
-    mean = raw[0]
-    rw = [1] + list(raw)  # mu'_0 = 1
-    central = []
-    for r in range(2, len(rw)):
-        central.append(
-            sum(comb(r, j) * rw[j] * (-mean) ** (r - j) for j in range(r + 1))
-        )
-    return central
-
-
 def _partial_bell(x: Sequence, n: int, k: int):
     """Partial Bell polynomial B_{n,k}(x_1, x_2, ...), by the size of the block holding 1."""
     if n == 0 or k == 0:
@@ -183,20 +171,10 @@ class MomentSet(NamedTuple):
         raw = tuple(float(r) for r in raw_from_central(float(mean), central))
         return cls(order=order, mean=float(mean), central=central, raw=raw)
 
-    @classmethod
-    def from_raw(cls, raw: Sequence[float]) -> "MomentSet":
-        order = _check_order(len(raw))
-        raw = tuple(float(r) for r in raw)
-        central = tuple(float(c) for c in central_from_raw(raw))
-        return cls(order=order, mean=raw[0], central=central, raw=raw)
-
     def central_moment(self, r: int) -> float:
         if r == 1:
             return 0.0
         return self.central[r - 2]
-
-    def raw_moment(self, r: int) -> float:
-        return self.raw[r - 1]
 
     def to_dict(self) -> dict:
         return {

@@ -10,8 +10,9 @@ the stage it is named for.  Ensembles are written as ``.npy`` with a JSON
 sidecar (``files.write_ensemble``); ``check`` and blind ``calibrate``
 read a sweep directory, ``.npy`` or CSV, with ``dark_path``,
 ``dark_moments``, ``sweep_paths`` and ``sweep_points``, which name the
-file whose ensemble cannot be reduced.  All artifacts carry the config
-hash; outputs are byte-identical for a fixed (config, seed).
+file whose ensemble cannot be reduced.  Every command that reads an
+ensemble file reads it with ``read_reducible``.  All artifacts carry the
+config hash; outputs are byte-identical for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -176,27 +177,35 @@ def sweep_paths(directory) -> list[Path]:
     return [indexed[i] for i in sorted(indexed)]
 
 
-def _reduced(path, reduce):
-    """``reduce`` of the ensemble read from ``path``; a reduction that fails raises an error naming the file."""
+def read_reducible(path):
+    """The ensemble read from ``path``; a file of one sample, which no statistic reduces, raises an error naming it.
+
+    ``files.read_ensemble`` itself reads such a file back, as the format allows.
+    """
     ensemble = read_ensemble(path)
-    try:
-        return reduce(ensemble)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{exc}: {path}") from exc
+    if ensemble.n_samples < 2:
+        raise InvalidParameterError(f"need at least 2 samples, got {ensemble.n_samples}: {path}")
+    return ensemble
 
 
 def dark_moments(path):
     """The mean and variance (``sample_moments`` of order 2) of the dark record ``path``."""
-    return _reduced(path, lambda ens: sample_moments(ens.samples, order=2))
+    return sample_moments(read_reducible(path).samples, order=2)
 
 
 def sweep_points(paths, dark_mean: float, dark_variance: float) -> list:
-    """The sweep point of each ensemble file in ``paths``, zero-set by ``dark_mean``, at its ``eta``."""
+    """The sweep point of each ensemble file in ``paths``, zero-set by ``dark_mean``, at its ``eta``.
 
-    def point(ens):
-        return eta_point_from_samples(ens.eta, subtract_offset(ens, dark_mean).samples, dark_variance=dark_variance)
-
-    return [_reduced(path, point) for path in paths]
+    An ensemble of mean exactly 0 has no point; the error names its file.
+    """
+    points = []
+    for path in paths:
+        ens = read_reducible(path)
+        try:
+            points.append(eta_point_from_samples(ens.eta, subtract_offset(ens, dark_mean).samples, dark_variance))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{exc}: {path}") from exc
+    return points
 
 
 _SIMULATE = object()

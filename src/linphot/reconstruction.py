@@ -181,7 +181,8 @@ def expected_rebinned_pmf(
     chosen bin width, out to ten standard deviations above the top
     component; mass below the zero bin folds into bin 0, matching
     :func:`rebin`.  Requires a gaussian gain family with no zero-variance
-    component.
+    component, and scipy, which is in the ``test`` extra only: no command
+    calls this oracle.
     """
     from scipy.special import ndtr
 

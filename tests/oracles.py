@@ -12,7 +12,8 @@ sweep-point statistics with ``math.fsum`` sums, the reference for its
 ``analytic_pv_cdf_gaussian`` are the closed-form voltage density and CDF
 for gaussian gains; ``detected_fano`` is mu_2(m)/<m>; ``CumulantSet``,
 ``moments_from_cumulants`` and ``cumulants_from_moments`` convert between
-cumulants and a ``MomentSet``; ``gain_central_moments`` is mu_2..mu_5 of
+cumulants and a ``MomentSet``, which ``moment_set_from_raw`` forms from raw
+moments by ``central_from_raw``; ``gain_central_moments`` is mu_2..mu_5 of
 one gain draw; ``default_eta_series`` is an equally spaced efficiency
 ladder; ``validate`` asserts the invariants of a photon-number law.
 ``broadcast_ensemble_samples`` draws ``simulate_ensemble``'s voltages with
@@ -35,7 +36,6 @@ from linphot.loss import sample_m
 from linphot.moments import (
     MomentSet,
     _check_order,
-    central_from_raw,
     cumulants_from_raw,
     exact_sum,
     pmf_moments,
@@ -193,10 +193,25 @@ class CumulantSet:
         return cls(order=order, kappa=tuple(float(k) for k in kappa))
 
 
+def central_from_raw(raw: Sequence) -> list:
+    """Central moments mu_2..mu_order from raw moments mu'_1..mu'_order."""
+    mean = raw[0]
+    rw = [1] + list(raw)  # mu'_0 = 1
+    return [sum(comb(r, j) * rw[j] * (-mean) ** (r - j) for j in range(r + 1)) for r in range(2, len(rw))]
+
+
+def moment_set_from_raw(raw: Sequence[float]) -> MomentSet:
+    """The ``MomentSet`` of raw moments mu'_1..mu'_order."""
+    order = _check_order(len(raw))
+    raw = tuple(float(r) for r in raw)
+    central = tuple(float(c) for c in central_from_raw(raw))
+    return MomentSet(order=order, mean=raw[0], central=central, raw=raw)
+
+
 def moments_from_cumulants(c: CumulantSet) -> MomentSet:
     """Raw and central moments from a cumulant set (recursion, order <= 5)."""
     _check_order(c.order)
-    return MomentSet.from_raw(raw_moments_from_cumulants(c.kappa))
+    return moment_set_from_raw(raw_moments_from_cumulants(c.kappa))
 
 
 def cumulants_from_moments(m: MomentSet) -> CumulantSet:

@@ -101,14 +101,14 @@ def test_criterion_1_moment_cumulant_algebra():
         mset = moments_from_cumulants(CumulantSet.from_kappa(gamma_kappa))
         for j in range(1, 6):
             analytic = theta**j * math.prod(shape + i for i in range(j))
-            assert mset.raw_moment(j) == pytest.approx(analytic, rel=1e-10)
+            assert mset.raw[j - 1] == pytest.approx(analytic, rel=1e-10)
 
         lam = 2.0
         mset = moments_from_cumulants(CumulantSet.from_kappa([lam] * 5))
         n = np.arange(0, 80)
         pmf = np.exp(-lam) * lam**n / np.array([math.factorial(int(v)) for v in n])
         for j in range(1, 6):
-            assert mset.raw_moment(j) == pytest.approx(float(np.sum(n**j * pmf)), rel=1e-10)
+            assert mset.raw[j - 1] == pytest.approx(float(np.sum(n**j * pmf)), rel=1e-10)
 
         mu, s2 = 0.7, 1.9
         mset = moments_from_cumulants(CumulantSet.from_kappa([mu, s2, 0, 0, 0]))
@@ -120,7 +120,7 @@ def test_criterion_1_moment_cumulant_algebra():
             mu**5 + 10 * mu**3 * s2 + 15 * mu * s2**2,
         ]
         for j in range(1, 6):
-            assert mset.raw_moment(j) == pytest.approx(gauss_raw[j - 1], rel=1e-10)
+            assert mset.raw[j - 1] == pytest.approx(gauss_raw[j - 1], rel=1e-10)
 
 
 def test_criterion_2_loss_channel_suite():

@@ -24,6 +24,7 @@ from linphot import (
     make_thermal,
     mean_constancy_check,
     run_eta_series,
+    sample_moments,
     self_consistency_check,
     simulate_ensemble,
 )
@@ -67,6 +68,14 @@ class TestEtaPoint:
         point = eta_point_from_samples(0.2, x, dark_variance=4.0)
         assert point.fano_v == pytest.approx((np.var(x) - 4.0) / x.mean(), rel=1e-9)
         assert point.se_fano_v > 0
+
+    def test_a_radicand_rounding_below_zero_gives_a_zero_se(self):
+        # F = 0 leaves mu4 - mu2^2, which rounds to -4.2e-22 on this two-point
+        # ensemble; np.std of d (d - F) is 0 there, and so is the moment form
+        x = [81.73214424133191, 81.80685947473147] * 2
+        dark_variance = sample_moments(x, order=2).central[0]
+        assert eta_point_from_samples(0.5, x, dark_variance).se_fano_v == 0.0
+        assert fsum_eta_point(0.5, x, dark_variance).se_fano_v == 0.0
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):
@@ -554,6 +563,10 @@ class TestGainScaling:
 
 
 def test_eta_point_is_the_fsum_point_over_three_blocks():
+    # the oracle's fano SE is np.std of d (d - F), the package's a closed form
+    # of the same exact moments: equal to rounding, the rest bit for bit
     gain, dark = make_gain("gaussian", GAIN, 5.0), DarkNoiseModel(10.0)
     ens = simulate_ensemble(make_poisson(2000.0), 0.5, gain, dark, 3 * _SUM_BLOCK + 17, 7)
-    assert eta_point_from_samples(0.5, ens.samples, 100.0) == fsum_eta_point(0.5, ens.samples, 100.0)
+    point, want = eta_point_from_samples(0.5, ens.samples, 100.0), fsum_eta_point(0.5, ens.samples, 100.0)
+    assert point._replace(se_fano_v=0.0) == want._replace(se_fano_v=0.0)
+    assert point.se_fano_v == pytest.approx(want.se_fano_v, rel=1e-12, abs=0)

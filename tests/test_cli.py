@@ -24,6 +24,7 @@ from scipy import stats
 
 import linphot
 from linphot import ConfigError, InvalidParameterError, VoltageEnsemble, run_experiment
+from linphot.calibration import iter_ensembles, sweep_draws
 from linphot.cli import main
 from linphot.config import (
     SOURCE_KINDS,
@@ -36,7 +37,7 @@ from linphot.config import (
 )
 from linphot.files import as_dict, canonical_json, read_ensemble, write_ensemble
 from linphot.pipeline import Models, calibrate, sweep_paths, sweep_points
-from oracles import write_ensemble_csv
+from oracles import fsum_eta_point, write_ensemble_csv
 
 BASE = {
     "schema_version": 1,
@@ -1116,7 +1117,7 @@ def test_the_package_raises_three_error_types():
 # suite runs with (PCG64 Poisson and normal), which numpy may change
 # between releases.
 ARTIFACT_SHA256 = {
-    "calibration.json": "fd76cfabca4983b32cb6f234f8b8839e5cb7fd63007315fe7df1c85e51502ae9",
+    "calibration.json": "fc9063a2d09aa1eb79d8c83a05e9ddea6558f253fc8bd40dbcba658d20ce1901",
     "config.json": "a1809df4fbe2367615d668ab441d0df7489719116609a9edf24bac9fbd0066d1",
     "dark.json": "a5bfec6150d3d263da93071ea63a82a9a7ca388d095db0814e57ae0b24345939",
     "dark.npy": "9e8ab31c84e4b75685d581863c32e1dc10c8b4adf44a86381eb52941b711a338",
@@ -1126,8 +1127,8 @@ ARTIFACT_SHA256 = {
     "ensemble_01_eta_0.300000.npy": "04ea21b53ec3e23a1da6f965971f54fc8007fa2ca3feba56ffcb0ec44921e282",
     "ensemble_02_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "ensemble_02_eta_0.500000.npy": "5bb34711b051cd9fa76d376271e53f608404da0a61603b708da32222f3daf7de",
-    "pm.csv": "3b2680736b8a76ae7e1cb40dd8c5a5f6cc26f604bfa4d10e6bb86ed6f4e6b0e1",
-    "pm_metrics.json": "904a1b5d9f4c141aff0b1c282d2656403ae8cb5ec6271c841ed4be74ceb1847c",
+    "pm.csv": "e6b3ef2002500ea0c05e0d388f0fcac8fba1337dd7c1f1bea9de2aa127eac60e",
+    "pm_metrics.json": "7603a80d7b6353241de70fe55746c3b9fceb5192900c1c8ea8e5bcba67903af6",
     "reconstruction_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "reconstruction_eta_0.500000.npy": "9154f0b2a4eb2c012211a9b46684728bc31cd72fa4922dac804a0a97b143fe7b",
     "report.md": "1d831e2a735e2cac1bb40052e2485c90272d487a3f30a4654802dd1f3b916fab",
@@ -1163,7 +1164,7 @@ def test_npy_samples_are_the_csv_samples_bit_for_bit(finished_run, tmp_path):
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
 # one pinned document that holds a GainScalingReport.
-GAIN_SCALING_CALIBRATION_SHA256 = "b0a9aa83b55bf506a320ef6fc8a8a53044509b96f48fa8153772349157cce48e"
+GAIN_SCALING_CALIBRATION_SHA256 = "cf908d56c777b8ec767a69e0b6119d028009d5f9b9797a22b8083433addec97c"
 
 
 def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
@@ -1171,6 +1172,58 @@ def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
     assert result.verdicts["gain_scaling"] is not None
     digest = hashlib.sha256(result.files["calibration"].read_bytes()).hexdigest()
     assert digest == GAIN_SCALING_CALIBRATION_SHA256
+
+
+# the sweeps of the benchmark's workloads (perfbench/run.py) at seed 1; only
+# the keys that set a sweep's draws are given
+LADDER = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+WORKLOAD_SWEEPS = {
+    "reference": {"source": {"kind": "poisson", "mean": 100.0}, "n_samples": 100_000},
+    "bright": {"source": {"kind": "poisson", "mean": 1400.0}, "n_samples": 30_000},
+    "thermal": {
+        "source": {"kind": "thermal", "mean": 100.0},
+        "gain": {"family": "gamma", "gamma_bar": 100.0, "sigma": 5.0},
+        "n_samples": 10_000,
+        "tail_epsilon": 1e-40,
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["BASE", *WORKLOAD_SWEEPS])
+def test_se_fano_is_the_np_std_form_on_every_sweep_point(name):
+    # se_fano_v comes from the point's moments, no longer from np.std of
+    # d (d - F): the two forms agree to rounding, and the rest is bit-equal
+    raw = BASE if name == "BASE" else {**BASE, "eta_series": LADDER, "seed": 1, **WORKLOAD_SWEEPS[name]}
+    models = Models(from_dict(raw))
+    config, dark_variance = models.config, models.dark.sigma0**2
+    draws = sweep_draws(config.eta_series, config.n_samples)
+    for point, ens in iter_ensembles(models.source, models.gain, models.dark, draws, config.seed):
+        want = fsum_eta_point(point.eta, ens.samples, dark_variance)
+        assert point.se_fano_v == pytest.approx(want.se_fano_v, rel=1e-12, abs=0), point.eta
+        assert point._replace(se_fano_v=0.0) == want._replace(se_fano_v=0.0)
+
+
+def test_each_ensemble_is_reduced_once(tmp_path, monkeypatch):
+    # one sample_moments call per ensemble that run draws and check reads
+    reduced, drawn, read = [], [], []
+
+    def spy(log, function):
+        def logged(*args, **kwargs):
+            log.append(None)
+            return function(*args, **kwargs)
+
+        return logged
+
+    for module in (linphot.calibration, linphot.pipeline, linphot.cli):
+        monkeypatch.setattr(module, "sample_moments", spy(reduced, linphot.moments.sample_moments))
+    monkeypatch.setattr(linphot.pipeline, "read_ensemble", spy(read, linphot.pipeline.read_ensemble))
+    monkeypatch.setattr(linphot.calibration, "simulate_ensemble", spy(drawn, linphot.calibration.simulate_ensemble))
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(reduced) == len(drawn) == 5  # dark, 3 sweep points, reconstruction
+    reduced.clear()
+    assert main(["check", "--out", str(tmp_path / "run")]) == 0
+    assert len(reduced) == len(read) == 5
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -1293,22 +1346,38 @@ def keep_first_sample(path):
     write_ensemble(path, replace(ens, samples=ens.samples[:1], n_samples=1), sha)
 
 
-@pytest.mark.parametrize("case", ["check-dark", "check-sweep", "blind-calibrate-dark", "reconstruct-dark"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "check-dark", "check-sweep", "check-reconstruction", "blind-calibrate-dark", "reconstruct-dark",
+        "reconstruct-input", "moments-input",
+    ],
+)
 def test_a_one_sample_ensemble_exits_2_naming_it(finished_run, tmp_path, case):
-    # sample_moments refuses it; the message names the file it was read from
+    # no statistic reduces it; it is refused where it is read, naming the file
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     (reconstruction,) = out.glob("reconstruction_eta_*.npy")
-    path = sorted(out.glob("ensemble_*.npy"))[1] if case == "check-sweep" else out / "dark.npy"
+    path = {
+        "check-sweep": sorted(out.glob("ensemble_*.npy"))[1],
+        "check-reconstruction": reconstruction,
+        "reconstruct-input": reconstruction,
+        "moments-input": reconstruction,
+    }.get(case, out / "dark.npy")
     keep_first_sample(path)
     args = {
         "check-dark": ["check", "--out", str(out)],
         "check-sweep": ["check", "--out", str(out)],
+        "check-reconstruction": ["check", "--out", str(out)],
         "blind-calibrate-dark": ["calibrate", "--ensembles", str(out), "--out", str(tmp_path / "c")],
         "reconstruct-dark": [
             "reconstruct", "--input", str(reconstruction), "--gamma-bar", "100", "--dark", str(path),
             "--out", str(tmp_path / "r"),
         ],
+        "reconstruct-input": [
+            "reconstruct", "--input", str(path), "--gamma-bar", "100", "--out", str(tmp_path / "r"),
+        ],
+        "moments-input": ["moments", "--input", str(path)],
     }[case]
     proc = cli_process(*args)
     assert proc.returncode == 2, proc.stderr
@@ -1589,13 +1658,14 @@ class TestGainScalingInRun:
 
 MODULE_PROBE = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
 {body}
-print(sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in {names!r})))
+print(sorted(m for m, mod in sys.modules.items() if mod is not None and any(m == n or m.startswith(n + ".") for n in {names!r})))
 """
 
 
 def loaded_modules(body, *args, names=("scipy",)):
-    """Run ``body`` in a fresh interpreter; return every module it loaded in the packages ``names``."""
+    """Run ``body`` in a fresh interpreter where scipy cannot be imported; return every module it loaded in the packages ``names``."""
     src = str(Path(linphot.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", MODULE_PROBE.format(body=body, names=names), *args],
@@ -1608,7 +1678,24 @@ def loaded_modules(body, *args, names=("scipy",)):
 
 
 class TestStartupImports:
-    """No command loads scipy, nor concurrent.futures: the laws are evaluated in numpy, the streams run on bare threads."""
+    """No command needs scipy, nor loads concurrent.futures: the laws are evaluated in numpy, the streams run on bare threads."""
+
+    def test_import_linphot(self):
+        assert loaded_modules("import linphot", names=("concurrent.futures", "scipy")) == "[]"
+
+    def test_commands_that_read_ensemble_files(self, finished_run, tmp_path):
+        (reconstruction,) = finished_run.glob("reconstruction_eta_*.npy")
+        commands = [
+            ["moments", "--input", str(reconstruction)],
+            ["reconstruct", "--input", str(reconstruction), "--gamma-bar", "100", "--out", str(tmp_path / "r1")],
+            [
+                "reconstruct", "--input", str(reconstruction), "--dark", str(finished_run / "dark.npy"),
+                "--from-calibration", str(finished_run / "calibration.json"), "--out", str(tmp_path / "r2"),
+            ],
+            ["calibrate", "--ensembles", str(finished_run), "--out", str(tmp_path / "c")],
+        ]
+        body = "import json\nfrom linphot import cli\nfor args in json.loads(sys.argv[1]):\n    assert cli.main(args) == 0, args"
+        assert loaded_modules(body, json.dumps(commands)) == "[]"
 
     def test_import_cli_and_load_config(self, tmp_path):
         # every command's start-up

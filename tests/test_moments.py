@@ -37,6 +37,7 @@ from oracles import (
     fsum_pmf_statistics,
     gain_central_moments,
     mixture_voltage_moments,
+    moment_set_from_raw,
     moments_from_cumulants,
 )
 
@@ -81,7 +82,7 @@ def test_point_mass_moments():
     mu = 3.5
     mset = moments_from_cumulants(CumulantSet.from_kappa([mu, 0, 0, 0, 0]))
     for j in range(1, 6):
-        assert mset.raw_moment(j) == pytest.approx(mu**j, rel=1e-14)
+        assert mset.raw[j - 1] == pytest.approx(mu**j, rel=1e-14)
     assert mset.central == pytest.approx((0, 0, 0, 0), abs=1e-12)
 
 
@@ -93,14 +94,14 @@ def test_standard_gaussian_moments():
 def test_poisson_moments_against_bruteforce():
     lam = 2.0
     mset = moments_from_cumulants(CumulantSet.from_kappa([lam] * 5))
-    assert mset.raw_moment(2) == pytest.approx(lam + lam**2, rel=1e-12)
-    assert mset.raw_moment(3) == pytest.approx(lam + 3 * lam**2 + lam**3, rel=1e-12)
+    assert mset.raw[1] == pytest.approx(lam + lam**2, rel=1e-12)
+    assert mset.raw[2] == pytest.approx(lam + 3 * lam**2 + lam**3, rel=1e-12)
     # independent oracle: direct sums over the Poisson PMF
     n = np.arange(0, 60)
     pmf = np.exp(-lam) * lam**n / np.array([math.factorial(int(k)) for k in n])
     for j in range(1, 6):
         brute = float(np.sum(n**j * pmf))
-        assert mset.raw_moment(j) == pytest.approx(brute, rel=1e-10)
+        assert mset.raw[j - 1] == pytest.approx(brute, rel=1e-10)
 
 
 def test_gamma_cumulants_round_trip_against_analytic():
@@ -110,7 +111,7 @@ def test_gamma_cumulants_round_trip_against_analytic():
     mset = moments_from_cumulants(CumulantSet.from_kappa(kappa))
     for j in range(1, 6):
         analytic = math.prod(4 + i for i in range(j))
-        assert mset.raw_moment(j) == pytest.approx(analytic, rel=1e-10)
+        assert mset.raw[j - 1] == pytest.approx(analytic, rel=1e-10)
     back = cumulants_from_moments(mset)
     assert back.kappa == pytest.approx(tuple(kappa), rel=1e-12)
 
@@ -153,7 +154,7 @@ def test_momentset_raw_central_consistency():
     rng = np.random.default_rng(3)
     x = rng.gamma(2.0, 3.0, 5000)
     mset = sample_moments(x, 5)
-    rebuilt = MomentSet.from_raw(mset.raw)
+    rebuilt = moment_set_from_raw(mset.raw)
     np.testing.assert_allclose(rebuilt.central, mset.central, rtol=1e-10)
 
 
@@ -316,16 +317,14 @@ def _numpy_reductions(tree) -> list:
 
 
 def test_sample_moments_is_the_one_ensemble_reducer():
-    # a voltage ensemble's mean and variance come from sample_moments; the one
-    # numpy reduction left is the fit weight of a sweep point, as documented
+    # every statistic of a voltage ensemble, the fit weight of a sweep point
+    # too, is a closed form of its sample_moments: no numpy reduction is left
     package = Path(__file__).resolve().parents[1] / "src" / "linphot"
     calls = {
         path.name: _numpy_reductions(ast.parse(path.read_text()))
         for path in sorted(package.glob("*.py"))
     }
-    assert {name: found for name, found in calls.items() if found} == {
-        "calibration.py": [("eta_point_from_samples", "std")]
-    }
+    assert {name: found for name, found in calls.items() if found} == {}
 
 
 def test_compound_map_with_fixed_count_scales_gain_cumulants():
