@@ -1,7 +1,10 @@
 """Moment and cumulant machinery.
 
 :func:`exact_sum`, the correctly rounded sum every statistic of the
-package is formed with; sample estimators; conversions between raw
+package is formed with, by error-free extraction (Rump, Ogita & Oishi,
+"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31
+(2008) 189-224); sample estimators, which reduce an ensemble in one
+blocked sweep; conversions between raw
 moments, central moments and cumulants (orders up to 5); and the exact
 voltage moments of a linear detector chain: a voltage sums the responses
 to m detected photons plus baseline noise, so its cumulants follow from
@@ -25,11 +28,13 @@ if TYPE_CHECKING:
 ORDER_MIN = 2
 ORDER_MAX = 5
 
-# exact_sum: values per block (each temporary ~128 KB) and one bin per
-# np.frexp exponent, -1073 (the smallest subnormal) .. 1024
+# exact sums: values per block (each work buffer 128 KB), and the integer
+# totals' unit 2^-1074, of which every finite float is a multiple; a total
+# of _OVERFLOW units or more rounds past the largest float
 _SUM_BLOCK = 2**14
-_SUM_EXP_OFFSET = 1073
-_SUM_BINS = _SUM_EXP_OFFSET + 1025
+_TINY_EXP = -1074
+_UNIT = 1 << -_TINY_EXP
+_OVERFLOW = ((1 << 54) - 1) << (970 - _TINY_EXP)
 
 
 def _check_order(order) -> int:
@@ -42,53 +47,137 @@ def _check_order(order) -> int:
     return int(order)
 
 
-def _significand_bins(x: np.ndarray) -> np.ndarray | None:
-    """Exact per-exponent sums of the two significand halves of finite ``x``; None if not finite.
+def _slice(v: np.ndarray, e: int, nb: int, q: np.ndarray) -> int:
+    """One error-free extraction from ``v``, fewer than 2^nb values with |v| <= 2^e.
 
-    x = frac 2^e with 1/2 <= |frac| < 1 splits into the integers
-    hi = trunc(frac 2^27) and lo = (frac 2^27 - hi) 2^26, so
-    x = (hi 2^26 + lo) 2^(e - 53).  A block's bin sums stay below 2^41,
-    so the float bincount adds them exactly, and the int64 totals hold
-    below 2^36 values.
+    q = (v + s) - s with s = 2^(e+nb) goes to ``q``.  Each q is v rounded
+    to a multiple of 2^(e+nb-53), so |q| <= 2^e and every partial sum of q
+    is a multiple below 2^(e+nb): their sum is exact in any order.  Each
+    v - q is exact, with |v - q| <= 2^(e+nb-53): the ExtractVector step of
+    Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008) 189.  Returns the
+    sum of q as an integer count of 2^-1074.
     """
-    bins = np.zeros((2, _SUM_BINS), dtype=np.int64)
-    for start in range(0, x.size, _SUM_BLOCK):
-        block = x[start : start + _SUM_BLOCK]
-        if not np.isfinite(block).all():
-            return None
-        frac, expo = np.frexp(block)
-        expo += _SUM_EXP_OFFSET
-        frac *= 2.0**27
-        hi = np.trunc(frac)
-        frac -= hi
-        frac *= 2.0**26
-        bins[0] += np.bincount(expo, hi, _SUM_BINS).astype(np.int64)
-        bins[1] += np.bincount(expo, frac, _SUM_BINS).astype(np.int64)
-    return bins
+    s = math.ldexp(1.0, e + nb)
+    np.add(v, s, out=q)
+    q -= s
+    g = max(e + nb - 53, _TINY_EXP)
+    return int(math.ldexp(np.add.reduce(q), -g)) << (g - _TINY_EXP)
+
+
+def _block_sum(v: np.ndarray, e: int, slices: int, work: np.ndarray) -> tuple[int, int]:
+    """The first ``slices`` extractions from a block ``v`` with |v| <= 2^e.
+
+    Returns their exact sum and a bound on the sum of what is left, both as
+    integer counts of 2^-1074.  ``work`` holds the residual; the last
+    residual is not formed.  A block whose 2^(e+nb) would overflow sums its
+    values from 1 up scaled by 2^-64, which is exact, and the rest as they are.
+    """
+    n = v.size
+    nb = n.bit_length()
+    if e + nb > 1023:
+        big = np.where(np.abs(v) >= 1.0, v, 0.0)
+        high = _block_sum(np.ldexp(big, -64), e - 64, slices, work)
+        low = _block_sum(v - big, 0, slices, work)
+        return (high[0] << 64) + low[0], (high[1] << 64) + low[1]
+    rest = work[:n]
+    total, src = 0, v
+    for j in range(slices):
+        last = j == slices - 1 or e + nb - 53 < _TINY_EXP
+        q = rest if last or src is v else np.empty(n)
+        total += _slice(src, e, nb, q)
+        e += nb - 53
+        if last:
+            break
+        np.subtract(src, q, out=rest)
+        src = rest
+        if j and not rest.any():  # only past two slices, where the check pays
+            return total, 0
+    # a residual below 2^-1074 is zero: every float is a multiple of it
+    return total, 0 if e < _TINY_EXP else n << (e - _TINY_EXP)
+
+
+def _rounded(units: int) -> float:
+    """``units`` counts of 2^-1074 rounded to the nearest float; inf past the float range."""
+    return units / _UNIT if abs(units) < _OVERFLOW else math.copysign(math.inf, units)
+
+
+def _exact_totals(sweep, terms) -> list:
+    """The correctly rounded totals of the exact sums that ``sweep`` extracts.
+
+    ``sweep(slices)`` takes that many extractions from every block and
+    returns, per sum, the exact integer total T of the extractions and a
+    bound B on the rest, both in counts of 2^-1074, or None where a term
+    is not finite.  Correct rounding is monotone, so the sum rounds as T
+    does once T - B and T + B round alike; until then the sweep is
+    repeated with twice the slices, down to a zero rest.  A sum with a
+    non-finite term, or an exact zero, is ``math.fsum`` of ``terms(i)``,
+    which sets inf, nan, its errors and the sign of zero.  A sum beyond the
+    float range raises OverflowError.
+    """
+    slices = 2
+    while True:
+        totals = []
+        for i, sums in enumerate(sweep(slices)):
+            if sums is None or sums == (0, 0):
+                totals.append(math.fsum(terms(i).tolist()))
+                continue
+            t, b = sums
+            if b and _rounded(t - b) != _rounded(t + b):
+                break
+            total = _rounded(t)
+            if math.isinf(total):
+                raise OverflowError("the exact sum is past the float range")
+            totals.append(total)
+        else:
+            return totals
+        slices *= 2
+
+
+def _block_bounds(x: np.ndarray) -> tuple[list, list, bool]:
+    """The min and the max of each block of ``x``, and whether all are finite.
+
+    A block that holds nan has nan for both, one that holds inf has it in
+    its min or its max.
+    """
+    starts = np.arange(0, x.size, _SUM_BLOCK)
+    lo, hi = np.minimum.reduceat(x, starts).tolist(), np.maximum.reduceat(x, starts).tolist()
+    return lo, hi, all(map(math.isfinite, lo + hi))
+
+
+def _exact_sum(x: np.ndarray, bounds: tuple[list, list, bool]) -> float:
+    """:func:`exact_sum` of a flat float array with its :func:`_block_bounds`."""
+    lows, highs, finite = bounds
+    work = np.empty(min(x.size, _SUM_BLOCK))
+
+    def sweep(slices):
+        if not finite:
+            return [None]
+        total = bound = 0
+        for lo, hi, start in zip(lows, highs, range(0, x.size, _SUM_BLOCK)):
+            reach = max(hi, -lo)
+            if reach:
+                t, b = _block_sum(x[start : start + _SUM_BLOCK], math.frexp(reach)[1], slices, work)
+                total, bound = total + t, bound + b
+        return [(total, bound)]
+
+    return _exact_totals(sweep, lambda i: x)[0]
 
 
 def exact_sum(values) -> float:
     """The correctly rounded sum of ``values``: bit for bit what ``math.fsum`` returns.
 
-    The significands are summed exactly per binary exponent in numpy, one
-    block of values at a time, then combined once as a Python int and
-    rounded once by int true division.  Non-finite input and an exact zero
+    Summation by error-free extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation, part I", SIAM J. Sci. Comput. 31 (2008)
+    189-224): each block of values splits into a few slices whose sums are
+    exact in numpy, combined as one Python int and rounded once by int true
+    division (:func:`_exact_totals`).  Non-finite input and an exact zero
     go to ``math.fsum`` itself, which sets inf, nan, its errors and the
     sign of zero.  One case differs: where ``fsum`` raises "intermediate
     overflow" on a sum that fits ([1e308, 1e308, -1e308]), this returns
     the exact sum.  A sum beyond the float range raises OverflowError.
     """
     x = np.asarray(values, dtype=float).ravel()
-    bins = _significand_bins(x)
-    total = 0
-    if bins is not None:
-        used = np.flatnonzero(bins.any(axis=0))
-        # one tolist of the occupied bins: numpy scalar indexing per bin is the slow part
-        for i, hi, lo in zip(used.tolist(), *bins[:, used].tolist()):
-            total += ((hi << 26) + lo) << i
-    if total == 0:
-        return math.fsum(x.tolist())
-    return total / (1 << (_SUM_EXP_OFFSET + 53))
+    return _exact_sum(x, _block_bounds(x))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +280,17 @@ class MomentSet(NamedTuple):
 def sample_moments(samples, order: int = 5) -> MomentSet:
     """Plug-in moment estimates of a sample.
 
-    Two passes: the mean first, then all centered powers in a single sweep.
-    Every sum is correctly rounded (:func:`exact_sum`), so high orders
-    survive large means.
+    Two passes: the mean first, then all centered powers in a single sweep
+    over blocks of 2^14 values.  Each block forms d = x - mean and the
+    running powers d^2 .. d^order in block-sized buffers, with the
+    roundings of full-length arrays, and extracts each power's exact sum
+    as :func:`exact_sum` does (Rump, Ogita & Oishi 2008).  The bound a
+    power's extraction needs is the running power of the block's max |d|,
+    which the block's min and max give because rounding is monotone, so no
+    power is scanned for its max.  Every sum is correctly rounded, so high
+    orders survive large means; a power whose sum is an exact zero, or
+    that overflows, is ``math.fsum`` of the whole array, as in
+    :func:`exact_sum`.
     """
     order = _check_order(order)
     x = np.asarray(samples, dtype=float)
@@ -201,17 +298,40 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
         raise InvalidParameterError("samples must be one-dimensional")
     if x.size < 2:
         raise InvalidParameterError(f"need at least 2 samples, got {x.size}")
-    if not np.all(np.isfinite(x)):
+    bounds = lows, highs, finite = _block_bounds(x)
+    if not finite:
         raise InvalidParameterError("samples must be finite")
     n = x.size
-    mean = exact_sum(x) / n
-    d = x - mean
-    central = []
-    power = d
-    for _ in range(2, order + 1):
-        power = power * d
-        central.append(exact_sum(power) / n)
-    return MomentSet.from_central(mean, central)
+    mean = _exact_sum(x, bounds) / n
+    d, power, work = np.empty((3, min(n, _SUM_BLOCK)))
+
+    def sweep(slices):
+        sums = [(0, 0)] * (order - 1)
+        for lo, hi, start in zip(lows, highs, range(0, n, _SUM_BLOCK)):
+            block = x[start : start + _SUM_BLOCK]
+            db = np.subtract(block, mean, out=d[: block.size])
+            pb = np.multiply(db, db, out=power[: block.size])
+            reach = top = max(hi - mean, mean - lo)  # max |d| over the block
+            for r in range(order - 1):
+                top *= reach  # max |d^(r+2)|, rounded as the powers are
+                if math.isinf(top):  # this power and the higher ones overflow: math.fsum of them
+                    sums[r:] = [None] * (order - 1 - r)
+                    break
+                if r:
+                    pb *= db
+                if top and sums[r] is not None:
+                    t, b = _block_sum(pb, math.frexp(top)[1], slices, work)
+                    sums[r] = (sums[r][0] + t, sums[r][1] + b)
+        return sums
+
+    def terms(i):
+        dx = x - mean
+        p = dx * dx
+        for _ in range(i):
+            p *= dx
+        return p
+
+    return MomentSet.from_central(mean, [total / n for total in _exact_totals(sweep, terms)])
 
 
 def pmf_moments(pmf, order: int = 5) -> tuple[float, tuple]:

@@ -6,9 +6,10 @@ statistic on each leave-one-block-out copy of the data.
 the package reads but no longer writes.  ``mixture_voltage_moments`` is
 the voltage moments summed component by component over the detected PMF,
 the reference for the package's compound-cumulant map.
-``fsum_pmf_statistics`` and ``fsum_eta_point`` form the package's PMF and
-sweep-point statistics with ``math.fsum`` sums, the reference for its
-``moments.exact_sum``.  ``analytic_pv_gaussian`` and
+``fsum_pmf_statistics``, ``fsum_eta_point`` and ``fsum_sample_moments``
+form the package's PMF, sweep-point and sample statistics over whole
+arrays with ``math.fsum`` sums, the reference for its ``moments.exact_sum``
+and the blocked sweep of ``moments.sample_moments``.  ``analytic_pv_gaussian`` and
 ``analytic_pv_cdf_gaussian`` are the closed-form voltage density and CDF
 for gaussian gains; ``detected_fano`` is mu_2(m)/<m>; ``CumulantSet``,
 ``moments_from_cumulants`` and ``cumulants_from_moments`` convert between
@@ -130,6 +131,20 @@ def fsum_eta_point(eta: float, samples, dark_variance: float = 0.0) -> EtaSeries
     fano = (mu2 - dark_variance) / mean
     se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))
     return EtaSeriesPoint(float(eta), mean, fano, math.sqrt(mu2 / n), se_fano, n)
+
+
+def fsum_sample_moments(samples, order: int = 5) -> MomentSet:
+    """``sample_moments`` over the whole array at once: d = x - mean, running powers, each sum a ``math.fsum``."""
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    mean = math.fsum(x.tolist()) / n
+    d = x - mean
+    central = []
+    power = d
+    for _ in range(2, order + 1):
+        power = power * d
+        central.append(math.fsum(power.tolist()) / n)
+    return MomentSet.from_central(mean, central)
 
 
 def _mixture_eval(v, p, centers, var, kernel, max_entries=1 << 22):

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,20 +22,25 @@ from linphot import (
     pmf_moments,
     sample_moments,
 )
-from linphot.detector import DarkNoiseModel
+import linphot.moments
+from linphot.config import from_dict
+from linphot.detector import DarkNoiseModel, simulate_ensemble
 from linphot.moments import (
+    ORDER_MAX,
+    ORDER_MIN,
     _SUM_BLOCK,
-    _significand_bins,
     compound_cumulants,
     cumulants_from_raw,
     exact_sum,
     raw_moments_from_cumulants,
 )
+from linphot.pipeline import Models
 from oracles import (
     CumulantSet,
     block_jackknife_se,
     cumulants_from_moments,
     fsum_pmf_statistics,
+    fsum_sample_moments,
     gain_central_moments,
     mixture_voltage_moments,
     moment_set_from_raw,
@@ -241,17 +247,17 @@ def test_exact_sum_has_no_intermediate_overflow():
     assert exact_sum([1e308, 1e308, -1e308]) == 1e308
 
 
-def _fsum_uses(tree) -> list:
-    """The enclosing function (None at module level) of each mention of ``fsum``."""
+def _uses(tree, name: str) -> list:
+    """The enclosing function (None at module level) of each mention of ``name``."""
     uses = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
         named = (
-            (isinstance(node, ast.Attribute) and node.attr == "fsum")
-            or (isinstance(node, ast.Name) and node.id == "fsum")
-            or (isinstance(node, ast.alias) and node.name == "fsum")
+            (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.alias) and node.name == name)
         )
         if named:
             uses.append(scope)
@@ -263,22 +269,173 @@ def _fsum_uses(tree) -> list:
 
 
 def test_exact_sum_is_the_one_summation_path():
-    # every exact statistic goes through exact_sum; fsum is left only its fallback
+    # every exact statistic goes through the one kernel: fsum is left only
+    # its fallback there, and only _rounded divides by the 2^-1074 unit
     package = Path(__file__).resolve().parents[1] / "src" / "linphot"
-    uses = {
-        path.name: _fsum_uses(ast.parse(path.read_text()))
-        for path in sorted(package.glob("*.py"))
-    }
-    assert {name: scopes for name, scopes in uses.items() if scopes} == {"moments.py": ["exact_sum"]}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    for name, allowed in (("fsum", {"moments.py": ["_exact_totals"]}), ("_UNIT", {"moments.py": [None, "_rounded"]})):
+        uses = {file: _uses(tree, name) for file, tree in trees.items()}
+        assert {file: scopes for file, scopes in uses.items() if scopes} == allowed, name
 
 
 def test_exact_sum_matches_fsum_on_a_pmf_over_hundreds_of_exponents():
-    # k p of a bright Poisson occupies one exponent bin per binade it spans;
-    # the combine reads every occupied bin
+    # k p of a bright Poisson spans hundreds of binades, far more than one
+    # block's two extractions reach; the rest is bounded and the sum settles
     dist = make_poisson(1400)
     x = np.arange(dist.pmf.size) * dist.pmf
-    assert np.count_nonzero(_significand_bins(x).any(axis=0)) > 700
+    assert np.unique(np.frexp(x[x != 0])[1]).size > 700
     assert exact_sum(x) == math.fsum(x.tolist())
+
+
+@pytest.fixture
+def slices(monkeypatch):
+    """The list of calls of the extraction step, one entry per slice taken."""
+    calls = []
+    step = linphot.moments._slice
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(linphot.moments, "_slice", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_tie_that_only_a_far_lower_term_breaks_takes_more_slices(sign, slices):
+    # 1 + 2^-53 lies on a tie that rounds to 1; only the 2^-200 sends it up,
+    # and two slices of a block stop 2 x 50 bits below 1
+    tie = sign * np.array([1.0, 2.0**-53, 2.0**-200])
+    assert _same_float(exact_sum(tie), sign * (1.0 + 2.0**-52))
+    assert len(slices) > 2
+    split = np.zeros(_SUM_BLOCK + 3)
+    split[[0, _SUM_BLOCK, -1]] = tie  # 1 in the first block, the rest in the second
+    assert _same_float(exact_sum(split), math.fsum(split.tolist()))
+    assert _same_float(exact_sum(split), sign * (1.0 + 2.0**-52))
+
+
+def test_exact_sum_is_fsum_on_subnormals_only():
+    rng = np.random.default_rng(5)
+    x = np.ldexp(rng.integers(-(2**52) + 1, 2**52, 2 * _SUM_BLOCK + 9).astype(float), -1074)
+    assert np.abs(x).max() < np.finfo(float).smallest_normal
+    for values in (x, x[:7], np.abs(x), np.concatenate([x, -x[:-1]])):
+        assert _same_float(exact_sum(values), math.fsum(values.tolist()))
+
+
+def test_exact_sum_keeps_the_low_bits_of_a_block_near_overflow():
+    # a block whose largest value is near the float range is summed scaled
+    # down; its subnormals must still count
+    x = np.zeros(_SUM_BLOCK + 4)
+    x[[0, 5, 9, _SUM_BLOCK, -1]] = [1.7e308, 5e-324, -1.7e308, 1e308, 3e-320]
+    assert _same_float(exact_sum(x), math.fsum(x.tolist()))
+    assert exact_sum(x[:_SUM_BLOCK]) == 5e-324
+    with pytest.raises(OverflowError):
+        exact_sum(np.full(3, 1.7e308))
+
+
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+def test_exact_sum_is_fsum_with_a_special_only_in_the_last_block(special):
+    x = np.ones(2 * _SUM_BLOCK + 5)
+    x[-1] = special
+    assert _same_float(exact_sum(x), math.fsum(x.tolist()))
+    x[0] = -special
+    if np.isnan(special):
+        assert np.isnan(exact_sum(x))
+    else:
+        with pytest.raises(ValueError):
+            exact_sum(x)
+
+
+@pytest.mark.parametrize("size", [_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1])
+def test_exact_sum_is_fsum_at_the_block_size(size):
+    rng = np.random.default_rng(size)
+    wide = rng.standard_normal(size) * np.exp2(rng.integers(-1000, 990, size))
+    top = np.full(size, np.nextafter(1.0, 0.0))  # every value at the top of its binade
+    signs = rng.choice([-1.0, 1.0], size)
+    for x in (wide, np.abs(wide), top, top * signs, rng.normal(5000.0, 80.0, size)):
+        assert _same_float(exact_sum(x), math.fsum(x.tolist()))
+
+
+def _same_moments(got, want) -> bool:
+    return got.order == want.order and [v.hex() for v in (got.mean, *got.central, *got.raw)] == [
+        v.hex() for v in (want.mean, *want.central, *want.raw)
+    ]
+
+
+sample_values = st.one_of(
+    st.floats(min_value=-1e50, max_value=1e50, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(2, 60), elements=sample_values), st.integers(ORDER_MIN, ORDER_MAX))
+def test_sample_moments_is_the_full_array_oracle(x, order):
+    assert _same_moments(sample_moments(x, order), fsum_sample_moments(x, order))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pool=st.lists(sample_values, min_size=1, max_size=20),
+    size=st.integers(2, 3 * _SUM_BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(ORDER_MIN, ORDER_MAX),
+)
+def test_sample_moments_is_the_full_array_oracle_across_blocks(pool, size, seed, order):
+    x = np.random.default_rng(seed).choice(np.array(pool), size)
+    assert _same_moments(sample_moments(x, order), fsum_sample_moments(x, order))
+
+
+# one ensemble of each benchmark workload (perfbench/run.py), drawn at its
+# reconstruction point
+GAUSSIAN_GAIN = {"family": "gaussian", "gamma_bar": 100.0, "sigma": 2.0}
+WORKLOADS = {
+    "reference": {"source": {"kind": "poisson", "mean": 100.0}, "gain": GAUSSIAN_GAIN, "n_samples": 100_000},
+    "bright": {"source": {"kind": "poisson", "mean": 1400.0}, "gain": GAUSSIAN_GAIN, "n_samples": 30_000},
+    "thermal": {
+        "source": {"kind": "thermal", "mean": 100.0},
+        "gain": {"family": "gamma", "gamma_bar": 100.0, "sigma": 5.0},
+        "n_samples": 10_000,
+        "tail_epsilon": 1e-40,
+    },
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_sample_moments_is_the_full_array_oracle_on_a_workload_ensemble(name):
+    config = from_dict({"schema_version": 1, "eta_series": [0.5], "seed": 1, **WORKLOADS[name]})
+    models = Models(config)
+    ens = simulate_ensemble(models.source, 0.5, models.gain, models.dark, config.n_samples, config.seed)
+    for order in range(ORDER_MIN, ORDER_MAX + 1):
+        assert _same_moments(sample_moments(ens.samples, order), fsum_sample_moments(ens.samples, order)), order
+
+
+def test_sample_moments_is_the_full_array_oracle_with_powers_filling_their_bound():
+    # full-length significands up to the bound of every power: the extraction
+    # has no spare bit if that bound is taken too low
+    x = np.random.default_rng(8).uniform(-2.0, 2.0, 3 * _SUM_BLOCK)
+    for order in range(ORDER_MIN, ORDER_MAX + 1):
+        assert _same_moments(sample_moments(x, order), fsum_sample_moments(x, order)), order
+
+
+def test_sample_moments_allocates_blocks_not_full_length_arrays():
+    x = np.random.default_rng(6).normal(5000.0, 80.0, 10**5)
+    tracemalloc.start()
+    try:
+        sample_moments(x, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
+
+
+def test_a_reference_like_ensemble_settles_within_two_slices(slices):
+    # normal 5000 +- 80 and 10^5 shots, as a sweep point of the reference
+    # workload: the mean and every power settle on each block's two slices
+    x = np.random.default_rng(7).normal(5000.0, 80.0, 10**5)
+    sample_moments(x, ORDER_MAX)
+    blocks = -(-x.size // _SUM_BLOCK)
+    assert len(slices) == 2 * blocks * (1 + ORDER_MAX - 1)
 
 
 # the types that validate their input or hold an array; every other record is
