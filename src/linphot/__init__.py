@@ -14,7 +14,6 @@ from .calibration import (
     fit_fano_line,
     gain_scaling_check,
     mean_constancy_check,
-    run_eta_series,
 )
 from .detector import (
     DarkNoiseModel,
@@ -82,7 +81,6 @@ __all__ = [
     "mean_constancy_check",
     "pmf_moments",
     "rebin",
-    "run_eta_series",
     "run_experiment",
     "sample_m",
     "sample_moments",

@@ -247,7 +247,7 @@ def sweep_draws(eta_list, n_samples: int, stream_tag: tuple = (ETA_SERIES,)) -> 
     return [Draw(eta, n_samples, tuple(stream_tag) + (i,), True) for i, eta in enumerate(eta_list)]
 
 
-def _draw(source, gain, dark, seed, draw: Draw):
+def _simulated(source, gain, dark, seed, draw: Draw):
     ens = simulate_ensemble(
         source, draw.eta, gain, dark, draw.n_samples, seed, stream_key=draw.stream_key
     )
@@ -272,25 +272,8 @@ def iter_ensembles(
     Up to ``workers + 2`` ensembles are held in memory at once.
     """
     return _in_order(
-        lambda draw: _draw(source, gain, dark, seed, draw), draws, _usable_cores()
+        lambda draw: _simulated(source, gain, dark, seed, draw), draws, _usable_cores()
     )
-
-
-def run_eta_series(
-    source: PhotonNumberDistribution,
-    gain: GainModel,
-    dark: DarkNoiseModel,
-    eta_list,
-    n_samples: int,
-    seed: int,
-    *,
-    stream_tag: tuple = (ETA_SERIES,),
-) -> list[EtaSeriesPoint]:
-    """Check the sweep design, simulate it and return one point per eta."""
-    etas = _check_eta_list(eta_list)
-    _check_n_samples(n_samples)
-    sweep = iter_ensembles(source, gain, dark, sweep_draws(etas, n_samples, stream_tag), seed)
-    return [point for point, _ in sweep]
 
 
 def fit_fano_line(points, sigma2_rel: float | None = None) -> CalibrationFit:
@@ -438,7 +421,7 @@ def gain_scaling_check(
         _check_n_samples(n_samples)
     items = [(i, draw) for i in scaled for draw in sweep_draws(etas, n_samples, (GAIN_SCALING, i + 1))]
     stream = _in_order(
-        lambda item: _draw(source, *scaled[item[0]], seed, item[1])[0], items, _usable_cores()
+        lambda item: _simulated(source, *scaled[item[0]], seed, item[1])[0], items, _usable_cores()
     )
     points = list(stream)
     fits = {

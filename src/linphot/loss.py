@@ -7,11 +7,11 @@ is provided both analytically (the detected law, itself a
 chunk of shots).
 
 Both have the same two paths.  A named source (Poisson, thermal, Fock)
-carries its thinned law from ``sources``: its PMF is evaluated on
-0..n_max in O(n_max), and its counts are drawn from the untruncated
-thinned law in one numpy call, Poisson(eta mu), NB(M, eta mu/M) or
-Binomial(n, eta), so a count above n_max occurs with probability at most
-the source's ``tail_eps``.  A table (``from_pmf``, or a detected law fed
+carries its law at each eta, one ``sources._Law``: Poisson(eta mu),
+NB(M, eta mu/M) or Binomial(n, eta).  Its PMF is evaluated on 0..n_max in
+O(n_max), and its counts are drawn from the untruncated law in one numpy
+call, so a count above n_max occurs with probability at most the
+source's ``tail_eps``.  A table (``from_pmf``, or a detected law fed
 to a second stage) is mixed with the exact binomial kernel, evaluated by
 the binomial PMF of ``sources``, banded by the Chernoff bound to where it
 holds all but ``KERNEL_EPS`` of its mass and built blockwise, so memory
@@ -34,6 +34,7 @@ from .sources import (
     _binom_pmf,
     _crossing,
     _finalize,
+    _on_grid,
     sample_n,
 )
 
@@ -74,17 +75,17 @@ def _binomial_mix(pn: np.ndarray, eta: float) -> np.ndarray:
 def apply_bernoulli(source: PhotonNumberDistribution, eta) -> PhotonNumberDistribution:
     """The law of the detected photons: a table on the source's 0..n_max.
 
-    A source with a thinning rule (``make_poisson``,
-    ``make_multimode_thermal``, ``make_thermal``, ``make_fock``) gets its
-    closed-form detected law evaluated on 0..n_max.  Any other source is a
-    table and goes through the exact binomial kernel.  Both paths keep the
-    source's n_max and lose no mass to underflow at any photon number.  The
-    result carries no thinning rule, so loss stages cascade:
+    A named source (``make_poisson``, ``make_multimode_thermal``,
+    ``make_thermal``, ``make_fock``) gets the PMF of its law at eta
+    evaluated on 0..n_max.  Any other source is a table and goes through
+    the exact binomial kernel.  Both paths keep the source's n_max and lose
+    no mass to underflow at any photon number.  The result is a table, so
+    loss stages cascade:
     ``apply_bernoulli(apply_bernoulli(s, a), b)`` is s at efficiency a b.
     """
     eta = _check_eta(eta)
-    if source._thin is not None:
-        pm = source._thin(source.n_max, eta)
+    if source._law is not None:
+        pm = _on_grid(source._law(eta), source.n_max)
     else:
         pm = _binomial_mix(source.pmf, eta)
     return _finalize(pm, f"detected({source.label}, eta={eta:g})")
@@ -95,12 +96,12 @@ def sample_m(
 ) -> np.ndarray:
     """Draw ``size`` detected counts at efficiency eta.
 
-    A named source draws them from its thinned law in one call (see the
+    A named source draws them from its law at eta in one call (see the
     module docstring); a count may then exceed n_max, with probability at
     most the source's ``tail_eps``.  A table draws n by inverse CDF, then
     Binomial(n, eta).
     """
     eta = _check_eta(eta)
-    if source._draw is not None:
-        return source._draw(eta, rng, size)
+    if source._law is not None:
+        return source._law(eta).draw(rng, size)
     return rng.binomial(sample_n(source, rng, size), eta)

@@ -98,36 +98,28 @@ def _block_sum(v: np.ndarray, e: int, slices: int, work: np.ndarray) -> tuple[in
 
 def _rounded(units: int) -> float:
     """``units`` counts of 2^-1074 rounded to the nearest float; inf past the float range."""
-    return units / _UNIT if abs(units) < _OVERFLOW else math.copysign(math.inf, units)
+    if abs(units) < _OVERFLOW:
+        return units / _UNIT
+    return math.inf if units > 0 else -math.inf
 
 
-def _exact_totals(sweep, terms) -> list:
+def _exact_totals(sweep) -> list:
     """The correctly rounded totals of the exact sums that ``sweep`` extracts.
 
     ``sweep(slices)`` takes that many extractions from every block and
     returns, per sum, the exact integer total T of the extractions and a
-    bound B on the rest, both in counts of 2^-1074, or None where a term
-    is not finite.  Correct rounding is monotone, so the sum rounds as T
-    does once T - B and T + B round alike; until then the sweep is
-    repeated with twice the slices, down to a zero rest.  A sum with a
-    non-finite term, or an exact zero, is ``math.fsum`` of ``terms(i)``,
-    which sets inf, nan, its errors and the sign of zero.  A sum beyond the
-    float range raises OverflowError.
+    bound B on the rest, both in counts of 2^-1074.  Correct rounding is
+    monotone, so the sum rounds as T does once T - B and T + B round alike;
+    until then the sweep is repeated with twice the slices, down to a zero
+    rest.  An exact zero is 0.0, and a sum beyond the float range is +-inf.
     """
     slices = 2
     while True:
         totals = []
-        for i, sums in enumerate(sweep(slices)):
-            if sums is None or sums == (0, 0):
-                totals.append(math.fsum(terms(i).tolist()))
-                continue
-            t, b = sums
+        for t, b in sweep(slices):
             if b and _rounded(t - b) != _rounded(t + b):
                 break
-            total = _rounded(t)
-            if math.isinf(total):
-                raise OverflowError("the exact sum is past the float range")
-            totals.append(total)
+            totals.append(_rounded(t))
         else:
             return totals
         slices *= 2
@@ -150,8 +142,6 @@ def _exact_sum(x: np.ndarray, bounds: tuple[list, list, bool]) -> float:
     work = np.empty(min(x.size, _SUM_BLOCK))
 
     def sweep(slices):
-        if not finite:
-            return [None]
         total = bound = 0
         for lo, hi, start in zip(lows, highs, range(0, x.size, _SUM_BLOCK)):
             reach = max(hi, -lo)
@@ -160,7 +150,11 @@ def _exact_sum(x: np.ndarray, bounds: tuple[list, list, bool]) -> float:
                 total, bound = total + t, bound + b
         return [(total, bound)]
 
-    return _exact_totals(sweep, lambda i: x)[0]
+    total = _exact_totals(sweep)[0] if finite else 0.0
+    if math.isinf(total):
+        raise OverflowError("the exact sum is past the float range")
+    # non-finite input and an exact zero: fsum sets inf, nan, its errors and the sign of zero
+    return total or math.fsum(x.tolist())
 
 
 def exact_sum(values) -> float:
@@ -288,9 +282,10 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
     power's extraction needs is the running power of the block's max |d|,
     which the block's min and max give because rounding is monotone, so no
     power is scanned for its max.  Every sum is correctly rounded, so high
-    orders survive large means; a power whose sum is an exact zero, or
-    that overflows, is ``math.fsum`` of the whole array, as in
-    :func:`exact_sum`.
+    orders survive large means.  An exact-zero sum is 0.0.  An order whose
+    powers, or their sum, pass the float range raises
+    InvalidParameterError naming it, and so does a sum of the samples past
+    that range.
     """
     order = _check_order(order)
     x = np.asarray(samples, dtype=float)
@@ -302,36 +297,37 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
     if not finite:
         raise InvalidParameterError("samples must be finite")
     n = x.size
-    mean = _exact_sum(x, bounds) / n
+    try:
+        mean = _exact_sum(x, bounds) / n
+    except OverflowError as exc:
+        raise InvalidParameterError("the sum of the samples is past the float range") from exc
     d, power, work = np.empty((3, min(n, _SUM_BLOCK)))
 
     def sweep(slices):
         sums = [(0, 0)] * (order - 1)
         for lo, hi, start in zip(lows, highs, range(0, n, _SUM_BLOCK)):
             block = x[start : start + _SUM_BLOCK]
-            db = np.subtract(block, mean, out=d[: block.size])
-            pb = np.multiply(db, db, out=power[: block.size])
+            db, pb = d[: block.size], power[: block.size]
             reach = top = max(hi - mean, mean - lo)  # max |d| over the block
             for r in range(order - 1):
-                top *= reach  # max |d^(r+2)|, rounded as the powers are
-                if math.isinf(top):  # this power and the higher ones overflow: math.fsum of them
-                    sums[r:] = [None] * (order - 1 - r)
-                    break
+                top *= reach  # max |d^(r+2)|, rounded as the powers are; checked before they are formed
+                if math.isinf(top):
+                    raise InvalidParameterError(f"order {r + 2}: the powers (x - mean)^{r + 2} overflow")
                 if r:
                     pb *= db
-                if top and sums[r] is not None:
+                else:
+                    np.multiply(np.subtract(block, mean, out=db), db, out=pb)
+                if top:
                     t, b = _block_sum(pb, math.frexp(top)[1], slices, work)
                     sums[r] = (sums[r][0] + t, sums[r][1] + b)
         return sums
 
-    def terms(i):
-        dx = x - mean
-        p = dx * dx
-        for _ in range(i):
-            p *= dx
-        return p
-
-    return MomentSet.from_central(mean, [total / n for total in _exact_totals(sweep, terms)])
+    central = []
+    for r, total in enumerate(_exact_totals(sweep), 2):
+        if math.isinf(total):
+            raise InvalidParameterError(f"order {r}: the sum of (x - mean)^{r} is past the float range")
+        central.append(total / n)
+    return MomentSet.from_central(mean, central)
 
 
 def pmf_moments(pmf, order: int = 5) -> tuple[float, tuple]:

@@ -189,8 +189,12 @@ def read_reducible(path):
 
 
 def dark_moments(path):
-    """The mean and variance (``sample_moments`` of order 2) of the dark record ``path``."""
-    return sample_moments(read_reducible(path).samples, order=2)
+    """The mean and variance (``sample_moments`` of order 2) of the dark record ``path``; an error names it."""
+    samples = read_reducible(path).samples
+    try:
+        return sample_moments(samples, order=2)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{exc}: {path}") from exc
 
 
 def sweep_points(paths, dark_mean: float, dark_variance: float) -> list:

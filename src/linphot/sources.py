@@ -13,15 +13,16 @@ carried in ``tail_mass`` so downstream sums can propagate the truncation
 error.  No PMF is tabulated past ``MAX_N_MAX``: a law that would need more
 entries is refused before any array is made.
 
-The named families also carry their law under binomial loss, which stays
-in the family: Poisson(mu) thins to Poisson(eta mu), the ``modes``-mode
-thermal NB(M, mu/M) to NB(M, eta mu/M) and Fock(n) to Binomial(n, eta).
-Each carries that law twice: as a PMF on 0..n_max, which
-``loss.apply_bernoulli`` evaluates instead of a kernel sum, and as a draw
-rule, one numpy call for a whole chunk of shots, which ``loss.sample_m``
-uses instead of drawing n and thinning it.  A table (``from_pmf``, or a
-detected law) carries neither, so a second loss stage mixes it with the
-binomial kernel and samples it by inverse CDF.
+A named family carries its law once, as a function of the efficiency eta:
+binomial loss stays in the family, so Poisson(mu) thins to
+Poisson(eta mu), the ``modes``-mode thermal NB(M, mu/M) to
+NB(M, eta mu/M) and Fock(n) to Binomial(n, eta).  The law at eta is one
+``_Law``: its PMF and bound, which ``loss.apply_bernoulli`` evaluates on
+0..n_max instead of a kernel sum, its mean, and its draw rule, one numpy
+call for a whole chunk of shots, which ``loss.sample_m`` uses instead of
+drawing n and thinning it.  The source's own table is the law at eta = 1.
+A table (``from_pmf``, or a detected law) carries no law, so a second loss
+stage mixes it with the binomial kernel and samples it by inverse CDF.
 
 The Poisson, binomial and negative-binomial PMFs are evaluated here in
 numpy, in Loader's saddle-point form, and only where they do not
@@ -36,6 +37,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,20 +59,14 @@ class PhotonNumberDistribution:
     mean_n: float
     central_moments: tuple  # mu_2(n)..mu_5(n)
     label: str
-    # (n_max, eta) -> closed-form detected PMF on 0..n_max; None for tables
-    _thin: Callable[[int, float], np.ndarray] | None = field(repr=False, default=None)
-    # (eta, rng, size) -> detected counts drawn from the thinned law; None for tables
-    _draw: Callable[[float, np.random.Generator, int], np.ndarray] | None = field(
-        repr=False, default=None
-    )
+    # eta -> the _Law of the detected photons; None for tables
+    _law: Callable[[float], _Law] | None = field(repr=False, default=None)
 
     def __post_init__(self):
         self.pmf.setflags(write=False)
 
 
-def _finalize(
-    pmf: np.ndarray, label: str, thin=None, draw=None, tail=None
-) -> PhotonNumberDistribution:
+def _finalize(pmf: np.ndarray, label: str, law=None, tail=None) -> PhotonNumberDistribution:
     pmf = np.ascontiguousarray(pmf, dtype=float)
     if tail is None:
         tail = max(0.0, 1.0 - exact_sum(pmf))
@@ -82,8 +78,7 @@ def _finalize(
         mean_n=mean,
         central_moments=central,
         label=label,
-        _thin=thin,
-        _draw=draw,
+        _law=law,
     )
 
 
@@ -193,20 +188,49 @@ def _nbinom_bound(k, r, p, q):
     return _binom_bound(r, np.asarray(k, dtype=float) + r, p, q)
 
 
-def _poisson_law(mean):
-    """PMF, bound and mean of Poisson(mean); exp(-bound) >= PMF and upper tail."""
-    return partial(_poisson_pmf, mean=mean), partial(_bd0, m=mean), mean
+class _Law(NamedTuple):
+    """A photon-number law: its PMF and bound at integers, its mean and its draw rule.
+
+    exp(-bound) is at least the PMF and, beyond the mean, its tail;
+    ``draw(rng, size)`` draws counts from the untruncated law in one numpy call.
+    """
+
+    pmf: Callable
+    bound: Callable
+    mean: float
+    draw: Callable
 
 
-def _nbinom_law(modes, x):
-    """The law of ``modes`` thermal modes of mean x each: NB(modes, 1/(1+x))."""
-    law = dict(r=modes, p=1.0 / (1.0 + x), q=x / (1.0 + x))
-    return partial(_nbinom_pmf, **law), partial(_nbinom_bound, **law), modes * x
+def _poisson_law(mean, eta=1.0):
+    """Poisson(mean) at efficiency eta: Poisson(eta mean)."""
+    mu = eta * mean
+    return _Law(
+        partial(_poisson_pmf, mean=mu), partial(_bd0, m=mu), mu,
+        lambda rng, size: rng.poisson(mu, size),
+    )
 
 
-def _binom_law(n, eta):
+def _nbinom_law(modes, mean, eta=1.0):
+    """``modes`` thermal modes of total mean ``mean`` at efficiency eta.
+
+    That is NB(modes, 1/(1+x)), with x = eta mean / modes per mode.
+    """
+    x = eta * mean / modes
+    p = 1.0 / (1.0 + x)
+    law = dict(r=modes, p=p, q=x / (1.0 + x))
+    return _Law(
+        partial(_nbinom_pmf, **law), partial(_nbinom_bound, **law), modes * x,
+        lambda rng, size: rng.negative_binomial(modes, p, size),
+    )
+
+
+def _binom_law(n, eta=1.0):
+    """Fock(n) at efficiency eta: Binomial(n, eta)."""
     law = dict(n=n, p=eta, q=1.0 - eta)
-    return partial(_binom_pmf, **law), partial(_binom_bound, **law), n * eta
+    return _Law(
+        partial(_binom_pmf, **law), partial(_binom_bound, **law), n * eta,
+        lambda rng, size: rng.binomial(n, eta, size),
+    )
 
 
 def _crossing(bound, inside, outside, limit):
@@ -232,7 +256,7 @@ def _evaluate(pmf, lo, hi):
 
 def _on_grid(law, n_max):
     """The law's PMF on 0..n_max, evaluated only where it does not underflow."""
-    pmf, bound, mean = law
+    pmf, bound, mean, _ = law
     start = min(int(mean), n_max)
     lo = int(_crossing(bound, start, -1, _UNDERFLOW))
     hi = int(_crossing(bound, start, n_max + 1, _UNDERFLOW))
@@ -249,7 +273,7 @@ def _truncated(law, tail_eps):
     the reverse cumulative sums of those entries.  A law whose entries
     reach past MAX_N_MAX raises InvalidParameterError before any is made.
     """
-    pmf, bound, mean = law
+    pmf, bound, mean, _ = law
     limit = 40.0 - math.log(tail_eps)  # past hi: an entry and a tail, each < 4e-18 tail_eps
     hi = int(mean)  # hi >= int(mean): the crossing starts there
     if hi <= MAX_N_MAX:
@@ -267,34 +291,6 @@ def _truncated(law, tail_eps):
     tails = np.append(np.cumsum(values[::-1])[-2::-1], 0.0)  # mass past each k
     cut = int(np.argmax(tails <= tail_eps))
     return np.concatenate([np.zeros(lo), values[: cut + 1]]), float(tails[cut])
-
-
-def _thin_poisson(mean, n_max, eta):
-    return _on_grid(_poisson_law(eta * mean), n_max)
-
-
-def _thin_nbinom(mean, modes, n_max, eta):
-    return _on_grid(_nbinom_law(modes, eta * mean / modes), n_max)
-
-
-def _thin_fock(n, n_max, eta):
-    return _on_grid(_binom_law(n, eta), n_max)
-
-
-# The same thinned laws as draw rules, untruncated: numpy's Poisson,
-# negative-binomial (a gamma-Poisson mixture) and binomial samplers.
-
-
-def _draw_poisson(mean, eta, rng, size):
-    return rng.poisson(eta * mean, size)
-
-
-def _draw_nbinom(mean, modes, eta, rng, size):
-    return rng.negative_binomial(modes, 1.0 / (1.0 + eta * mean / modes), size)
-
-
-def _draw_fock(n, eta, rng, size):
-    return rng.binomial(n, eta, size)
 
 
 def _check_mean(mean) -> float:
@@ -316,11 +312,11 @@ def make_poisson(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistri
     mean = _check_mean(mean)
     tail_eps = _check_eps(tail_eps)
     label = f"poisson(mean={mean:g})"
-    laws = dict(thin=partial(_thin_poisson, mean), draw=partial(_draw_poisson, mean))
+    law = partial(_poisson_law, mean)
     if mean == 0:
-        return _finalize(np.array([1.0]), label, **laws)
-    pmf, tail = _truncated(_poisson_law(mean), tail_eps)
-    return _finalize(pmf, label, **laws, tail=tail)
+        return _finalize(np.array([1.0]), label, law)
+    pmf, tail = _truncated(law(), tail_eps)
+    return _finalize(pmf, label, law, tail)
 
 
 def make_multimode_thermal(
@@ -337,11 +333,11 @@ def make_multimode_thermal(
         raise InvalidParameterError(f"modes must be a positive integer, got {modes!r}")
     modes = int(modes)
     label = f"multimode_thermal(mean={mean:g}, modes={modes})"
-    laws = dict(thin=partial(_thin_nbinom, mean, modes), draw=partial(_draw_nbinom, mean, modes))
+    law = partial(_nbinom_law, modes, mean)
     if mean == 0:
-        return _finalize(np.array([1.0]), label, **laws)
-    pmf, tail = _truncated(_nbinom_law(modes, mean / modes), tail_eps)
-    return _finalize(pmf, label, **laws, tail=tail)
+        return _finalize(np.array([1.0]), label, law)
+    pmf, tail = _truncated(law(), tail_eps)
+    return _finalize(pmf, label, law, tail)
 
 
 def make_thermal(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistribution:
@@ -359,7 +355,7 @@ def make_fock(n) -> PhotonNumberDistribution:
         raise InvalidParameterError(f"fock n={n} is too large to tabulate: past MAX_N_MAX = {MAX_N_MAX}")
     pmf = np.zeros(n + 1)
     pmf[n] = 1.0
-    return _finalize(pmf, f"fock(n={n})", thin=partial(_thin_fock, n), draw=partial(_draw_fock, n))
+    return _finalize(pmf, f"fock(n={n})", partial(_binom_law, n))
 
 
 def from_pmf(table) -> PhotonNumberDistribution:

@@ -16,7 +16,8 @@ for gaussian gains; ``detected_fano`` is mu_2(m)/<m>; ``CumulantSet``,
 cumulants and a ``MomentSet``, which ``moment_set_from_raw`` forms from raw
 moments by ``central_from_raw``; ``gain_central_moments`` is mu_2..mu_5 of
 one gain draw; ``default_eta_series`` is an equally spaced efficiency
-ladder; ``validate`` asserts the invariants of a photon-number law.
+ladder, and ``simulated_points`` the sweep points of a ladder, drawn and
+reduced as ``calibrate --config`` does; ``validate`` asserts the invariants of a photon-number law.
 ``broadcast_ensemble_samples`` draws ``simulate_ensemble``'s voltages with
 numpy's broadcasting ``normal`` and ``gamma`` samplers, the reference for
 its in-place gain sums.
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from linphot.calibration import EtaSeriesPoint
+from linphot.calibration import EtaSeriesPoint, iter_ensembles, sweep_draws
 from linphot.errors import InvalidParameterError, LinphotError
 from linphot.loss import sample_m
 from linphot.moments import (
@@ -243,6 +244,12 @@ def gain_central_moments(gain) -> tuple:
 def default_eta_series(eta_max: float, count: int = 10) -> list[float]:
     """Equally spaced efficiency ladder from 0.05*eta_max to eta_max."""
     return list(np.linspace(0.05 * eta_max, eta_max, count))
+
+
+def simulated_points(source, gain, dark, eta_list, n_samples: int, seed: int) -> list:
+    """One sweep point per eta: ``iter_ensembles`` over the ``sweep_draws`` of ``eta_list``."""
+    draws = sweep_draws(eta_list, n_samples)
+    return [point for point, _ in iter_ensembles(source, gain, dark, draws, seed)]
 
 
 def mandel_q(dist):

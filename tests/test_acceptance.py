@@ -27,7 +27,6 @@ from linphot import (
     make_thermal,
     rebin,
     run_experiment,
-    run_eta_series,
     sample_moments,
     self_consistency_check,
     simulate_ensemble,
@@ -41,6 +40,7 @@ from oracles import (
     gain_central_moments,
     mandel_q,
     moments_from_cumulants,
+    simulated_points,
 )
 
 GAIN = 100.0
@@ -222,7 +222,7 @@ def test_criterion_5_calibration_reference_runs():
         dark = DarkNoiseModel(10.0)
         sigma2_rel = gain.sigma2 / GAIN**2
 
-        coherent = run_eta_series(
+        coherent = simulated_points(
             make_poisson(100.0), gain, dark, REFERENCE_ETAS, 10**5, seed=501
         )
         fit = fit_fano_line(coherent, sigma2_rel=sigma2_rel)
@@ -234,7 +234,7 @@ def test_criterion_5_calibration_reference_runs():
             f"(target {target:.4f}), slope {fit.slope:.2e} +- {fit.slope_se:.2e}"
         )
 
-        thermal = run_eta_series(
+        thermal = simulated_points(
             make_thermal(50.0), gain, dark, REFERENCE_ETAS, 10**5, seed=502
         )
         tfit = fit_fano_line(thermal, sigma2_rel=sigma2_rel)
@@ -247,7 +247,7 @@ def test_criterion_6_gain_scaling_and_mean_constancy():
         gain = make_gain("gaussian", GAIN, 2.0)
         dark = DarkNoiseModel(10.0)
         baseline = fit_fano_line(
-            run_eta_series(make_poisson(100.0), gain, dark, REFERENCE_ETAS, 10**5, seed=601),
+            simulated_points(make_poisson(100.0), gain, dark, REFERENCE_ETAS, 10**5, seed=601),
             sigma2_rel=gain.sigma2 / GAIN**2,
         )
         report = gain_scaling_check(
@@ -309,7 +309,7 @@ def test_criterion_7_reconstruction():
         wide = make_gain("gaussian", GAIN, 0.5 * GAIN)
         src = make_fock(1)
         etas = list(np.linspace(0.09, 0.9, 10))
-        points = run_eta_series(src, wide, dark, etas, 10**5, seed=720)
+        points = simulated_points(src, wide, dark, etas, 10**5, seed=720)
         fit = fit_fano_line(points)
         assert fit.valid
         ens = simulate_ensemble(src, 0.9, wide, dark, 10**6, seed=721)

@@ -23,7 +23,6 @@ from linphot import (
     make_poisson,
     make_thermal,
     mean_constancy_check,
-    run_eta_series,
     sample_moments,
     self_consistency_check,
     simulate_ensemble,
@@ -32,7 +31,7 @@ from linphot.calibration import iter_ensembles, sweep_draws
 from linphot.config import from_dict
 from linphot.moments import _SUM_BLOCK
 from linphot.streams import DARK, ETA_SERIES, RECONSTRUCTION
-from oracles import default_eta_series, fsum_eta_point
+from oracles import default_eta_series, fsum_eta_point, simulated_points
 
 GAIN = 100.0
 
@@ -193,20 +192,28 @@ class TestFitFanoLine:
 
 
 class TestRunEtaSeries:
+    """The simulated sweep, and the design checks of the gain-scaling check's re-simulation."""
+
     def test_preconditions(self):
         src = make_poisson(10.0)
         gain = make_gain("gaussian", GAIN, 2.0)
         dark = DarkNoiseModel(10.0)
+        baseline = fit_fano_line(synthetic_points(0.0, GAIN, [10.0, 30.0, 50.0]))
+        etas = [p.eta for p in baseline.points]
+
+        def check(eta_list, n_samples):
+            gain_scaling_check(src, gain, dark, eta_list, [2.0], n_samples, seed=1, baseline=baseline)
+
         with pytest.raises(InvalidParameterError, match="need at least 3 distinct eta values"):
-            run_eta_series(src, gain, dark, [0.5, 0.5, 0.5], 10**4, seed=1)
-        with pytest.raises(InvalidParameterError):
-            run_eta_series(src, gain, dark, [0.1, 0.5, 1.5], 10**4, seed=1)
-        with pytest.raises(InvalidParameterError):
-            run_eta_series(src, gain, dark, [0.1, 0.3, 0.5], 100, seed=1)
+            check([0.5, 0.5, 0.5], 10**4)
+        with pytest.raises(InvalidParameterError, match=r"eta_list\[2\]: must be in \(0, 1\]"):
+            check([0.1, 0.5, 1.5], 10**4)
+        with pytest.raises(InvalidParameterError, match="n_samples must be >= 10000"):
+            check(etas, 100)
 
     def test_coherent_fano_flat(self):
         src = make_poisson(100.0)
-        pts = run_eta_series(
+        pts = simulated_points(
             src, make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0),
             [0.1, 0.2, 0.3, 0.4, 0.5], 2 * 10**4, seed=2,
         )
@@ -215,7 +222,7 @@ class TestRunEtaSeries:
 
     def test_thermal_mean_doubles_with_eta(self):
         src = make_thermal(50.0)
-        pts = run_eta_series(
+        pts = simulated_points(
             src, make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0),
             [0.2, 0.4, 0.6], 5 * 10**4, seed=3,
         )
@@ -227,7 +234,7 @@ class TestRunEtaSeries:
 
     def test_fock_noiseless_fano_line(self):
         src = make_fock(10)
-        pts = run_eta_series(
+        pts = simulated_points(
             src, make_gain("gaussian", GAIN, 0.0), DarkNoiseModel(0.0),
             [0.2, 0.5, 0.8], 5 * 10**4, seed=4,
         )
@@ -451,7 +458,7 @@ class TestSlopeSign:
         ids=["coherent", "thermal", "fock"],
     )
     def test_mandel_classification(self, source, sign):
-        pts = run_eta_series(
+        pts = simulated_points(
             source, make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0),
             default_eta_series(0.5, 6), 2 * 10**4, seed=5,
         )
@@ -467,7 +474,7 @@ class TestSlopeSign:
 
 def test_intercept_invariant_under_eta_subrange():
     src = make_poisson(100.0)
-    pts = run_eta_series(
+    pts = simulated_points(
         src, make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0),
         default_eta_series(0.5, 10), 2 * 10**4, seed=6,
     )
@@ -481,7 +488,7 @@ def test_intercept_invariant_under_eta_subrange():
 def test_intercept_bias_and_correction():
     sigma_rel = 0.1  # inflation (1 + 0.01)
     src = make_poisson(100.0)
-    pts = run_eta_series(
+    pts = simulated_points(
         src, make_gain("gaussian", GAIN, sigma_rel * GAIN), DarkNoiseModel(10.0),
         default_eta_series(0.5, 10), 10**5, seed=7,
     )
@@ -494,7 +501,7 @@ class TestMeanConstancy:
     def test_clean_chain_passes(self):
         src = make_poisson(100.0)
         etas = default_eta_series(0.5, 6)
-        pts = run_eta_series(
+        pts = simulated_points(
             src, make_gain("gaussian", GAIN, 2.0), DarkNoiseModel(10.0),
             etas, 2 * 10**4, seed=8,
         )
@@ -532,7 +539,7 @@ class TestGainScaling:
         gain = make_gain("gaussian", GAIN, 2.0)
         dark = DarkNoiseModel(10.0)
         etas = default_eta_series(0.5, 5)
-        baseline = fit_fano_line(run_eta_series(src, gain, dark, etas, 2 * 10**4, seed=10))
+        baseline = fit_fano_line(simulated_points(src, gain, dark, etas, 2 * 10**4, seed=10))
         report = gain_scaling_check(
             src, gain, dark, etas, [1.0, 2.0], 2 * 10**4, seed=10, baseline=baseline,
         )

@@ -1386,6 +1386,52 @@ def test_a_one_sample_ensemble_exits_2_naming_it(finished_run, tmp_path, case):
     assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
 
 
+# finite ensembles whose fifth centered powers, or their sum, pass the float range
+OVERFLOWING_AT_ORDER_5 = {
+    "powers-1e70": [1e70, -1e70, 1e70, -1e70],
+    "powers-6e61": [6e61] * 5 + [-6e61] * 4,
+    "sum-4e61": [4e61] * 50 + [-4e61] * 40,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_AT_ORDER_5))
+def test_an_overflowing_moment_order_exits_2_naming_it(tmp_path, name):
+    path, _ = small_npy(tmp_path, np.array(OVERFLOWING_AT_ORDER_5[name]))
+    proc = cli_process("moments", "--input", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: order 5: ")
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_a_dark_record_that_overflows_is_named(finished_run, tmp_path, capsys):
+    # its variance overflows: blind calibrate names the file, as for a sweep ensemble
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    dark = read_ensemble(out / "dark.npy")
+    samples = np.where(np.arange(dark.n_samples) % 2, 1e200, -1e200)
+    write_ensemble(out / "dark.npy", replace(dark, samples=samples), None)
+    assert main(["calibrate", "--ensembles", str(out), "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == f"error: order 2: the powers (x - mean)^2 overflow: {out / 'dark.npy'}\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "calibrate"])
+def test_the_seed_flag_is_the_config_seed(tmp_path, command):
+    # --seed 7 writes the bytes of a config whose "seed" is 7
+    flagged, seeded = tmp_path / "flag", tmp_path / "seed"
+    cfg = write_config(tmp_path)
+    assert main([command, "--config", str(cfg), "--out", str(flagged), "--seed", "7"]) == 0
+    cfg = write_config(tmp_path, {"seed": 7}, name="seed7.json")
+    assert main([command, "--config", str(cfg), "--out", str(seeded)]) == 0
+    names = sorted(path.name for path in flagged.iterdir())
+    assert names == sorted(path.name for path in seeded.iterdir()) and names
+    for name in names:
+        assert (flagged / name).read_bytes() == (seeded / name).read_bytes(), name
+    parent = write_config(tmp_path, name="seed99.json")
+    assert main([command, "--config", str(parent), "--out", str(tmp_path / "99")]) == 0
+    assert any((tmp_path / "99" / name).read_bytes() != (seeded / name).read_bytes() for name in names)
+
+
 @pytest.mark.parametrize("command", ["run", "simulate"])
 def test_workers_flag_is_a_usage_error(tmp_path, command):
     cfg = write_config(tmp_path)

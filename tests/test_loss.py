@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -259,3 +260,57 @@ class TestSampleM:
         obs *= exp.sum() / obs.sum()  # guard fp mass mismatch in chisquare
         _, pvalue = stats.chisquare(obs, exp)
         assert pvalue > 0.001
+
+
+# each named source at each eta: the numpy call its counts are drawn with,
+# and the SHA-256 of its detected table's bytes, as pinned when the law
+# was first carried as one object per source
+NAMED_LAWS = {
+    "poisson": (make_poisson(100.0), lambda eta, rng, size: rng.poisson(eta * 100.0, size)),
+    "thermal": (make_thermal(50.0), lambda eta, rng, size: rng.negative_binomial(1, 1 / (1 + eta * 50.0 / 1), size)),
+    "thermal3": (
+        make_multimode_thermal(200.0, 3),
+        lambda eta, rng, size: rng.negative_binomial(3, 1 / (1 + eta * 200.0 / 3), size),
+    ),
+    "fock": (make_fock(300), lambda eta, rng, size: rng.binomial(300, eta, size)),
+}
+DETECTED_TABLE_SHA256 = {
+    "poisson": {
+        0.0: "b2945d424f931499f5e31de053e60559079dbacb2742ebaca291580840b2da22",
+        0.05: "d374906e67a52d3b95a7dc9b1381c9ecc285cb27ac1bbdde2840d29385fbc402",
+        0.5: "d7c0ce49fc85fcd48c22297ec8d7338ab1700fa054aa43589f108a3921dcc7b0",
+        1.0: "c93dc1aafcd93efeb40df6d38105e01d64a4f328fd640492de906664aed22f19",
+    },
+    "thermal": {
+        0.0: "40bd078200e4ec8f86b7f72af945291ebb5f938deeb4515a728e8230d3bb8346",
+        0.05: "ff2a0a02f28cb2f3239e8a263d7980e38c7136fda267148698edfdbba387ab80",
+        0.5: "89ed4b05d3ab00b6307a4345b267c6d381c926369bc4e6518bf54a9bc56837d5",
+        1.0: "e6588e38596cc8b04bd6601eb7b6d6d8e717be42a7c72765c73dfb4321aa1113",
+    },
+    "thermal3": {
+        0.0: "692033154e2377ac927fa62b269df002be2aae922f2f263fbfe191ae5dbf6aea",
+        0.05: "8d9321e39563ee07d1bcc9d4895d4082f4eb1cc40d86129054b962ded1fad6ed",
+        0.5: "3ff0a8d41e33855db4860c8e49274d8d30592284bc90b6928401ecf9a2505e04",
+        1.0: "8a33c47a6c3161058ea15fdce60444b7cae1c2edcfd45aa5f70d6e09649abb3a",
+    },
+    "fock": {
+        0.0: "9d318c3badf99e2b96ba665eaa32fe485aaeb1efd7a6bd335ce567f7822fd120",
+        0.05: "0a86b330b00a790e70a54900cb7cd7f4db4ff3dd1fd94003f21b10be6aaa8fbf",
+        0.5: "08c711b0fd1dfe1df98f374dc951f93d4d3b8feec0b590e55dcac2c3aa1d822b",
+        1.0: "421e179acc2327b1b06fba3a80d3e67fd37d2900d9af6370b5ec4b12746bafb9",
+    },
+}
+
+
+@pytest.mark.parametrize("eta", LAW_ETAS)
+@pytest.mark.parametrize("name", sorted(NAMED_LAWS))
+def test_a_named_source_draws_with_the_one_numpy_call(name, eta):
+    src, draw = NAMED_LAWS[name]
+    assert np.array_equal(sample_m(src, eta, substream(16), 5000), draw(eta, substream(16), 5000))
+
+
+@pytest.mark.parametrize("eta", LAW_ETAS)
+@pytest.mark.parametrize("name", sorted(NAMED_LAWS))
+def test_a_named_source_keeps_its_detected_table(name, eta):
+    det = apply_bernoulli(NAMED_LAWS[name][0], eta)
+    assert hashlib.sha256(det.pmf.tobytes()).hexdigest() == DETECTED_TABLE_SHA256[name][eta]

@@ -240,6 +240,13 @@ def test_exact_sum_raises_where_fsum_raises():
         exact_sum([1e308, 1e308])
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_an_exact_sum_past_the_float_range_is_an_overflow_error(sign):
+    # the sum is an int too large for a float; it must not be converted to one
+    with pytest.raises(OverflowError, match="past the float range"):
+        exact_sum([sign * 1.7e308, sign * 1.7e308])
+
+
 def test_exact_sum_has_no_intermediate_overflow():
     # the one difference: fsum overflows on the partial 2e308, the exact sum is 1e308
     with pytest.raises(OverflowError, match="intermediate overflow"):
@@ -268,14 +275,38 @@ def _uses(tree, name: str) -> list:
     return uses
 
 
+def _package_trees() -> dict:
+    package = Path(__file__).resolve().parents[1] / "src" / "linphot"
+    return {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
 def test_exact_sum_is_the_one_summation_path():
     # every exact statistic goes through the one kernel: fsum is left only
-    # its fallback there, and only _rounded divides by the 2^-1074 unit
-    package = Path(__file__).resolve().parents[1] / "src" / "linphot"
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    for name, allowed in (("fsum", {"moments.py": ["_exact_totals"]}), ("_UNIT", {"moments.py": [None, "_rounded"]})):
+    # exact_sum's non-finite and exact-zero cases, and only _rounded divides
+    # by the 2^-1074 unit
+    trees = _package_trees()
+    for name, allowed in (("fsum", {"moments.py": ["_exact_sum"]}), ("_UNIT", {"moments.py": [None, "_rounded"]})):
         uses = {file: _uses(tree, name) for file, tree in trees.items()}
         assert {file: scopes for file, scopes in uses.items() if scopes} == allowed, name
+
+
+def test_each_named_law_is_one_object():
+    # a named source carries its law at eta once, as sources._Law, which
+    # only the loss channel reads; no separate thinning or draw rule is left
+    trees = _package_trees()
+    readers = {
+        file for file, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_law"
+    }
+    assert readers == {"loss.py"}
+    names = {
+        name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None), getattr(node, "arg", None))
+        if isinstance(name, str) and name.startswith(("_thin", "_draw"))
+    }
+    assert names == set()
 
 
 def test_exact_sum_matches_fsum_on_a_pmf_over_hundreds_of_exponents():
@@ -416,6 +447,41 @@ def test_sample_moments_is_the_full_array_oracle_with_powers_filling_their_bound
     x = np.random.default_rng(8).uniform(-2.0, 2.0, 3 * _SUM_BLOCK)
     for order in range(ORDER_MIN, ORDER_MAX + 1):
         assert _same_moments(sample_moments(x, order), fsum_sample_moments(x, order)), order
+
+
+def test_an_exact_zero_moment_is_positive_zero():
+    # the odd powers of +-4e61 sum to exactly 0; fsum overflows on the partial sums of the fifth
+    x = np.array([4e61] * 3 + [-4e61] * 3)
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum((x**5).tolist())
+    moments = sample_moments(x, 5)
+    assert [math.copysign(1.0, c) for c in moments.central] == [1.0] * 4
+    assert moments.central[1] == moments.central[3] == 0.0
+    assert _same_moments(sample_moments(x, 4), fsum_sample_moments(x, 4))
+
+
+@pytest.mark.parametrize("x", [[-0.0] * 5, [0.0, -0.0, -0.0, 0.0, -0.0]], ids=["negative", "mixed"])
+def test_zero_samples_have_positive_zero_moments(x):
+    moments = sample_moments(np.array(x), 5)
+    assert [math.copysign(1.0, c) for c in moments.central] == [1.0] * 4
+    assert _same_moments(moments, fsum_sample_moments(np.array(x), 5))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[1e70, -1e70] * 2, [6e61] * 5 + [-6e61] * 4, [4e61] * 50 + [-4e61] * 40],
+    ids=["powers-1e70", "powers-6e61", "sum-4e61"],
+)
+def test_an_overflowing_order_is_named(x):
+    # finite samples whose fifth powers, or their sum, pass the float range
+    with pytest.raises(InvalidParameterError, match=r"^order 5: "):
+        sample_moments(np.array(x), 5)
+    assert all(map(math.isfinite, sample_moments(np.array(x), 4).central))
+
+
+def test_a_sum_of_samples_past_the_float_range_is_named():
+    with pytest.raises(InvalidParameterError, match="the sum of the samples is past the float range"):
+        sample_moments(np.full(4, 1.7e308), 2)
 
 
 def test_sample_moments_allocates_blocks_not_full_length_arrays():

@@ -243,7 +243,7 @@ def test_poisson_law_matches_mpmath(mean):
 def test_nbinom_law_matches_mpmath(modes, mean):
     x = mean / modes
     ks = probe_points(mean, math.sqrt(mean * (1 + x)), 10 * int(mean))
-    pmf = sources._nbinom_law(modes, x)[0]
+    pmf = sources._nbinom_law(modes, mean).pmf
     assert_matches_mp(pmf(np.array(ks)), ks, partial(nbinom_pmf_mp, modes=modes, x=x))
 
 
@@ -251,7 +251,7 @@ def test_nbinom_law_matches_mpmath(modes, mean):
 @pytest.mark.parametrize("n", [100, 10**4, 10**6])
 def test_fock_thinning_matches_mpmath(n, eta):
     ks = probe_points(n * eta, math.sqrt(n * eta * (1 - eta)), n)
-    values = sources._thin_fock(n, n, eta)[ks]
+    values = sources._on_grid(sources._binom_law(n, eta), n)[ks]
     assert_matches_mp(values, ks, partial(binom_pmf_mp, n=n, p=eta))
 
 
