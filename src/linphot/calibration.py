@@ -10,14 +10,15 @@ Two consistency checks accompany the fit: the intercept must scale by g
 when an output gain g multiplies every voltage, and the mean voltage per
 detected photon must be constant across the sweep.
 
-A command draws all its ensembles through one ordered stream
+A command draws its ensembles through one ordered stream
 (``iter_ensembles``) on one thread per usable core: ``run`` the dark
 record, the sweep and the reconstruction ensemble, ``simulate`` the dark
-record and the sweep, ``calibrate --config`` the sweep, and the
-gain-scaling check every factor's sweep.  Only sweep draws are reduced to
-an ``EtaSeriesPoint``.  The stream holds at most ``workers + 2``
-ensembles: one with the consumer, one drawn on each worker and one
-finished and waiting its turn.
+record and the sweep, ``calibrate --config`` the sweep.  With
+``gain_scale_factors``, ``run`` and ``calibrate --config`` draw every
+rescaled sweep in a second such stream, inside ``gain_scaling_check``.
+Only sweep draws are reduced to an ``EtaSeriesPoint``.  The stream holds
+at most ``workers + 2`` ensembles: one with the consumer, one drawn on
+each worker and one finished and waiting its turn.
 """
 
 from __future__ import annotations

@@ -51,6 +51,14 @@ def _resolve_out(args, config=None):
     return Path(out)
 
 
+def _unused(out: Path) -> Path:
+    """``out`` for ``run`` or ``simulate``; writing into a directory that holds ensembles would mix two runs."""
+    used = sorted(path.name for glob in ("dark.*", "ensemble_*", "reconstruction_eta_*") for path in out.glob(glob))
+    if used:
+        raise InvalidParameterError(f"{out} already holds a run's ensembles ({used[0]}); give an unused --out")
+    return out
+
+
 def _read_calibration(path):
     """The ``intercept``, ``intercept_se`` and ``valid`` of a calibration file's fit; None: no fit.
 
@@ -68,7 +76,7 @@ def _read_calibration(path):
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
-    result = run_experiment(config, _resolve_out(args, config))
+    result = run_experiment(config, _unused(_resolve_out(args, config)))
     print(f"report: {result.files['report']}")
     for name, verdict in result.verdicts.items():
         if verdict is not None:
@@ -78,7 +86,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config, args.seed)
-    out = _resolve_out(args, config)
+    out = _unused(_resolve_out(args, config))
     models = Models(config)
     out.mkdir(parents=True, exist_ok=True)
     simulate_sweep(models, out)

@@ -56,6 +56,27 @@ def _reject_unknown(raw: dict, known, prefix: str = "") -> None:
         _require(key in known, f"{prefix}{key}", "unknown key")
 
 
+def _require_section(raw, name: str, known) -> dict:
+    _require(isinstance(raw, dict), name, "must be an object")
+    _reject_unknown(raw, known, f"{name}.")
+    return raw
+
+
+def _require_eta(x, field_path: str) -> float:
+    _require(_is_finite_number(x) and 0.0 < x <= 1.0, field_path, f"must be in (0, 1], got {x!r}")
+    return float(x)
+
+
+def _require_sample_count(x, field_path: str) -> int:
+    # every ensemble is reduced to a mean and a variance
+    _require(_is_int(x) and x >= 2, field_path, f"must be an integer >= 2, got {x!r}")
+    return x
+
+
+def _require_nonnegative(x, field_path: str) -> None:
+    _require(_is_finite_number(x) and x >= 0, field_path, f"must be a nonnegative finite number, got {x!r}")
+
+
 def _require_voltage_scale(x, field_path: str, lo: float) -> float:
     hi = VOLTAGE_SCALE_RANGE[1]
     _require(_is_finite_number(x) and lo <= x <= hi, field_path, f"must be a number in [{lo:g}, {hi:g}], got {x!r}")
@@ -104,19 +125,14 @@ class RunConfig(NamedTuple):
 
 
 def _parse_source(raw: dict) -> SourceSpec:
-    _require(isinstance(raw, dict), "source", "must be an object")
-    _reject_unknown(raw, SourceSpec._fields, "source.")
+    _require_section(raw, "source", SourceSpec._fields)
     kind = raw.get("kind")
     _require(kind in SOURCE_KINDS, "source.kind", f"must be one of {SOURCE_KINDS}, got {kind!r}")
     pmf = raw.get("pmf")
     if pmf is not None:
         _require(isinstance(pmf, (list, tuple)), "source.pmf", f"must be a list, got {pmf!r}")
         for i, p in enumerate(pmf):
-            _require(
-                _is_finite_number(p) and p >= 0,
-                f"source.pmf[{i}]",
-                f"must be a nonnegative finite number, got {p!r}",
-            )
+            _require_nonnegative(p, f"source.pmf[{i}]")
         _require(0 < sum(map(float, pmf)) < math.inf, "source.pmf", "needs a positive finite sum")
         pmf = tuple(pmf)
     spec = SourceSpec(
@@ -128,11 +144,7 @@ def _parse_source(raw: dict) -> SourceSpec:
     )
     if kind in ("poisson", "thermal", "multimode_thermal"):
         _require(spec.mean is not None, "source.mean", f"required for kind {kind!r}")
-        _require(
-            _is_finite_number(spec.mean) and spec.mean >= 0,
-            "source.mean",
-            f"must be a nonnegative finite number, got {spec.mean!r}",
-        )
+        _require_nonnegative(spec.mean, "source.mean")
     if kind == "multimode_thermal":
         _require(
             _is_int(spec.modes) and spec.modes >= 1,
@@ -159,9 +171,7 @@ def from_dict(raw: dict) -> RunConfig:
 
     source = _parse_source(raw.get("source"))
 
-    g = raw.get("gain")
-    _require(isinstance(g, dict), "gain", "must be an object")
-    _reject_unknown(g, GainSpec._fields, "gain.")
+    g = _require_section(raw.get("gain"), "gain", GainSpec._fields)
     family = g.get("family", "gaussian")
     _require(
         family in GAIN_FAMILIES,
@@ -177,9 +187,7 @@ def from_dict(raw: dict) -> RunConfig:
     )
     gain = GainSpec(gamma_bar=gamma_bar, sigma=sigma, family=family)
 
-    d = raw.get("dark", {})
-    _require(isinstance(d, dict), "dark", "must be an object")
-    _reject_unknown(d, DarkSpec._fields, "dark.")
+    d = _require_section(raw.get("dark", {}), "dark", DarkSpec._fields)
     sigma0 = _require_voltage_scale(d.get("sigma0", 0.1 * gain.gamma_bar), "dark.sigma0", 0.0)
     dark = DarkSpec(sigma0=sigma0)
 
@@ -189,21 +197,8 @@ def from_dict(raw: dict) -> RunConfig:
         "eta_series",
         "must be a nonempty list",
     )
-    for i, e in enumerate(etas):
-        _require(
-            _is_finite_number(e) and 0.0 < e <= 1.0,
-            f"eta_series[{i}]",
-            f"must be in (0, 1], got {e!r}",
-        )
-    eta_series = tuple(float(e) for e in etas)
-
-    # every ensemble is reduced to a mean and a variance
-    n_samples = raw.get("n_samples")
-    _require(
-        _is_int(n_samples) and n_samples >= 2,
-        "n_samples",
-        f"must be an integer >= 2, got {n_samples!r}",
-    )
+    eta_series = tuple(_require_eta(e, f"eta_series[{i}]") for i, e in enumerate(etas))
+    n_samples = _require_sample_count(raw.get("n_samples"), "n_samples")
     seed = raw.get("seed")
     _require(
         _is_int(seed) and 0 <= seed < 2**64,
@@ -234,18 +229,8 @@ def from_dict(raw: dict) -> RunConfig:
         f"must be a float in (0, 1), got {tail_eps!r}",
     )
 
-    rec_eta = raw.get("reconstruct_eta", max(eta_series))
-    _require(
-        _is_finite_number(rec_eta) and 0.0 < rec_eta <= 1.0,
-        "reconstruct_eta",
-        f"must be in (0, 1], got {rec_eta!r}",
-    )
-    rec_n = raw.get("reconstruction_n_samples", n_samples)
-    _require(
-        _is_int(rec_n) and rec_n >= 2,
-        "reconstruction_n_samples",
-        f"must be an integer >= 2, got {rec_n!r}",
-    )
+    rec_eta = _require_eta(raw.get("reconstruct_eta", max(eta_series)), "reconstruct_eta")
+    rec_n = _require_sample_count(raw.get("reconstruction_n_samples", n_samples), "reconstruction_n_samples")
     out_dir = raw.get("out_dir")
     _require(
         out_dir is None or (isinstance(out_dir, str) and out_dir),
@@ -262,7 +247,7 @@ def from_dict(raw: dict) -> RunConfig:
         seed=seed,
         gain_scale_factors=tuple(float(f) for f in factors),
         tail_epsilon=tail_eps,
-        reconstruct_eta=float(rec_eta),
+        reconstruct_eta=rec_eta,
         reconstruction_n_samples=rec_n,
         out_dir=out_dir,
     )

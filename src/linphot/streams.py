@@ -4,10 +4,10 @@ Every stochastic operation draws from a generator keyed by
 (master seed, stream key, chunk index).  Shots are produced on a fixed
 chunk grid, and the grid defines the substreams: an ensemble is
 byte-identical for a fixed (seed, stream key, sample count).  A command
-draws all its ensembles in one ordered stream
-(``calibration.iter_ensembles``) on one thread per usable core; its
-output does not depend on the core count or on which thread draws an
-ensemble, because each ensemble owns its substream.
+draws its ensembles in one ordered stream (``calibration.iter_ensembles``),
+and the gain-scaling check its rescaled sweeps in a second, on one thread
+per usable core; no output depends on the core count or on which thread
+draws an ensemble, because each ensemble owns its substream.
 """
 
 from __future__ import annotations

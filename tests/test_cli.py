@@ -146,6 +146,69 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             from_dict({**BASE, field: value})
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            # eta in (0, 1]
+            ({"eta_series": [0.1, 1.5]}, "eta_series[1]: must be in (0, 1], got 1.5"),
+            ({"eta_series": [0]}, "eta_series[0]: must be in (0, 1], got 0"),
+            ({"eta_series": [0.5, -0.1]}, "eta_series[1]: must be in (0, 1], got -0.1"),
+            ({"eta_series": [True]}, "eta_series[0]: must be in (0, 1], got True"),
+            ({"eta_series": ["0.5"]}, "eta_series[0]: must be in (0, 1], got '0.5'"),
+            ({"eta_series": [math.nan]}, "eta_series[0]: must be in (0, 1], got nan"),
+            ({"eta_series": [10**400]}, f"eta_series[0]: must be in (0, 1], got {10**400!r}"),
+            ({"reconstruct_eta": 0.0}, "reconstruct_eta: must be in (0, 1], got 0.0"),
+            ({"reconstruct_eta": 1.0000001}, "reconstruct_eta: must be in (0, 1], got 1.0000001"),
+            ({"reconstruct_eta": None}, "reconstruct_eta: must be in (0, 1], got None"),
+            ({"reconstruct_eta": math.inf}, "reconstruct_eta: must be in (0, 1], got inf"),
+            # a JSON integer >= 2
+            ({"n_samples": 1}, "n_samples: must be an integer >= 2, got 1"),
+            ({"n_samples": 2.0}, "n_samples: must be an integer >= 2, got 2.0"),
+            ({"n_samples": None}, "n_samples: must be an integer >= 2, got None"),
+            ({"n_samples": [100]}, "n_samples: must be an integer >= 2, got [100]"),
+            ({"reconstruction_n_samples": 0}, "reconstruction_n_samples: must be an integer >= 2, got 0"),
+            ({"reconstruction_n_samples": False}, "reconstruction_n_samples: must be an integer >= 2, got False"),
+            ({"reconstruction_n_samples": "3"}, "reconstruction_n_samples: must be an integer >= 2, got '3'"),
+            # a nonnegative finite number
+            (
+                {"source": {"kind": "poisson", "mean": -1.0}},
+                "source.mean: must be a nonnegative finite number, got -1.0",
+            ),
+            (
+                {"source": {"kind": "thermal", "mean": math.inf}},
+                "source.mean: must be a nonnegative finite number, got inf",
+            ),
+            ({"source": {"kind": "thermal", "mean": "1"}}, "source.mean: must be a nonnegative finite number, got '1'"),
+            (
+                {"source": {"kind": "multimode_thermal", "mean": math.nan, "modes": 0}},
+                "source.mean: must be a nonnegative finite number, got nan",
+            ),
+            ({"source": {"kind": "pmf", "pmf": [1, -1]}}, "source.pmf[1]: must be a nonnegative finite number, got -1"),
+            (
+                {"source": {"kind": "pmf", "pmf": [None]}},
+                "source.pmf[0]: must be a nonnegative finite number, got None",
+            ),
+            (
+                {"source": {"kind": "pmf", "pmf": [0.5, math.inf]}},
+                "source.pmf[1]: must be a nonnegative finite number, got inf",
+            ),
+            # an object whose keys are all known
+            ({"source": 5}, "source: must be an object"),
+            ({"source": None}, "source: must be an object"),
+            ({"source": [["kind", "poisson"]]}, "source: must be an object"),
+            ({"source": {"kind": "laser", "x": 1}}, "source.x: unknown key"),
+            ({"gain": "gain"}, "gain: must be an object"),
+            ({"gain": {**BASE["gain"], "sigma0": 1.0}}, "gain.sigma0: unknown key"),
+            ({"dark": []}, "dark: must be an object"),
+            ({"dark": None}, "dark: must be an object"),
+            ({"dark": {"sigma0": 1.0, "sigma": 1.0}}, "dark.sigma: unknown key"),
+        ],
+    )
+    def test_each_field_rule_gives_its_exact_message(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            from_dict({**BASE, **overrides})
+        assert str(info.value) == message
+
     def test_gain_scaling_needs_the_sweep_design(self, tmp_path):
         with pytest.raises(ConfigError, match="n_samples"):
             from_dict({**BASE, "n_samples": 9_999, "gain_scale_factors": [2.0]})
@@ -1145,12 +1208,15 @@ CSV_SHA256 = {
 }
 
 
-def test_artifacts_match_pinned_hashes(tmp_path):
-    result = run_experiment(from_dict(BASE), tmp_path / "out")
+def assert_pinned(result, pins):
     written = {path.name: path for path in result.files.values()}
-    assert sorted(written) == sorted(ARTIFACT_SHA256)
+    assert sorted(written) == sorted(pins)
     for name, path in written.items():
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == ARTIFACT_SHA256[name], name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pins[name], name
+
+
+def test_artifacts_match_pinned_hashes(tmp_path):
+    assert_pinned(run_experiment(from_dict(BASE), tmp_path / "out"), ARTIFACT_SHA256)
 
 
 def test_npy_samples_are_the_csv_samples_bit_for_bit(finished_run, tmp_path):
@@ -1172,6 +1238,39 @@ def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
     assert result.verdicts["gain_scaling"] is not None
     digest = hashlib.sha256(result.files["calibration"].read_bytes()).hexdigest()
     assert digest == GAIN_SCALING_CALIBRATION_SHA256
+
+
+# SHA-256 of every artifact of ``run_experiment`` on THERMAL_GAMMA: the
+# negative-binomial law, the gamma gain draw and a positive fitted slope,
+# none of which BASE (Poisson light, gaussian gain) reaches.
+THERMAL_GAMMA = {
+    **BASE,
+    "source": {"kind": "thermal", "mean": 50.0},
+    "gain": {"family": "gamma", "gamma_bar": 100.0, "sigma": 5.0},
+}
+THERMAL_GAMMA_SHA256 = {
+    "calibration.json": "13116e2b46eabb1050aa3ac85499584f2fa7cc703b29ea6e1a46ca4706dd10a9",
+    "config.json": "bacbc369d0092c37478633b0ebcc9bff9273a4ee696fc84ee78e037b7955e714",
+    "dark.json": "e6b56c12cf9f7642f25ae83cabcaf748fcf050f9b0ed7473fa6c256841dda97d",
+    "dark.npy": "e078b9ed96e7eeeeb4cde1904aeebe87d26f790fd6923b5b34fc767fc9943f7d",
+    "ensemble_00_eta_0.100000.json": "f1dfd8101a418f8872c71e1bd9939c034c8594d78265295a9991c1810bfe893a",
+    "ensemble_00_eta_0.100000.npy": "2cc6afdc198f97bea3ce18c0ce2b77b9f10c8b506e09a902c8be1b8a307d289c",
+    "ensemble_01_eta_0.300000.json": "7aa77cb71c61e1962dd96d9770d870770fd9e581f2dd0fe9b86e14be2a9088f6",
+    "ensemble_01_eta_0.300000.npy": "7153b73793e458b4eda51552587b56d1203aa56d0c3ba341ce910c00f1ce2cc8",
+    "ensemble_02_eta_0.500000.json": "4ff2c1d0588bcfb3dea1b0b9ef5b7d7cb816745130716280b81f7dd593427602",
+    "ensemble_02_eta_0.500000.npy": "ffa198a4a6922b232b00e536abea2ef0fd71dff152f7eeb06973ae24f00b6aa4",
+    "pm.csv": "56e79bf5b4e8c65674551b554d3b6f13da85dad814e13331edb16183f3a190e7",
+    "pm_metrics.json": "e9ae6c656c33a7f7054e8a9a4ee0b7dde077d8c1d16340be74d76e4bee27ee09",
+    "reconstruction_eta_0.500000.json": "4ff2c1d0588bcfb3dea1b0b9ef5b7d7cb816745130716280b81f7dd593427602",
+    "reconstruction_eta_0.500000.npy": "e9f883fc9b3998450acfd558089adac6e765988bacab0f81abeddf29a4d07379",
+    "report.md": "0c078f8b6ab136c1d553f6130256e2cc2ba5b25399a1ec631947c8e9cbaf5621",
+}
+
+
+def test_thermal_gamma_artifacts_match_pinned_hashes(tmp_path):
+    result = run_experiment(from_dict(THERMAL_GAMMA), tmp_path / "out")
+    assert result.calibration.slope > 0
+    assert_pinned(result, THERMAL_GAMMA_SHA256)
 
 
 # the sweeps of the benchmark's workloads (perfbench/run.py) at seed 1; only
@@ -1269,6 +1368,41 @@ def test_two_cli_runs_are_byte_identical(tmp_path):
     assert names == sorted(path.name for path in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        # check failed the fresh run on the old eta=0.7 file; blind calibrate fit it as a fifth point
+        ({"eta_series": [0.1, 0.3, 0.5, 0.7]}, {"eta_series": [0.1, 0.3, 0.5], "seed": 7}),
+        # check exited 2 on two ensemble files with sweep index 1
+        ({"eta_series": [0.1, 0.2, 0.3, 0.5]}, {"eta_series": [0.1, 0.3, 0.5]}),
+    ],
+    ids=["fewer-etas", "shifted-etas"],
+)
+def test_a_used_out_is_refused_and_left_as_it_was(tmp_path, capsys, command, first, second):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(write_config(tmp_path, first, "first.json")), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    cfg = write_config(tmp_path, second, "second.json")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out} already holds a run's ensembles (dark.json); give an unused --out\n"
+    )
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert main(["check", "--out", str(out)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_an_out_without_ensembles_is_used(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert (out / "dark.npy").exists()
 
 
 def is_plain_json(value) -> bool:

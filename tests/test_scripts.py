@@ -1,13 +1,18 @@
-"""Smoke tests: the experiment scripts in ``scripts/`` run at tiny sizes, and
-the benchmark's span tracer finds every layer function it times."""
+"""Smoke tests: the experiment scripts in ``scripts/`` run at tiny sizes, the
+benchmark's span tracer finds every layer function it times, and every
+benchmark workload is a valid config."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from linphot.config import from_dict
+from linphot.pipeline import Models
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -62,3 +67,25 @@ def test_benchmark_tracer_finds_every_layer_function():
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.fixture(scope="module")
+def benchmark_runner():
+    """perfbench/run.py, loaded from its path without writing bytecode next to it."""
+    added = {"oracle", "tracer"} - set(sys.modules)  # run.py imports its neighbours by name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    for name in added:
+        sys.modules.pop(name, None)
+    return module
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_every_benchmark_workload_is_a_valid_config(benchmark_runner, name, tiny):
+    # a config change that the benchmark's own configs do not survive fails here, not in every benchmark run
+    Models(from_dict(benchmark_runner.workload_config(name, 1, tiny=tiny)))
