@@ -6,19 +6,19 @@ the detection efficiency is swept.  A weighted straight-line fit of that
 ratio against the mean voltage estimates the mean single-photon response
 from the intercept and the normalized photon-number excess noise from the
 slope; each point's weight is the delta-method standard error of its ratio.
-Two consistency checks accompany the fit: the intercept must scale by g
-when an output gain g multiplies every voltage, and the mean voltage per
-detected photon must be constant across the sweep.
+Two consistency checks accompany the fit where the generating model is
+known: the intercept must scale by g when an output gain g multiplies
+every voltage, and the mean voltage per detected photon must be constant
+across the sweep.
 
 A command draws its ensembles through one ordered stream
 (``iter_ensembles``) on one thread per usable core: ``run`` the dark
 record, the sweep and the reconstruction ensemble, ``simulate`` the dark
-record and the sweep, ``calibrate --config`` the sweep.  With
-``gain_scale_factors``, ``run`` and ``calibrate --config`` draw every
-rescaled sweep in a second such stream, inside ``gain_scaling_check``.
-Only sweep draws are reduced to an ``EtaSeriesPoint``.  The stream holds
-at most ``workers + 2`` ensembles: one with the consumer, one drawn on
-each worker and one finished and waiting its turn.
+record and the sweep; its consumer reduces them.  With
+``gain_scale_factors``, ``run`` draws every rescaled sweep in a second
+such stream inside ``gain_scaling_check``, whose jobs reduce them.  A
+stream holds at most ``workers + 2`` ensembles: one with the consumer,
+one drawn on each worker and one finished and waiting its turn.
 """
 
 from __future__ import annotations
@@ -232,29 +232,16 @@ def _in_order(job, items, workers: int):
 
 
 class Draw(NamedTuple):
-    """One ensemble of a stream: its efficiency, shot count and substream key.
-
-    ``is_point``: reduce it to the sweep point of its efficiency.
-    """
+    """One ensemble of a stream: its efficiency, shot count and substream key."""
 
     eta: float
     n_samples: int
     stream_key: tuple
-    is_point: bool = False
 
 
 def sweep_draws(eta_list, n_samples: int, stream_tag: tuple = (ETA_SERIES,)) -> list[Draw]:
     """The sweep's draws: point i at ``eta_list[i]`` on substream ``stream_tag + (i,)``."""
-    return [Draw(eta, n_samples, tuple(stream_tag) + (i,), True) for i, eta in enumerate(eta_list)]
-
-
-def _simulated(source, gain, dark, seed, draw: Draw):
-    ens = simulate_ensemble(
-        source, draw.eta, gain, dark, draw.n_samples, seed, stream_key=draw.stream_key
-    )
-    if not draw.is_point:
-        return None, ens
-    return eta_point_from_samples(draw.eta, ens.samples, dark_variance=dark.sigma0**2), ens
+    return [Draw(eta, n_samples, tuple(stream_tag) + (i,)) for i, eta in enumerate(eta_list)]
 
 
 def iter_ensembles(
@@ -264,16 +251,18 @@ def iter_ensembles(
     draws,
     seed: int,
 ):
-    """Yield a (point, ensemble) pair for each of ``draws``, in order; point is None unless ``is_point``.
+    """Yield the ensemble of each of ``draws``, in order.
 
-    The ensembles are drawn, and the sweep points reduced, in one stream on
-    one thread per usable core, since numpy's samplers release the
-    interpreter lock (``_in_order``).  The output does not depend on the
-    core count, because each ensemble owns its substream (``streams``).
+    The ensembles are drawn in one stream on one thread per usable core,
+    since numpy's samplers release the interpreter lock (``_in_order``).
+    The output does not depend on the core count, because each ensemble
+    owns its substream (``streams``).
     Up to ``workers + 2`` ensembles are held in memory at once.
     """
     return _in_order(
-        lambda draw: _simulated(source, gain, dark, seed, draw), draws, _usable_cores()
+        lambda draw: simulate_ensemble(source, draw.eta, gain, dark, draw.n_samples, seed, stream_key=draw.stream_key),
+        draws,
+        _usable_cores(),
     )
 
 
@@ -399,6 +388,8 @@ def gain_scaling_check(
     within 3 standard errors.  ``baseline`` is the unscaled
     fit of the same sweep, normally the main one.  Each factor uses an
     independent substream; a factor of exactly 1 reuses the baseline fit.
+    Each rescaled ensemble is reduced in its job, on raw voltages with the
+    factor's configured dark variance (g sigma0)^2.
     """
     factors = [float(g) for g in factors]
     for i, g in enumerate(factors):
@@ -421,10 +412,13 @@ def gain_scaling_check(
     if scaled:
         _check_n_samples(n_samples)
     items = [(i, draw) for i in scaled for draw in sweep_draws(etas, n_samples, (GAIN_SCALING, i + 1))]
-    stream = _in_order(
-        lambda item: _simulated(source, *scaled[item[0]], seed, item[1])[0], items, _usable_cores()
-    )
-    points = list(stream)
+
+    def point(item):
+        (gain_g, dark_g), draw = scaled[item[0]], item[1]
+        ens = simulate_ensemble(source, draw.eta, gain_g, dark_g, draw.n_samples, seed, stream_key=draw.stream_key)
+        return eta_point_from_samples(draw.eta, ens.samples, dark_variance=dark_g.sigma0**2)
+
+    points = list(_in_order(point, items, _usable_cores()))
     fits = {
         i: fit_fano_line(points[k * len(etas) : (k + 1) * len(etas)], sigma2_rel=sigma2_rel)
         for k, i in enumerate(scaled)

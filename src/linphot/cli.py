@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .calibration import iter_ensembles, sweep_draws
 from .errors import ConfigError, InvalidParameterError, LinphotError
 from .files import as_dict, canonical_json, pm_csv_text, read_json, write_json
 from .moments import sample_moments
@@ -51,14 +50,6 @@ def _resolve_out(args, config=None):
     return Path(out)
 
 
-def _unused(out: Path) -> Path:
-    """``out`` for ``run`` or ``simulate``; writing into a directory that holds ensembles would mix two runs."""
-    used = sorted(path.name for glob in ("dark.*", "ensemble_*", "reconstruction_eta_*") for path in out.glob(glob))
-    if used:
-        raise InvalidParameterError(f"{out} already holds a run's ensembles ({used[0]}); give an unused --out")
-    return out
-
-
 def _read_calibration(path):
     """The ``intercept``, ``intercept_se`` and ``valid`` of a calibration file's fit; None: no fit.
 
@@ -76,7 +67,7 @@ def _read_calibration(path):
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
-    result = run_experiment(config, _unused(_resolve_out(args, config)))
+    result = run_experiment(config, _resolve_out(args, config))
     print(f"report: {result.files['report']}")
     for name, verdict in result.verdicts.items():
         if verdict is not None:
@@ -86,10 +77,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config, args.seed)
-    out = _unused(_resolve_out(args, config))
-    models = Models(config)
-    out.mkdir(parents=True, exist_ok=True)
-    simulate_sweep(models, out)
+    out = _resolve_out(args, config)
+    simulate_sweep(Models(config), out)
     print(f"wrote {len(config.eta_series)} ensembles + dark.npy, each with a .json sidecar, to {out}")
     return 0
 
@@ -102,22 +91,14 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_config(args.config, args.seed) if args.config else None
-    out = _resolve_out(args, config)
-    if config is not None:
-        models = Models(config)
-        draws = sweep_draws(config.eta_series, config.n_samples)
-        sweep = iter_ensembles(models.source, models.gain, models.dark, draws, config.seed)
-        record = calibrate([point for point, _ in sweep], models.dark.sigma0**2, models)
-    else:
-        ens_dir = Path(args.ensembles)
-        dark = dark_moments(dark_path(ens_dir))
-        dark_var = dark.central_moment(2)
-        points = sweep_points(sweep_paths(ens_dir), dark.mean, dark_var)
-        if not points:
-            print(f"error: no ensemble_*.npy or ensemble_*.csv files in {ens_dir}", file=sys.stderr)
-            return 1
-        record = calibrate(points, dark_var)
+    out = _resolve_out(args)
+    ens_dir = Path(args.ensembles)
+    dark = dark_moments(dark_path(ens_dir))
+    points = sweep_points(sweep_paths(ens_dir), dark)
+    if not points:
+        print(f"error: no ensemble_*.npy or ensemble_*.csv files in {ens_dir}", file=sys.stderr)
+        return 1
+    record = calibrate(points, dark.central_moment(2))
     fit = record.fit
     if fit is None:
         raise LinphotError(record.fit_error)
@@ -165,7 +146,7 @@ def _recorded_gain_scaling(path):
 
 
 def _cmd_check(args) -> int:
-    """Replay ``run``'s derivation on a run directory's inputs; each derived artifact must match byte for byte.
+    """Replay ``run``'s analysis and derivation on a run directory's inputs; each artifact must match byte for byte.
 
     A malformed input (``config.json``, an ensemble or its sidecar, the dark
     record), an ensemble of one sample, a sweep ensemble of mean 0, a
@@ -183,9 +164,8 @@ def _cmd_check(args) -> int:
     config = cfgmod.load(out / "config.json")
     models = Models(config)
     paths = [dark_path(out), *sweep_paths(out), reconstruction_path(out, config)]
-    dark_mean = dark_moments(paths[0]).mean
-    # raw ensembles and the config's dark variance, as run computed the points
-    points = sweep_points(paths[1:-1], 0.0, models.dark.sigma0**2)
+    dark = dark_moments(paths[0])
+    points = sweep_points(paths[1:-1], dark)
     reconstruction = read_reducible(paths[-1])
     # a .npy carries the hash in its sidecar; a CSV carries none
     stale = [
@@ -203,7 +183,7 @@ def _cmd_check(args) -> int:
         return 1
     # the one recorded section no replay re-derives: only re-simulation could
     gain_scaling = _recorded_gain_scaling(out / "calibration.json")
-    *_, texts = derive(models, dark_mean, points, reconstruction, gain_scaling=gain_scaling)
+    *_, texts = derive(models, dark, points, reconstruction, gain_scaling=gain_scaling)
     for name, text in texts.items():
         path = out / name
         verdict(f"{name} replayed byte for byte", path.exists() and path.read_bytes() == text.encode())
@@ -239,15 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--order", type=int, default=5)
     p_mom.set_defaults(func=_cmd_moments)
 
-    p_cal = sub.add_parser("calibrate", help="fit the fano line (simulated or from ensemble files)")
-    p_cal.add_argument("--config", help="run config JSON (simulation mode)")
+    p_cal = sub.add_parser("calibrate", help="fit the fano line to a directory of ensemble files")
     p_cal.add_argument(
         "--ensembles",
-        help="directory of ensemble_<i>_* files (.npy with .json sidecar, or CSV) "
-        "and dark.npy or dark.csv (blind mode)",
+        required=True,
+        help="directory of ensemble_<i>_* files (.npy with .json sidecar, or CSV) and dark.npy or dark.csv",
     )
-    p_cal.add_argument("--out", help="output directory (default: config out_dir)")
-    p_cal.add_argument("--seed", type=int, default=None)
+    p_cal.add_argument("--out", help="output directory")
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_rec = sub.add_parser("reconstruct", help="rebin an ensemble into photon counts")
@@ -269,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "calibrate" and bool(args.config) == bool(args.ensembles):
-        parser.error("calibrate needs exactly one of --config or --ensembles")
     try:
         return args.func(args)
     except ConfigError as exc:

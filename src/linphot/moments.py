@@ -96,30 +96,30 @@ def _block_sum(v: np.ndarray, e: int, slices: int, work: np.ndarray) -> tuple[in
     return total, 0 if e < _TINY_EXP else n << (e - _TINY_EXP)
 
 
-def _rounded(units: int) -> float:
-    """``units`` counts of 2^-1074 rounded to the nearest float; inf past the float range."""
-    if abs(units) < _OVERFLOW:
-        return units / _UNIT
+def _rounded(units: int, n: int) -> float:
+    """``units`` counts of 2^-1074 over ``n``, rounded once to the nearest float; inf past the float range."""
+    if abs(units) < _OVERFLOW * n:
+        return units / (n * _UNIT)
     return math.inf if units > 0 else -math.inf
 
 
-def _exact_totals(sweep) -> list:
-    """The correctly rounded totals of the exact sums that ``sweep`` extracts.
+def _exact_totals(sweep, n: int = 1) -> list:
+    """The exact sums that ``sweep`` extracts, each over ``n``, correctly rounded.
 
     ``sweep(slices)`` takes that many extractions from every block and
     returns, per sum, the exact integer total T of the extractions and a
     bound B on the rest, both in counts of 2^-1074.  Correct rounding is
-    monotone, so the sum rounds as T does once T - B and T + B round alike;
+    monotone, so T/n rounds as T does once T - B and T + B round alike;
     until then the sweep is repeated with twice the slices, down to a zero
-    rest.  An exact zero is 0.0, and a sum beyond the float range is +-inf.
+    rest.  An exact zero is 0.0, and a result past the float range +-inf.
     """
     slices = 2
     while True:
         totals = []
         for t, b in sweep(slices):
-            if b and _rounded(t - b) != _rounded(t + b):
+            if b and _rounded(t - b, n) != _rounded(t + b, n):
                 break
-            totals.append(_rounded(t))
+            totals.append(_rounded(t, n))
         else:
             return totals
         slices *= 2
@@ -136,9 +136,9 @@ def _block_bounds(x: np.ndarray) -> tuple[list, list, bool]:
     return lo, hi, all(map(math.isfinite, lo + hi))
 
 
-def _exact_sum(x: np.ndarray, bounds: tuple[list, list, bool]) -> float:
-    """:func:`exact_sum` of a flat float array with its :func:`_block_bounds`."""
-    lows, highs, finite = bounds
+def _sum_sweep(x: np.ndarray, bounds: tuple[list, list, bool]):
+    """The :func:`_exact_totals` sweep of the sum of a flat finite float array with its :func:`_block_bounds`."""
+    lows, highs, _ = bounds
     work = np.empty(min(x.size, _SUM_BLOCK))
 
     def sweep(slices):
@@ -150,7 +150,12 @@ def _exact_sum(x: np.ndarray, bounds: tuple[list, list, bool]) -> float:
                 total, bound = total + t, bound + b
         return [(total, bound)]
 
-    total = _exact_totals(sweep)[0] if finite else 0.0
+    return sweep
+
+
+def _exact_sum(x: np.ndarray, bounds: tuple[list, list, bool]) -> float:
+    """:func:`exact_sum` of a flat float array with its :func:`_block_bounds`."""
+    total = _exact_totals(_sum_sweep(x, bounds))[0] if bounds[2] else 0.0
     if math.isinf(total):
         raise OverflowError("the exact sum is past the float range")
     # non-finite input and an exact zero: fsum sets inf, nan, its errors and the sign of zero
@@ -249,10 +254,17 @@ class MomentSet(NamedTuple):
 
     @classmethod
     def from_central(cls, mean: float, central: Sequence[float]) -> "MomentSet":
+        """The set of ``mean`` and ``central``; a raw moment past the float range raises, naming its order."""
         order = _check_order(len(central) + 1)
-        central = tuple(float(c) for c in central)
-        raw = tuple(float(r) for r in raw_from_central(float(mean), central))
-        return cls(order=order, mean=float(mean), central=central, raw=raw)
+        mean, central, raw = float(mean), tuple(float(c) for c in central), []
+        for r in range(1, order + 1):
+            try:  # mu'_r reads mu_2..mu_r only
+                raw.append(float(raw_from_central(mean, central[: r - 1])[-1]))
+            except OverflowError:  # a float power of the mean past the range
+                raw.append(math.inf)
+            if not math.isfinite(raw[-1]):
+                raise InvalidParameterError(f"order {r}: the raw moment mu{r}_raw is past the float range")
+        return cls(order=order, mean=mean, central=central, raw=tuple(raw))
 
     def central_moment(self, r: int) -> float:
         if r == 1:
@@ -281,11 +293,10 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
     as :func:`exact_sum` does (Rump, Ogita & Oishi 2008).  The bound a
     power's extraction needs is the running power of the block's max |d|,
     which the block's min and max give because rounding is monotone, so no
-    power is scanned for its max.  Every sum is correctly rounded, so high
-    orders survive large means.  An exact-zero sum is 0.0.  An order whose
-    powers, or their sum, pass the float range raises
-    InvalidParameterError naming it, and so does a sum of the samples past
-    that range.
+    power is scanned for its max.  The mean and each central moment are
+    the exact sum over n rounded once, returned even where the sum is past
+    the float range; an exact zero is 0.0.  An order whose powers pass the
+    float range raises InvalidParameterError naming it.
     """
     order = _check_order(order)
     x = np.asarray(samples, dtype=float)
@@ -297,10 +308,7 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
     if not finite:
         raise InvalidParameterError("samples must be finite")
     n = x.size
-    try:
-        mean = _exact_sum(x, bounds) / n
-    except OverflowError as exc:
-        raise InvalidParameterError("the sum of the samples is past the float range") from exc
+    (mean,) = _exact_totals(_sum_sweep(x, bounds), n)
     d, power, work = np.empty((3, min(n, _SUM_BLOCK)))
 
     def sweep(slices):
@@ -322,12 +330,7 @@ def sample_moments(samples, order: int = 5) -> MomentSet:
                     sums[r] = (sums[r][0] + t, sums[r][1] + b)
         return sums
 
-    central = []
-    for r, total in enumerate(_exact_totals(sweep), 2):
-        if math.isinf(total):
-            raise InvalidParameterError(f"order {r}: the sum of (x - mean)^{r} is past the float range")
-        central.append(total / n)
-    return MomentSet.from_central(mean, central)
+    return MomentSet.from_central(mean, _exact_totals(sweep, n))
 
 
 def pmf_moments(pmf, order: int = 5) -> tuple[float, tuple]:

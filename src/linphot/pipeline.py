@@ -1,16 +1,19 @@
 """End-to-end experiment runner: simulate, calibrate, reconstruct, report.
 
-``run_experiment`` draws a run's ensembles (``simulate_sweep``) and hands
-them to ``derive``, the one derivation of ``calibration.json``
-(``calibrate``), ``pm.csv`` and ``pm_metrics.json``
-(``reconstruction_metrics``) and ``report.md`` (``report_text``).
-``check`` calls ``derive`` on a run directory's ensembles and compares
-the texts with the files byte for byte; each other CLI subcommand calls
-the stage it is named for.  Ensembles are written as ``.npy`` with a JSON
-sidecar (``files.write_ensemble``); ``check`` and blind ``calibrate``
-read a sweep directory, ``.npy`` or CSV, with ``dark_path``,
-``dark_moments``, ``sweep_paths`` and ``sweep_points``, which name the
-file whose ensemble cannot be reduced.  Every command that reads an
+One analysis, which takes no ``Models``, serves simulated and recorded
+voltages: the dark record's measured mean and variance, each sweep
+ensemble zero-set by that mean and reduced with that variance
+(``sweep_point``), the fit (``calibrate``) and the rebinning
+(``reconstruction_metrics``).  ``run_experiment`` runs it on what it
+draws (``simulate_sweep``), blind ``calibrate`` and ``reconstruct`` on
+files, and ``derive``, the one derivation of ``run``'s artifacts, sets
+it against the generating model.  ``check`` calls ``derive`` on a run
+directory's ensembles and compares the texts with the files byte for
+byte.  Ensembles are written as ``.npy`` with a JSON sidecar
+(``files.write_ensemble``); ``check`` and blind ``calibrate`` read a
+sweep directory, ``.npy`` or CSV, with ``dark_path``, ``dark_moments``,
+``sweep_paths`` and ``sweep_points``, which name the file whose
+ensemble cannot be reduced.  Every command that reads an
 ensemble file reads it with ``read_reducible``.  All artifacts carry the
 config hash; outputs are byte-identical for a fixed (config, seed).
 """
@@ -81,15 +84,15 @@ class CalibrationRecord(NamedTuple):
 class PmMetrics(NamedTuple):
     """The ``pm_metrics.json`` document; None where no config or true P_m is known."""
 
-    config_sha256: str | None
     gamma_bar_used: float
     gamma_bar_source: str
     underflow_fraction: float
     mean_m_hat: float
     mean_v: float
     self_consistency: SelfConsistencyReport
-    tv_distance: float | None
-    fidelity: float | None
+    config_sha256: str | None = None
+    tv_distance: float | None = None
+    fidelity: float | None = None
 
 
 class RunResult(NamedTuple):
@@ -104,17 +107,22 @@ def _fmt(x, digits=9):
 
 
 def simulate_sweep(models: Models, out: Path, *, reconstruction: bool = False):
-    """Draw and write the dark record and the sweep ensembles, each a ``.npy`` and its sidecar.
+    """Draw and write the dark record and the sweep ensembles, each a ``.npy`` and its sidecar, into ``out``.
 
-    Given ``reconstruction`` the reconstruction ensemble follows them.  All
-    are drawn in one ordered stream on every usable core
-    (``calibration.iter_ensembles``), and each is written, in that order,
-    while the next ones are drawn; only the sweep ensembles are reduced to
-    points.  The stream holds at most ``workers + 2`` ensembles at once;
-    the dark and reconstruction ensembles are kept to be returned.
-    Returns the dark ensemble, the sweep points, the reconstruction
+    An ``out`` that holds a ``dark.*``, ``ensemble_*`` or
+    ``reconstruction_eta_*`` file would mix two runs, and raises before
+    anything is written.  Given ``reconstruction`` the reconstruction
+    ensemble follows the sweep.  All are drawn in one ordered stream on
+    every usable core (``calibration.iter_ensembles``); each is reduced
+    (the dark record to its moments, each sweep ensemble to its
+    ``sweep_point``) and written, in that order, while the next ones are
+    drawn.  Returns the dark moments, the sweep points, the reconstruction
     ensemble (None without ``reconstruction``) and the written paths.
     """
+    used = sorted(path.name for glob in ("dark.*", "ensemble_*", "reconstruction_eta_*") for path in out.glob(glob))
+    if used:
+        raise InvalidParameterError(f"{out} already holds a run's ensembles ({used[0]}); give an unused --out")
+    out.mkdir(parents=True, exist_ok=True)
     config, sha = models.config, models.config_sha256
     # eta = 0 yields the dark record only
     entries = [("dark", out / "dark.npy", Draw(0.0, config.n_samples, (DARK,)))]
@@ -128,16 +136,18 @@ def simulate_sweep(models: Models, out: Path, *, reconstruction: bool = False):
     stream = iter_ensembles(
         models.source, models.gain, models.dark, [draw for _, _, draw in entries], config.seed
     )
-    files, points, ensembles = {}, [], {}
+    files, points, rec = {}, [], None
     with closing(stream):  # a failed write stops the ensembles still being drawn
-        for (key, path, _), (point, ens) in zip(entries, stream):
+        for (key, path, _), ens in zip(entries, stream):
+            if key == "dark":
+                dark = sample_moments(ens.samples, order=2)
+            elif key == "reconstruction_ensemble":
+                rec = ens
+            else:
+                points.append(sweep_point(ens, dark))
             files[key] = path
             files[f"{key}_sidecar"] = write_ensemble(path, ens, sha)
-            if point is None:
-                ensembles[key] = ens
-            else:
-                points.append(point)
-    return ensembles["dark"], points, ensembles.get("reconstruction_ensemble"), files
+    return dark, points, rec, files
 
 
 def reconstruction_path(out: Path, config: cfgmod.RunConfig) -> Path:
@@ -197,8 +207,13 @@ def dark_moments(path):
         raise InvalidParameterError(f"{exc}: {path}") from exc
 
 
-def sweep_points(paths, dark_mean: float, dark_variance: float) -> list:
-    """The sweep point of each ensemble file in ``paths``, zero-set by ``dark_mean``, at its ``eta``.
+def sweep_point(ensemble, dark):
+    """The point of ``ensemble`` zero-set by the mean, and reduced with the variance, of the dark moments ``dark``."""
+    return eta_point_from_samples(ensemble.eta, subtract_offset(ensemble, dark.mean).samples, dark.central_moment(2))
+
+
+def sweep_points(paths, dark) -> list:
+    """The ``sweep_point`` of each ensemble file in ``paths`` with the dark record's moments ``dark``.
 
     An ensemble of mean exactly 0 has no point; the error names its file.
     """
@@ -206,7 +221,7 @@ def sweep_points(paths, dark_mean: float, dark_variance: float) -> list:
     for path in paths:
         ens = read_reducible(path)
         try:
-            points.append(eta_point_from_samples(ens.eta, subtract_offset(ens, dark_mean).samples, dark_variance))
+            points.append(sweep_point(ens, dark))
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{exc}: {path}") from exc
     return points
@@ -215,44 +230,50 @@ def sweep_points(paths, dark_mean: float, dark_variance: float) -> list:
 _SIMULATE = object()
 
 
-def calibrate(
-    points, dark_variance: float, models: Models | None = None, *, gain_scaling=_SIMULATE
-) -> CalibrationRecord:
-    """Fit the fano line through ``points``; the record says why when none fits.
+def calibrate(points, dark_variance: float) -> CalibrationRecord:
+    """Fit the fano line through ``points``, reduced with ``dark_variance``; the record says why when none fits.
 
-    An intercept at or below zero is a fit flagged invalid.  The
-    mean-constancy and gain-scaling checks run only given the config's
-    ``models``, a valid fit (the scaling baseline) and some light.  A
-    given ``gain_scaling`` is recorded in place of re-simulating that
-    check: ``check`` passes the recorded section, the one part of the
-    record that only re-simulation could re-derive.  The keyword goes
-    with the gain-scaling check.
+    Blind: no config hash, spread-corrected intercept or checks
+    (``against_model``).  An intercept at or below zero is a fit flagged
+    invalid.
     """
-    sigma2_rel = None if models is None else models.gain.sigma2 / models.gain.gamma_bar**2
     fit = fit_error = None
     if not any(p.mean_v > 5.0 * p.se_mean_v for p in points):
         fit_error = "no significant light at any efficiency; calibration skipped"
     else:
         try:
-            fit = fit_fano_line(points, sigma2_rel=sigma2_rel)
+            fit = fit_fano_line(points)
         except LinphotError as exc:
             fit_error = str(exc)
+    return CalibrationRecord(None, dark_variance, fit, fit_error, CalibrationChecks())
+
+
+def against_model(models: Models, calibration: CalibrationRecord, *, gain_scaling=_SIMULATE) -> CalibrationRecord:
+    """The blind ``calibration`` with the config hash, the spread-corrected intercept and the checks.
+
+    The checks run only on a valid fit and some light.  A given
+    ``gain_scaling`` is recorded in place of re-simulating that check:
+    ``check`` passes the recorded section, the one part of the record that
+    only re-simulation could re-derive.  The keyword goes with that check.
+    """
+    config, source, gain, fit = models.config, models.source, models.gain, calibration.fit
     checks = CalibrationChecks()
-    if models is not None and fit is not None and fit.valid and models.source.mean_n > 0:
-        config = models.config
-        refs = [eta * models.source.mean_n for eta in config.eta_series]
-        constancy = mean_constancy_check(
-            points, fit.intercept, refs, gamma_bar_se=fit.intercept_se, sigma2_rel=sigma2_rel
-        )
-        scaling = None
-        if config.gain_scale_factors:
-            scaling = gain_scaling if gain_scaling is not _SIMULATE else gain_scaling_check(
-                models.source, models.gain, models.dark, list(config.eta_series),
-                list(config.gain_scale_factors), config.n_samples, config.seed, baseline=fit,
+    if fit is not None:
+        sigma2_rel = gain.sigma2 / gain.gamma_bar**2
+        fit = fit._replace(gamma_bar_corrected=fit.intercept / (1.0 + sigma2_rel))
+        if fit.valid and source.mean_n > 0:
+            refs = [eta * source.mean_n for eta in config.eta_series]
+            constancy = mean_constancy_check(
+                fit.points, fit.intercept, refs, gamma_bar_se=fit.intercept_se, sigma2_rel=sigma2_rel
             )
-        checks = CalibrationChecks(constancy, scaling)
-    sha = None if models is None else models.config_sha256
-    return CalibrationRecord(sha, dark_variance, fit, fit_error, checks)
+            scaling = None
+            if config.gain_scale_factors:
+                scaling = gain_scaling if gain_scaling is not _SIMULATE else gain_scaling_check(
+                    source, gain, models.dark, list(config.eta_series),
+                    list(config.gain_scale_factors), config.n_samples, config.seed, baseline=fit,
+                )
+            checks = CalibrationChecks(constancy, scaling)
+    return calibration._replace(config_sha256=models.config_sha256, fit=fit, checks=checks)
 
 
 def reconstruction_gamma(fit, configured_gamma_bar: float) -> tuple[float, float, str]:
@@ -267,29 +288,23 @@ def reconstruction_gamma(fit, configured_gamma_bar: float) -> tuple[float, float
     return configured_gamma_bar, 0.0, "configured gain (calibration unavailable)"
 
 
-def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source, *, config_sha256=None, truth=None):
-    """Rebin a zero-set ensemble; return the result, its ``PmMetrics`` and the ensemble's ``sample_moments``.
+def reconstruction_metrics(shifted, gamma_bar, se_gamma_bar, gamma_bar_source):
+    """Rebin a zero-set ensemble; return the result, its blind ``PmMetrics`` and the ensemble's ``sample_moments``.
 
-    The reconstructed mean is checked against mean_v / gamma_bar; the
-    result is compared with the generating ``truth`` when given.
+    The reconstructed mean is checked against mean_v / gamma_bar.
     """
     result = rebin(shifted, gamma_bar)
-    if truth is not None:
-        result = compare(result, truth)
     moments = sample_moments(shifted.samples, order=ORDER_MAX)
     mean_v = moments.mean
     se_mean_v = math.sqrt(moments.central_moment(2) / shifted.n_samples)  # as a sweep point's
     consistency = self_consistency_check(result, mean_v, se_mean_v=se_mean_v, se_gamma_bar=se_gamma_bar)
     return result, PmMetrics(
-        config_sha256=config_sha256,
         gamma_bar_used=result.gamma_bar_used,
         gamma_bar_source=gamma_bar_source,
         underflow_fraction=result.underflow_fraction,
         mean_m_hat=result.mean_m_hat,
         mean_v=mean_v,
         self_consistency=consistency,
-        tv_distance=result.tv_distance,
-        fidelity=result.fidelity,
     ), moments
 
 
@@ -372,21 +387,26 @@ def report_text(models: Models, points, calibration: dict, metrics: PmMetrics, r
     return "\n".join(lines + [""])
 
 
-def derive(models: Models, dark_mean: float, points, reconstruction, *, gain_scaling=_SIMULATE):
+def derive(models: Models, dark, points, reconstruction, *, gain_scaling=_SIMULATE):
     """The ``CalibrationRecord``, ``ReconstructionResult`` and ``PmMetrics`` of a run, and its texts by file name.
 
-    From the dark record's mean ``dark_mean``, the sweep ``points`` and the
-    raw ``reconstruction`` ensemble; ``gain_scaling`` goes to
-    :func:`calibrate`.  The texts are ``calibration.json``, ``pm.csv``,
+    The blind analysis of the dark record's moments ``dark``, the sweep
+    ``points`` and the raw ``reconstruction`` ensemble, set against the
+    generating ``models``, the one place ``run`` and ``check`` read them
+    after drawing: :func:`against_model` (``gain_scaling`` goes there),
+    the TV distance and fidelity to the true detected law, the configured
+    gain where no valid fit sets the bins, and the report's config lines
+    and analytic moments.  The texts are ``calibration.json``, ``pm.csv``,
     ``pm_metrics.json`` and ``report.md``.
     """
     sha = models.config_sha256
-    calibration = calibrate(points, models.dark.sigma0**2, models, gain_scaling=gain_scaling)
+    calibration = against_model(models, calibrate(points, dark.central_moment(2)), gain_scaling=gain_scaling)
     record = as_dict(calibration)
     gamma = reconstruction_gamma(record["fit"], models.gain.gamma_bar)
-    shifted = subtract_offset(reconstruction, dark_mean)
+    result, metrics, moments = reconstruction_metrics(subtract_offset(reconstruction, dark.mean), *gamma)
     truth = apply_bernoulli(models.source, models.config.reconstruct_eta)
-    result, metrics, moments = reconstruction_metrics(shifted, *gamma, config_sha256=sha, truth=truth)
+    result = compare(result, truth)
+    metrics = metrics._replace(config_sha256=sha, tv_distance=result.tv_distance, fidelity=result.fidelity)
     texts = {
         "calibration.json": canonical_json(record),
         "pm.csv": pm_csv_text(result, {"config_sha256": sha}),
@@ -400,18 +420,16 @@ def run_experiment(config: cfgmod.RunConfig, out_dir) -> RunResult:
     """Run the full pipeline and write all artifacts into ``out_dir``.
 
     The models are built first, so a source that cannot be built writes
-    nothing; the four derived texts are all formed before any is written.
+    nothing, and so does an ``out_dir`` that holds a run's ensembles
+    (``simulate_sweep``); the four derived texts are all formed before any
+    is written.
     """
     models = Models(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    dark, points, rec_ens, sweep_files = simulate_sweep(models, out, reconstruction=True)
     cfgmod.save(config, out / "config.json")
-    files = {"config": out / "config.json"}
-
-    dark_ens, points, rec_ens, sweep_files = simulate_sweep(models, out, reconstruction=True)
-    files.update(sweep_files)
-    dark_mean = sample_moments(dark_ens.samples, order=2).mean
-    calibration, result, metrics, texts = derive(models, dark_mean, points, rec_ens)
+    files = {"config": out / "config.json", **sweep_files}
+    calibration, result, metrics, texts = derive(models, dark, points, rec_ens)
     for name, text in texts.items():
         path = out / name
         path.write_text(text)

@@ -6,18 +6,21 @@ statistic on each leave-one-block-out copy of the data.
 the package reads but no longer writes.  ``mixture_voltage_moments`` is
 the voltage moments summed component by component over the detected PMF,
 the reference for the package's compound-cumulant map.
-``fsum_pmf_statistics``, ``fsum_eta_point`` and ``fsum_sample_moments``
-form the package's PMF, sweep-point and sample statistics over whole
-arrays with ``math.fsum`` sums, the reference for its ``moments.exact_sum``
-and the blocked sweep of ``moments.sample_moments``.  ``analytic_pv_gaussian`` and
+``fsum_pmf_statistics`` forms the package's PMF statistics over whole
+arrays with ``math.fsum`` sums, the reference for its ``moments.exact_sum``;
+``fsum_eta_point`` and ``fsum_sample_moments`` form its sweep-point and
+sample statistics over whole arrays, each mean an exact sum of integer
+counts of 2^-1074 over n rounded once, the reference for the blocked
+sweep of ``moments.sample_moments``.  ``analytic_pv_gaussian`` and
 ``analytic_pv_cdf_gaussian`` are the closed-form voltage density and CDF
 for gaussian gains; ``detected_fano`` is mu_2(m)/<m>; ``CumulantSet``,
 ``moments_from_cumulants`` and ``cumulants_from_moments`` convert between
 cumulants and a ``MomentSet``, which ``moment_set_from_raw`` forms from raw
 moments by ``central_from_raw``; ``gain_central_moments`` is mu_2..mu_5 of
 one gain draw; ``default_eta_series`` is an equally spaced efficiency
-ladder, and ``simulated_points`` the sweep points of a ladder, drawn and
-reduced as ``calibrate --config`` does; ``validate`` asserts the invariants of a photon-number law.
+ladder, and ``simulated_points`` the sweep points of a ladder, drawn by
+``iter_ensembles`` and reduced raw with the configured dark variance;
+``validate`` asserts the invariants of a photon-number law.
 ``broadcast_ensemble_samples`` draws ``simulate_ensemble``'s voltages with
 numpy's broadcasting ``normal`` and ``gamma`` samplers, the reference for
 its in-place gain sums.
@@ -32,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from linphot.calibration import EtaSeriesPoint, iter_ensembles, sweep_draws
+from linphot.calibration import EtaSeriesPoint, eta_point_from_samples, iter_ensembles, sweep_draws
 from linphot.errors import InvalidParameterError, LinphotError
 from linphot.loss import sample_m
 from linphot.moments import (
@@ -122,29 +125,41 @@ def fsum_pmf_statistics(pmf, order: int = 5) -> tuple[float, tuple, float]:
     return mean, tuple(central), max(0.0, 1.0 - math.fsum(p))
 
 
+def exact_mean(values) -> float:
+    """The mean of the floats ``values``, rounded once: their exact sum over their count.
+
+    Every float is an integer count of 2^-1074, so the sum is an exact
+    integer T, and T / (n 2^1074) is one correctly rounded int division.
+    """
+    total = 0
+    for v in np.asarray(values, dtype=float).ravel().tolist():
+        num, den = v.as_integer_ratio()  # den = 2^k, k <= 1074
+        total += num << (1075 - den.bit_length())
+    return total / (np.size(values) << 1074)
+
+
 def fsum_eta_point(eta: float, samples, dark_variance: float = 0.0) -> EtaSeriesPoint:
-    """The sweep point of ``samples``: mean and mu2 by ``math.fsum``, the fano SE by ``np.std``."""
+    """The sweep point of ``samples``: mean and mu2 by ``exact_mean``, the fano SE by ``np.std``."""
     x = np.asarray(samples, dtype=float)
     n = x.size
-    mean = math.fsum(x) / n
+    mean = exact_mean(x)
     d = x - mean
-    mu2 = math.fsum(d**2) / n
+    mu2 = exact_mean(d**2)
     fano = (mu2 - dark_variance) / mean
     se_fano = float(np.std(d * (d - fano))) / (abs(mean) * math.sqrt(n))
     return EtaSeriesPoint(float(eta), mean, fano, math.sqrt(mu2 / n), se_fano, n)
 
 
 def fsum_sample_moments(samples, order: int = 5) -> MomentSet:
-    """``sample_moments`` over the whole array at once: d = x - mean, running powers, each sum a ``math.fsum``."""
+    """``sample_moments`` over the whole array at once: d = x - mean, running powers, each moment an ``exact_mean``."""
     x = np.asarray(samples, dtype=float)
-    n = x.size
-    mean = math.fsum(x.tolist()) / n
+    mean = exact_mean(x)
     d = x - mean
     central = []
     power = d
     for _ in range(2, order + 1):
         power = power * d
-        central.append(math.fsum(power.tolist()) / n)
+        central.append(exact_mean(power))
     return MomentSet.from_central(mean, central)
 
 
@@ -247,9 +262,10 @@ def default_eta_series(eta_max: float, count: int = 10) -> list[float]:
 
 
 def simulated_points(source, gain, dark, eta_list, n_samples: int, seed: int) -> list:
-    """One sweep point per eta: ``iter_ensembles`` over the ``sweep_draws`` of ``eta_list``."""
+    """One sweep point per eta: each ``iter_ensembles`` ensemble of the ``sweep_draws`` of ``eta_list``, raw, reduced with sigma0^2."""
     draws = sweep_draws(eta_list, n_samples)
-    return [point for point, _ in iter_ensembles(source, gain, dark, draws, seed)]
+    ensembles = iter_ensembles(source, gain, dark, draws, seed)
+    return [eta_point_from_samples(ens.eta, ens.samples, dark_variance=dark.sigma0**2) for ens in ensembles]
 
 
 def mandel_q(dist):

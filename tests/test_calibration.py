@@ -257,18 +257,18 @@ def new_threads(before):
 
 
 class TestSweepPool:
-    """``iter_ensembles`` computes a sweep's points on one thread per core and yields them in sweep order."""
+    """``iter_ensembles`` draws a sweep's ensembles on one thread per core and yields them in sweep order."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 16])
     def test_each_point_is_the_serial_point(self, monkeypatch, cores):
+        # the stream yields ensembles only: each is the serial draw of its point
         set_cores(monkeypatch, cores)
         got = list(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5))
         assert len(got) == len(SWEEP_ETAS)
         source, gain, dark = SWEEP
-        for i, (eta, (point, ens)) in enumerate(zip(SWEEP_ETAS, got)):
+        for i, (eta, ens) in enumerate(zip(SWEEP_ETAS, got)):
             serial = simulate_ensemble(source, eta, gain, dark, 2000, 5, stream_key=(ETA_SERIES, i))
-            assert np.array_equal(ens.samples, serial.samples)
-            assert point == eta_point_from_samples(eta, serial.samples, dark_variance=100.0)
+            assert ens.eta == eta and np.array_equal(ens.samples, serial.samples)
 
     @pytest.mark.parametrize("cores", [1, 3])
     def test_never_more_jobs_than_workers_at_once(self, monkeypatch, cores):
@@ -292,14 +292,14 @@ class TestSweepPool:
         monkeypatch.setattr(calibration, "simulate_ensemble", counted)
         etas = []
         ahead = 0
-        for j, (point, _) in enumerate(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5)):
+        for j, ens in enumerate(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5)):
             time.sleep(0.03)  # a slow consumer: the workers must not run ahead of it
             consumed = j + 1  # the point held here is consumed
             with lock:
                 # one job on each worker and one finished result waiting its turn
                 assert started <= consumed + cores + 1
                 ahead = max(ahead, started - consumed)
-            etas.append(point.eta)
+            etas.append(ens.eta)
         assert etas == SWEEP_ETAS
         assert peak == cores
         assert ahead == cores + 1
@@ -317,8 +317,8 @@ class TestSweepPool:
         before = threading.enumerate()
         etas = []
         with pytest.raises(InvalidParameterError, match=f"point {k}"):
-            for point, _ in iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5):
-                etas.append(point.eta)
+            for ens in iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5):
+                etas.append(ens.eta)
         assert etas == SWEEP_ETAS[:k]
         assert new_threads(before) == []
 
@@ -326,8 +326,7 @@ class TestSweepPool:
         set_cores(monkeypatch, 2)
         before = threading.enumerate()
         sweep = iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5)
-        point, _ = next(sweep)
-        assert point.eta == SWEEP_ETAS[0]
+        assert next(sweep).eta == SWEEP_ETAS[0]
         assert new_threads(before)  # the pool is still drawing the next points
         sweep.close()
         assert new_threads(before) == []
@@ -337,7 +336,7 @@ class TestSweepPool:
         expected = list(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5))
         monkeypatch.delattr(calibration.os, "sched_getaffinity")
         got = list(iter_ensembles(*SWEEP, SWEEP_DRAWS, seed=5))
-        assert [point for point, _ in got] == [point for point, _ in expected]
+        assert [ens.samples.tobytes() for ens in got] == [ens.samples.tobytes() for ens in expected]
 
     def test_many_tiny_jobs_on_more_workers_than_cores_arrive_in_order(self):
         n = 5000
@@ -410,16 +409,19 @@ class TestRunStream:
         set_cores(monkeypatch, cores)
         written = record_writes(monkeypatch)
         models = pipeline.Models(from_dict(RUN))
-        dark_ens, points, rec_ens, files = pipeline.simulate_sweep(models, tmp_path, reconstruction=True)
+        dark_moments, points, rec_ens, files = pipeline.simulate_sweep(models, tmp_path, reconstruction=True)
         assert written == RUN_NAMES
         source, gain, dark = models.source, models.gain, models.dark
         serial = simulate_ensemble(source, 0.0, gain, dark, 10_000, 5, stream_key=(DARK,))
-        assert dark_ens.samples.tobytes() == serial.samples.tobytes()
+        assert np.load(files["dark"]).tobytes() == serial.samples.tobytes()
+        assert dark_moments == sample_moments(serial.samples, order=2)
         serial = simulate_ensemble(source, 0.4, gain, dark, 3000, 5, stream_key=(RECONSTRUCTION,))
         assert rec_ens.samples.tobytes() == serial.samples.tobytes()
         for i, (eta, point) in enumerate(zip(RUN["eta_series"], points)):
             serial = simulate_ensemble(source, eta, gain, dark, 10_000, 5, stream_key=(ETA_SERIES, i))
-            assert point == eta_point_from_samples(eta, serial.samples, dark_variance=100.0)
+            # zero-set by the dark record's measured mean, reduced with its measured variance
+            zeroed = serial.samples - dark_moments.mean
+            assert point == eta_point_from_samples(eta, zeroed, dark_variance=dark_moments.central_moment(2))
             assert np.load(files[f"ensemble_{i}"]).tobytes() == serial.samples.tobytes()
 
     @pytest.mark.parametrize("k", range(len(RUN_KEYS)))

@@ -24,7 +24,6 @@ from scipy import stats
 
 import linphot
 from linphot import ConfigError, InvalidParameterError, VoltageEnsemble, run_experiment
-from linphot.calibration import iter_ensembles, sweep_draws
 from linphot.cli import main
 from linphot.config import (
     SOURCE_KINDS,
@@ -36,7 +35,7 @@ from linphot.config import (
     load,
 )
 from linphot.files import as_dict, canonical_json, read_ensemble, write_ensemble
-from linphot.pipeline import Models, calibrate, sweep_paths, sweep_points
+from linphot.pipeline import Models, against_model, calibrate, dark_moments, simulate_sweep, sweep_paths, sweep_points
 from oracles import fsum_eta_point, write_ensemble_csv
 
 BASE = {
@@ -1043,8 +1042,13 @@ class TestCliCommands:
         assert "dark.csv" in capsys.readouterr().err
 
     def test_calibrate_requires_exactly_one_mode(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["calibrate", "--out", str(tmp_path)])
+        # --ensembles is the one mode; the simulation mode and its seed are unknown arguments
+        cfg = str(write_config(tmp_path))
+        for args in ([], ["--config", cfg], ["--ensembles", str(tmp_path), "--config", cfg], ["--seed", "7"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["calibrate", "--out", str(tmp_path / "c"), *args])
+            assert exc.value.code == 2, args
+        assert not (tmp_path / "c").exists()
 
     def test_out_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1180,7 +1184,7 @@ def test_the_package_raises_three_error_types():
 # suite runs with (PCG64 Poisson and normal), which numpy may change
 # between releases.
 ARTIFACT_SHA256 = {
-    "calibration.json": "fc9063a2d09aa1eb79d8c83a05e9ddea6558f253fc8bd40dbcba658d20ce1901",
+    "calibration.json": "082b928968ebcc775c19f0c1e5cefd0e364e1958f12a2f4f3f48544df560f50b",
     "config.json": "a1809df4fbe2367615d668ab441d0df7489719116609a9edf24bac9fbd0066d1",
     "dark.json": "a5bfec6150d3d263da93071ea63a82a9a7ca388d095db0814e57ae0b24345939",
     "dark.npy": "9e8ab31c84e4b75685d581863c32e1dc10c8b4adf44a86381eb52941b711a338",
@@ -1190,11 +1194,11 @@ ARTIFACT_SHA256 = {
     "ensemble_01_eta_0.300000.npy": "04ea21b53ec3e23a1da6f965971f54fc8007fa2ca3feba56ffcb0ec44921e282",
     "ensemble_02_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "ensemble_02_eta_0.500000.npy": "5bb34711b051cd9fa76d376271e53f608404da0a61603b708da32222f3daf7de",
-    "pm.csv": "e6b3ef2002500ea0c05e0d388f0fcac8fba1337dd7c1f1bea9de2aa127eac60e",
-    "pm_metrics.json": "7603a80d7b6353241de70fe55746c3b9fceb5192900c1c8ea8e5bcba67903af6",
+    "pm.csv": "efe1eee4af0c1e4fc90fe71cb8d71f908cb86d82b833d8fce7b8e69920e5cdc6",
+    "pm_metrics.json": "03b60f3f427f342e0401d7e9961709a0e798f48c3adc9f892f49cd0f9fa620eb",
     "reconstruction_eta_0.500000.json": "8199efdbd08596923ca553471b38e513939dd6626cb6b33ef5fb20df4f38af1c",
     "reconstruction_eta_0.500000.npy": "9154f0b2a4eb2c012211a9b46684728bc31cd72fa4922dac804a0a97b143fe7b",
-    "report.md": "1d831e2a735e2cac1bb40052e2485c90272d487a3f30a4654802dd1f3b916fab",
+    "report.md": "6bc80b3fdfb25dad907f950e21ce0ba8d85aca4bd658cf454772fd5d1098264e",
 }
 
 # SHA-256 of the ensemble CSVs of the same run when ensembles were written
@@ -1230,7 +1234,7 @@ def test_npy_samples_are_the_csv_samples_bit_for_bit(finished_run, tmp_path):
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
 # one pinned document that holds a GainScalingReport.
-GAIN_SCALING_CALIBRATION_SHA256 = "cf908d56c777b8ec767a69e0b6119d028009d5f9b9797a22b8083433addec97c"
+GAIN_SCALING_CALIBRATION_SHA256 = "ba36e8fe31cb69cd7d896d2479dcd17efac43ab519fa6efa389244993ace46f2"
 
 
 def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
@@ -1249,7 +1253,7 @@ THERMAL_GAMMA = {
     "gain": {"family": "gamma", "gamma_bar": 100.0, "sigma": 5.0},
 }
 THERMAL_GAMMA_SHA256 = {
-    "calibration.json": "13116e2b46eabb1050aa3ac85499584f2fa7cc703b29ea6e1a46ca4706dd10a9",
+    "calibration.json": "e854ee050b3403ff54a642f95622eecd773408803e1e09a459acef65f5c534e6",
     "config.json": "bacbc369d0092c37478633b0ebcc9bff9273a4ee696fc84ee78e037b7955e714",
     "dark.json": "e6b56c12cf9f7642f25ae83cabcaf748fcf050f9b0ed7473fa6c256841dda97d",
     "dark.npy": "e078b9ed96e7eeeeb4cde1904aeebe87d26f790fd6923b5b34fc767fc9943f7d",
@@ -1259,11 +1263,11 @@ THERMAL_GAMMA_SHA256 = {
     "ensemble_01_eta_0.300000.npy": "7153b73793e458b4eda51552587b56d1203aa56d0c3ba341ce910c00f1ce2cc8",
     "ensemble_02_eta_0.500000.json": "4ff2c1d0588bcfb3dea1b0b9ef5b7d7cb816745130716280b81f7dd593427602",
     "ensemble_02_eta_0.500000.npy": "ffa198a4a6922b232b00e536abea2ef0fd71dff152f7eeb06973ae24f00b6aa4",
-    "pm.csv": "56e79bf5b4e8c65674551b554d3b6f13da85dad814e13331edb16183f3a190e7",
-    "pm_metrics.json": "e9ae6c656c33a7f7054e8a9a4ee0b7dde077d8c1d16340be74d76e4bee27ee09",
+    "pm.csv": "4ed2c925f09c9c34d76831d00ff292e64b13163927fe8d6b19cb486c0b16dc88",
+    "pm_metrics.json": "9f85b946c81688638aba3c261754451683cc6c240a66bcb4b9322ef484bc2232",
     "reconstruction_eta_0.500000.json": "4ff2c1d0588bcfb3dea1b0b9ef5b7d7cb816745130716280b81f7dd593427602",
     "reconstruction_eta_0.500000.npy": "e9f883fc9b3998450acfd558089adac6e765988bacab0f81abeddf29a4d07379",
-    "report.md": "0c078f8b6ab136c1d553f6130256e2cc2ba5b25399a1ec631947c8e9cbaf5621",
+    "report.md": "e14a6ed9126c5bed59fdc19ec94afd491ca6da1255caeda8cf4376540573abec",
 }
 
 
@@ -1289,15 +1293,15 @@ WORKLOAD_SWEEPS = {
 
 
 @pytest.mark.parametrize("name", ["BASE", *WORKLOAD_SWEEPS])
-def test_se_fano_is_the_np_std_form_on_every_sweep_point(name):
+def test_se_fano_is_the_np_std_form_on_every_sweep_point(tmp_path, name):
     # se_fano_v comes from the point's moments, no longer from np.std of
-    # d (d - F): the two forms agree to rounding, and the rest is bit-equal
+    # d (d - F): the two forms agree to rounding, and the rest is bit-equal;
+    # each point is zero-set by the dark record's mean and reduced with its variance
     raw = BASE if name == "BASE" else {**BASE, "eta_series": LADDER, "seed": 1, **WORKLOAD_SWEEPS[name]}
-    models = Models(from_dict(raw))
-    config, dark_variance = models.config, models.dark.sigma0**2
-    draws = sweep_draws(config.eta_series, config.n_samples)
-    for point, ens in iter_ensembles(models.source, models.gain, models.dark, draws, config.seed):
-        want = fsum_eta_point(point.eta, ens.samples, dark_variance)
+    dark, points, _, files = simulate_sweep(Models(from_dict(raw)), tmp_path)
+    for i, point in enumerate(points):
+        samples = np.load(files[f"ensemble_{i}"])
+        want = fsum_eta_point(point.eta, samples - dark.mean, dark.central_moment(2))
         assert point.se_fano_v == pytest.approx(want.se_fano_v, rel=1e-12, abs=0), point.eta
         assert point._replace(se_fano_v=0.0) == want._replace(se_fano_v=0.0)
 
@@ -1396,6 +1400,19 @@ def test_a_used_out_is_refused_and_left_as_it_was(tmp_path, capsys, command, fir
     assert "[FAIL]" not in capsys.readouterr().out
 
 
+def test_run_experiment_refuses_a_used_out_and_leaves_it_as_it_was(tmp_path, capsys):
+    # the path of scripts/run_reference_experiment.py: a second run must not write over the first
+    out = tmp_path / "run"
+    run_experiment(from_dict({**BASE, "eta_series": [0.1, 0.3, 0.5, 0.7]}), out)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    message = f"{out} already holds a run's ensembles (dark.json); give an unused --out"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        run_experiment(from_dict({**BASE, "eta_series": [0.1, 0.3, 0.5], "seed": 7}), out)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert main(["check", "--out", str(out)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 def test_an_out_without_ensembles_is_used(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
@@ -1416,7 +1433,9 @@ def is_plain_json(value) -> bool:
 
 def test_as_dict_turns_a_calibration_record_into_dicts_and_lists(finished_run):
     # json writes a NamedTuple as a list, so every level must be converted
-    record = calibrate(sweep_points(sweep_paths(finished_run), 0.0, 100.0), 100.0, Models(from_dict(BASE)))
+    dark = dark_moments(finished_run / "dark.npy")
+    blind = calibrate(sweep_points(sweep_paths(finished_run), dark), dark.central_moment(2))
+    record = against_model(Models(from_dict(BASE)), blind)
     doc = as_dict(record)
     assert is_plain_json(doc)
     assert list(doc) == list(record._fields)
@@ -1520,11 +1539,10 @@ def test_a_one_sample_ensemble_exits_2_naming_it(finished_run, tmp_path, case):
     assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
 
 
-# finite ensembles whose fifth centered powers, or their sum, pass the float range
+# finite ensembles whose fifth centered powers pass the float range
 OVERFLOWING_AT_ORDER_5 = {
     "powers-1e70": [1e70, -1e70, 1e70, -1e70],
     "powers-6e61": [6e61] * 5 + [-6e61] * 4,
-    "sum-4e61": [4e61] * 50 + [-4e61] * 40,
 }
 
 
@@ -1535,6 +1553,14 @@ def test_an_overflowing_moment_order_exits_2_naming_it(tmp_path, name):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: order 5: ")
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_a_moment_whose_sum_overflows_is_printed(tmp_path):
+    # the sum of the fifth centered powers passes the float range, the moment does not
+    path, _ = small_npy(tmp_path, np.array([4e61] * 50 + [-4e61] * 40))
+    proc = cli_process("moments", "--input", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["central"]["mu5"] == -4.550417449914479e307
 
 
 def test_a_dark_record_that_overflows_is_named(finished_run, tmp_path, capsys):
@@ -1549,7 +1575,7 @@ def test_a_dark_record_that_overflows_is_named(finished_run, tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "simulate", "calibrate"])
+@pytest.mark.parametrize("command", ["run", "simulate"])
 def test_the_seed_flag_is_the_config_seed(tmp_path, command):
     # --seed 7 writes the bytes of a config whose "seed" is 7
     flagged, seeded = tmp_path / "flag", tmp_path / "seed"
@@ -1593,23 +1619,6 @@ class TestSubcommandsAreStagesOfRun:
         assert len(names) == 2 * (1 + len(BASE["eta_series"]))
         for name in names:
             assert (sim / name).read_bytes() == (run / name).read_bytes(), name
-
-    def test_calibrate_config_mode_writes_the_run_fit(self, run_dir, tmp_path):
-        cfg, run = run_dir
-        cal = tmp_path / "cal"
-        assert main(["calibrate", "--config", str(cfg), "--out", str(cal)]) == 0
-        assert (cal / "calibration.json").read_bytes() == (run / "calibration.json").read_bytes()
-        doc = json.loads((cal / "calibration.json").read_text())
-        assert doc["checks"]["mean_constancy"]["passed"] is True
-
-    def test_calibrate_config_mode_writes_the_run_gain_scaling_check(self, tmp_path):
-        cfg = write_config(tmp_path, {"gain_scale_factors": [0.5, 2.0]})
-        run, cal = tmp_path / "run", tmp_path / "cal"
-        assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
-        assert main(["calibrate", "--config", str(cfg), "--out", str(cal)]) == 0
-        assert (cal / "calibration.json").read_bytes() == (run / "calibration.json").read_bytes()
-        doc = json.loads((cal / "calibration.json").read_text())
-        assert [row["factor"] for row in doc["checks"]["gain_scaling"]["rows"]] == [0.5, 2.0]
 
     def test_reconstruct_gives_the_run_pm_rows(self, run_dir, tmp_path):
         _, run = run_dir
@@ -1901,6 +1910,5 @@ class TestStartupImports:
             commands.append(["run", "--config", str(cfg), "--out", str(tmp_path / name)])
         base = str(tmp_path / "poisson.json")
         commands.append(["simulate", "--config", base, "--out", str(tmp_path / "sim")])
-        commands.append(["calibrate", "--config", base, "--out", str(tmp_path / "cal")])
         body = "import json\nfrom linphot import cli\nfor args in json.loads(sys.argv[1]):\n    assert cli.main(args) == 0, args"
         assert loaded_modules(body, json.dumps(commands), names=("concurrent.futures", "scipy")) == "[]"

@@ -39,6 +39,7 @@ from oracles import (
     CumulantSet,
     block_jackknife_se,
     cumulants_from_moments,
+    exact_mean,
     fsum_pmf_statistics,
     fsum_sample_moments,
     gain_central_moments,
@@ -468,20 +469,47 @@ def test_zero_samples_have_positive_zero_moments(x):
 
 
 @pytest.mark.parametrize(
-    "x",
-    [[1e70, -1e70] * 2, [6e61] * 5 + [-6e61] * 4, [4e61] * 50 + [-4e61] * 40],
-    ids=["powers-1e70", "powers-6e61", "sum-4e61"],
+    "x", [[1e70, -1e70] * 2, [6e61] * 5 + [-6e61] * 4], ids=["powers-1e70", "powers-6e61"]
 )
 def test_an_overflowing_order_is_named(x):
-    # finite samples whose fifth powers, or their sum, pass the float range
+    # finite samples whose fifth powers pass the float range
     with pytest.raises(InvalidParameterError, match=r"^order 5: "):
         sample_moments(np.array(x), 5)
     assert all(map(math.isfinite, sample_moments(np.array(x), 4).central))
 
 
+def test_a_moment_whose_sum_is_past_the_float_range_is_returned():
+    # the sum of (x - mean)^5 is about -4.1e309, past the float range; the
+    # moment, that exact sum over 90 rounded once, is not
+    x = np.array([4e61] * 50 + [-4e61] * 40)
+    moments = sample_moments(x, 5)
+    assert _same_moments(moments, fsum_sample_moments(x, 5))
+    assert moments.central[3] == pytest.approx(-4.550417449914479e307, rel=1e-15)
+
+
+def test_the_mean_and_each_moment_are_rounded_once():
+    # the sum 3 + 5u (u = 2^-52) rounds to 3 + 4u, and over 3 to 1 + u; the
+    # exact mean 1 + 5u/3 rounds to 1 + 2u
+    x = np.array([1.0, 1.0, 1.0 + 5 * 2.0**-52])
+    assert math.fsum(x) / 3 == 1.0 + 2.0**-52
+    assert sample_moments(x, 2).mean == exact_mean(x) == 1.0 + 2.0**-51
+
+
 def test_a_sum_of_samples_past_the_float_range_is_named():
-    with pytest.raises(InvalidParameterError, match="the sum of the samples is past the float range"):
+    # the mean, rounded once from the exact sum, is no longer refused; the
+    # raw moment E[x^2] is past the float range, and the error names its order
+    with pytest.raises(InvalidParameterError, match=r"^order 2: the raw moment mu2_raw is past the float range$"):
         sample_moments(np.full(4, 1.7e308), 2)
+
+
+@pytest.mark.parametrize(
+    "x,order", [(np.full(10**5, 1e304), 2), (np.array([0.0, 8e102]), 3)], ids=["1e5-of-1e304", "mean-4e102"]
+)
+def test_a_raw_moment_past_the_float_range_is_named(x, order):
+    # the first's mean is 1e304 though its sum is past the float range, but E[x^2] = 1e608;
+    # E[x^3] of the second is 2.56e308, whose terms overflow without a float power doing so
+    with pytest.raises(InvalidParameterError, match=rf"^order {order}: the raw moment mu{order}_raw is past"):
+        sample_moments(x, order)
 
 
 def test_sample_moments_allocates_blocks_not_full_length_arrays():
