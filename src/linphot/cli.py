@@ -43,8 +43,8 @@ def _load_config(path, seed_override):
     return config
 
 
-def _resolve_out(args, config=None):
-    out = args.out or (config.out_dir if config is not None else None)
+def _resolve_out(args, config):
+    out = args.out or config.out_dir
     if out is None:
         raise ConfigError("out_dir: give --out or set out_dir in the config")
     return Path(out)
@@ -91,7 +91,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    out = _resolve_out(args)
+    out = Path(args.out)
     ens_dir = Path(args.ensembles)
     dark = dark_moments(dark_path(ens_dir))
     points = sweep_points(sweep_paths(ens_dir), dark)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="directory of ensemble_<i>_* files (.npy with .json sidecar, or CSV) and dark.npy or dark.csv",
     )
-    p_cal.add_argument("--out", help="output directory")
+    p_cal.add_argument("--out", required=True, help="output directory")
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_rec = sub.add_parser("reconstruct", help="rebin an ensemble into photon counts")

@@ -10,7 +10,7 @@ Both have the same two paths.  A named source (Poisson, thermal, Fock)
 carries its law at each eta, one ``sources._Law``: Poisson(eta mu),
 NB(M, eta mu/M) or Binomial(n, eta).  Its PMF is evaluated on 0..n_max in
 O(n_max), and its counts are drawn from the untruncated law in one numpy
-call, so a count above n_max occurs with probability at most the
+call, so a count above n_max occurs with probability below the
 source's ``tail_eps``.  A table (``from_pmf``, or a detected law fed
 to a second stage) is mixed with the exact binomial kernel, evaluated by
 the binomial PMF of ``sources``, banded by the Chernoff bound to where it
@@ -97,9 +97,10 @@ def sample_m(
     """Draw ``size`` detected counts at efficiency eta.
 
     A named source draws them from its law at eta in one call (see the
-    module docstring); a count may then exceed n_max, with probability at
-    most the source's ``tail_eps``.  A table draws n by inverse CDF, then
-    Binomial(n, eta).
+    module docstring); a count may then exceed n_max, with probability
+    below the source's ``tail_eps``: the thinned law's mass past n_max is
+    at most the source's, which its cut keeps below ``tail_eps``.  A table
+    draws n by inverse CDF, then Binomial(n, eta).
     """
     eta = _check_eta(eta)
     if source._law is not None:

@@ -245,26 +245,16 @@ def compound_cumulants(kappa_m: Sequence, kappa_x: Sequence, dark_variance=0) ->
 # containers
 
 class MomentSet(NamedTuple):
-    """Mean, central moments mu_2..mu_order and raw moments mu'_1..mu'_order."""
+    """Mean and central moments mu_2..mu_order."""
 
     order: int
     mean: float
     central: tuple
-    raw: tuple
 
     @classmethod
     def from_central(cls, mean: float, central: Sequence[float]) -> "MomentSet":
-        """The set of ``mean`` and ``central``; a raw moment past the float range raises, naming its order."""
         order = _check_order(len(central) + 1)
-        mean, central, raw = float(mean), tuple(float(c) for c in central), []
-        for r in range(1, order + 1):
-            try:  # mu'_r reads mu_2..mu_r only
-                raw.append(float(raw_from_central(mean, central[: r - 1])[-1]))
-            except OverflowError:  # a float power of the mean past the range
-                raw.append(math.inf)
-            if not math.isfinite(raw[-1]):
-                raise InvalidParameterError(f"order {r}: the raw moment mu{r}_raw is past the float range")
-        return cls(order=order, mean=mean, central=central, raw=tuple(raw))
+        return cls(order=order, mean=float(mean), central=tuple(float(c) for c in central))
 
     def central_moment(self, r: int) -> float:
         if r == 1:
@@ -272,11 +262,20 @@ class MomentSet(NamedTuple):
         return self.central[r - 2]
 
     def to_dict(self) -> dict:
+        """The moments with the raw moments mu'_1..mu'_order; a raw moment past the float range raises, naming its order."""
+        raw = []
+        for r in range(1, self.order + 1):
+            try:  # mu'_r reads mu_2..mu_r only
+                raw.append(float(raw_from_central(self.mean, self.central[: r - 1])[-1]))
+            except OverflowError:  # a float power of the mean past the range
+                raw.append(math.inf)
+            if not math.isfinite(raw[-1]):
+                raise InvalidParameterError(f"order {r}: the raw moment mu{r}_raw is past the float range")
         return {
             "order": self.order,
             "mean": self.mean,
             "central": {f"mu{r}": self.central[r - 2] for r in range(2, self.order + 1)},
-            "raw": {f"mu{r}_raw": self.raw[r - 1] for r in range(1, self.order + 1)},
+            "raw": {f"mu{r}_raw": value for r, value in enumerate(raw, start=1)},
         }
 
 

@@ -3,15 +3,14 @@ of the photons detected from it.
 
 One type, ``PhotonNumberDistribution``, holds every photon-number law: a
 source built here, and the detected law ``loss.apply_bernoulli`` returns,
-which is a table like ``from_pmf``'s.  Its mean, central moments and tail
-mass are formed once, in ``_finalize``.
+which is a table like ``from_pmf``'s.  Its mean and central moments are
+formed once, in ``_finalize``.
 
-All constructors return a truncated PMF: entries are kept up to the first
-photon number whose upper tail mass is at most a configurable epsilon, and
-the PMF is *not* renormalized afterwards; the missing probability is
-carried in ``tail_mass`` so downstream sums can propagate the truncation
-error.  No PMF is tabulated past ``MAX_N_MAX``: a law that would need more
-entries is refused before any array is made.
+Every table of a named law is ``_on_grid``'s: the law's PMF on 0..n_max.
+A source is cut at the farthest photon number whose Chernoff bound is at
+most -log(tail_eps), so the mass it leaves out is below tail_eps; the PMF
+is *not* renormalized.  No PMF is tabulated past ``MAX_N_MAX``: a law that
+would need more entries is refused before any array is made.
 
 A named family carries its law once, as a function of the efficiency eta:
 binomial loss stays in the family, so Poisson(mu) thins to
@@ -55,7 +54,6 @@ class PhotonNumberDistribution:
 
     pmf: np.ndarray
     n_max: int
-    tail_mass: float
     mean_n: float
     central_moments: tuple  # mu_2(n)..mu_5(n)
     label: str
@@ -66,15 +64,12 @@ class PhotonNumberDistribution:
         self.pmf.setflags(write=False)
 
 
-def _finalize(pmf: np.ndarray, label: str, law=None, tail=None) -> PhotonNumberDistribution:
+def _finalize(pmf: np.ndarray, label: str, law=None) -> PhotonNumberDistribution:
     pmf = np.ascontiguousarray(pmf, dtype=float)
-    if tail is None:
-        tail = max(0.0, 1.0 - exact_sum(pmf))
     mean, central = pmf_moments(pmf, order=ORDER_MAX)
     return PhotonNumberDistribution(
         pmf=pmf,
         n_max=pmf.size - 1,
-        tail_mass=tail,
         mean_n=mean,
         central_moments=central,
         label=label,
@@ -266,31 +261,27 @@ def _on_grid(law, n_max):
 
 
 def _truncated(law, tail_eps):
-    """The law's PMF up to the first n_max whose upper tail is <= tail_eps, and that tail.
+    """The law's PMF on 0..n_max, n_max the farthest photon number whose bound is <= -log(tail_eps).
 
-    Entries are evaluated from where they stop underflowing up to where the
-    bound puts the rest of the tail below tail_eps * 1e-17; the tails are
-    the reverse cumulative sums of those entries.  A law whose entries
-    reach past MAX_N_MAX raises InvalidParameterError before any is made.
+    Beyond the mean, exp(-bound(k)) is a Chernoff bound on the mass at k
+    and past it, so the mass past n_max is below exp(-bound(n_max + 1)) <
+    tail_eps.  A law whose cut passes MAX_N_MAX raises
+    InvalidParameterError before any entry is made.
     """
-    pmf, bound, mean, _ = law
-    limit = 40.0 - math.log(tail_eps)  # past hi: an entry and a tail, each < 4e-18 tail_eps
-    hi = int(mean)  # hi >= int(mean): the crossing starts there
-    if hi <= MAX_N_MAX:
-        top = 2 * hi + 2
+    bound, mean = law.bound, law.mean
+    limit = -math.log(tail_eps)
+    n_max = int(mean)  # the crossing starts there
+    if n_max <= MAX_N_MAX:
+        top = 2 * n_max + 2
         while bound(top) <= limit:
             top *= 2
-        hi = int(_crossing(bound, hi, top, limit))
-    if hi > MAX_N_MAX:
+        n_max = int(_crossing(bound, n_max, top, limit))
+    if n_max > MAX_N_MAX:
         raise InvalidParameterError(
             f"a source of mean {mean:g} is too large to tabulate: its PMF "
-            f"reaches photon number {hi:g}, past MAX_N_MAX = {MAX_N_MAX}"
+            f"reaches photon number {n_max:g}, past MAX_N_MAX = {MAX_N_MAX}"
         )
-    lo = int(_crossing(bound, int(mean), -1, _UNDERFLOW))
-    values = _evaluate(pmf, lo, hi)
-    tails = np.append(np.cumsum(values[::-1])[-2::-1], 0.0)  # mass past each k
-    cut = int(np.argmax(tails <= tail_eps))
-    return np.concatenate([np.zeros(lo), values[: cut + 1]]), float(tails[cut])
+    return _on_grid(law, n_max)
 
 
 def _check_mean(mean) -> float:
@@ -313,10 +304,7 @@ def make_poisson(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistri
     tail_eps = _check_eps(tail_eps)
     label = f"poisson(mean={mean:g})"
     law = partial(_poisson_law, mean)
-    if mean == 0:
-        return _finalize(np.array([1.0]), label, law)
-    pmf, tail = _truncated(law(), tail_eps)
-    return _finalize(pmf, label, law, tail)
+    return _finalize(_truncated(law(), tail_eps), label, law)
 
 
 def make_multimode_thermal(
@@ -334,10 +322,7 @@ def make_multimode_thermal(
     modes = int(modes)
     label = f"multimode_thermal(mean={mean:g}, modes={modes})"
     law = partial(_nbinom_law, modes, mean)
-    if mean == 0:
-        return _finalize(np.array([1.0]), label, law)
-    pmf, tail = _truncated(law(), tail_eps)
-    return _finalize(pmf, label, law, tail)
+    return _finalize(_truncated(law(), tail_eps), label, law)
 
 
 def make_thermal(mean, tail_eps: float = DEFAULT_TAIL_EPS) -> PhotonNumberDistribution:
@@ -353,9 +338,8 @@ def make_fock(n) -> PhotonNumberDistribution:
     n = int(n)
     if n > MAX_N_MAX:
         raise InvalidParameterError(f"fock n={n} is too large to tabulate: past MAX_N_MAX = {MAX_N_MAX}")
-    pmf = np.zeros(n + 1)
-    pmf[n] = 1.0
-    return _finalize(pmf, f"fock(n={n})", partial(_binom_law, n))
+    law = partial(_binom_law, n)
+    return _finalize(_on_grid(law(), n), f"fock(n={n})", law)
 
 
 def from_pmf(table) -> PhotonNumberDistribution:

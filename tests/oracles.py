@@ -44,6 +44,7 @@ from linphot.moments import (
     cumulants_from_raw,
     exact_sum,
     pmf_moments,
+    raw_from_central,
     raw_moments_from_cumulants,
 )
 from linphot.reconstruction import _gaussian_components
@@ -107,8 +108,8 @@ def mixture_voltage_moments(detected, gain, dark, order: int = 5) -> tuple[float
     return mean_v, central
 
 
-def fsum_pmf_statistics(pmf, order: int = 5) -> tuple[float, tuple, float]:
-    """Mean, central moments mu_2..mu_order and tail mass 1 - sum of a PMF, each sum a ``math.fsum``.
+def fsum_pmf_statistics(pmf, order: int = 5) -> tuple[float, tuple]:
+    """Mean and central moments mu_2..mu_order of a PMF, each sum a ``math.fsum``.
 
     The terms p d^r are formed as the package forms them, d^r by running
     products, so only the summation differs.
@@ -122,7 +123,7 @@ def fsum_pmf_statistics(pmf, order: int = 5) -> tuple[float, tuple, float]:
     for _ in range(2, order + 1):
         power = power * d
         central.append(math.fsum(p * power))
-    return mean, tuple(central), max(0.0, 1.0 - math.fsum(p))
+    return mean, tuple(central)
 
 
 def exact_mean(values) -> float:
@@ -236,7 +237,7 @@ def moment_set_from_raw(raw: Sequence[float]) -> MomentSet:
     order = _check_order(len(raw))
     raw = tuple(float(r) for r in raw)
     central = tuple(float(c) for c in central_from_raw(raw))
-    return MomentSet(order=order, mean=raw[0], central=central, raw=raw)
+    return MomentSet(order=order, mean=raw[0], central=central)
 
 
 def moments_from_cumulants(c: CumulantSet) -> MomentSet:
@@ -248,7 +249,7 @@ def moments_from_cumulants(c: CumulantSet) -> MomentSet:
 def cumulants_from_moments(m: MomentSet) -> CumulantSet:
     """Exact algebraic inverse of :func:`moments_from_cumulants`."""
     _check_order(m.order)
-    return CumulantSet.from_kappa(cumulants_from_raw(m.raw))
+    return CumulantSet.from_kappa(cumulants_from_raw(raw_from_central(m.mean, m.central)))
 
 
 def gain_central_moments(gain) -> tuple:
@@ -274,11 +275,13 @@ def mandel_q(dist):
 
 
 def validate(dist, tail_eps: float = DEFAULT_TAIL_EPS) -> None:
-    """Assert the structural invariants of a photon-number law; AssertionError on breach."""
+    """Assert the structural invariants of a photon-number law; AssertionError on breach.
+
+    The mass a truncated law leaves out is at most ``tail_eps``.
+    """
     total = exact_sum(dist.pmf)
     assert np.all(dist.pmf >= 0)
-    assert 1.0 - dist.tail_mass - 1e-15 <= total <= 1.0 + 1e-15
-    assert dist.tail_mass <= tail_eps
+    assert 1.0 - tail_eps - 1e-15 <= total <= 1.0 + 1e-15
     mean, central = pmf_moments(dist.pmf, order=2)
     assert abs(mean - dist.mean_n) <= 1e-12 * max(1.0, abs(mean))
     assert central[0] == dist.central_moments[0]

@@ -5,6 +5,7 @@ per criterion.
 """
 
 import contextlib
+import json
 import math
 from fractions import Fraction
 
@@ -31,8 +32,9 @@ from linphot import (
     self_consistency_check,
     simulate_ensemble,
 )
+from linphot.cli import main
 from linphot.config import from_dict
-from linphot.moments import cumulants_from_raw, raw_moments_from_cumulants
+from linphot.moments import cumulants_from_raw, raw_from_central, raw_moments_from_cumulants
 from oracles import (
     CumulantSet,
     block_jackknife_se,
@@ -99,16 +101,18 @@ def test_criterion_1_moment_cumulant_algebra():
         shape, theta = 4.0, 1.5
         gamma_kappa = [shape * theta**r * math.factorial(r - 1) for r in range(1, 6)]
         mset = moments_from_cumulants(CumulantSet.from_kappa(gamma_kappa))
+        raw = raw_from_central(mset.mean, mset.central)
         for j in range(1, 6):
             analytic = theta**j * math.prod(shape + i for i in range(j))
-            assert mset.raw[j - 1] == pytest.approx(analytic, rel=1e-10)
+            assert raw[j - 1] == pytest.approx(analytic, rel=1e-10)
 
         lam = 2.0
         mset = moments_from_cumulants(CumulantSet.from_kappa([lam] * 5))
         n = np.arange(0, 80)
         pmf = np.exp(-lam) * lam**n / np.array([math.factorial(int(v)) for v in n])
+        raw = raw_from_central(mset.mean, mset.central)
         for j in range(1, 6):
-            assert mset.raw[j - 1] == pytest.approx(float(np.sum(n**j * pmf)), rel=1e-10)
+            assert raw[j - 1] == pytest.approx(float(np.sum(n**j * pmf)), rel=1e-10)
 
         mu, s2 = 0.7, 1.9
         mset = moments_from_cumulants(CumulantSet.from_kappa([mu, s2, 0, 0, 0]))
@@ -119,8 +123,9 @@ def test_criterion_1_moment_cumulant_algebra():
             mu**4 + 6 * mu**2 * s2 + 3 * s2**2,
             mu**5 + 10 * mu**3 * s2 + 15 * mu * s2**2,
         ]
+        raw = raw_from_central(mset.mean, mset.central)
         for j in range(1, 6):
-            assert mset.raw[j - 1] == pytest.approx(gauss_raw[j - 1], rel=1e-10)
+            assert raw[j - 1] == pytest.approx(gauss_raw[j - 1], rel=1e-10)
 
 
 def test_criterion_2_loss_channel_suite():
@@ -356,3 +361,39 @@ def test_criterion_8_determinism():
             b = run_experiment(config, Path(td) / "b")
             for name, path in a.files.items():
                 assert path.read_bytes() == b.files[name].read_bytes(), name
+
+
+def test_criterion_9_thousands_of_photons(tmp_path):
+    with criterion(9, "run then check at thousands of photons: the intercept, and the slope's sign"):
+        sigma = 2.0
+        expected = GAIN * (1 + sigma**2 / GAIN**2)
+        # source, and the sign of the fitted slope: 0 within 3 SE, else beyond 3 SE
+        cases = [
+            ("poisson-1e5", {"kind": "poisson", "mean": 1e5}, 0),
+            ("thermal40-1e5", {"kind": "multimode_thermal", "mean": 1e5, "modes": 40}, 1),
+            ("fock-1e4", {"kind": "fock", "n": 10**4}, -1),
+        ]
+        for name, source, sign in cases:
+            raw = {
+                "schema_version": 1,
+                "source": source,
+                "gain": {"family": "gaussian", "gamma_bar": GAIN, "sigma": sigma},
+                "dark": {"sigma0": 10.0},
+                "eta_series": np.geomspace(1e-4, 0.5, 10).tolist(),
+                "n_samples": 30_000,
+                "seed": 3,
+            }
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(raw))
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["check", "--out", str(out)]) == 0
+            fit = json.loads((out / "calibration.json").read_text())["fit"]
+            z_intercept = (fit["intercept"] - expected) / fit["intercept_se"]
+            z_slope = fit["slope"] / fit["slope_se"]
+            assert abs(z_intercept) < 3, (name, fit)
+            assert (abs(z_slope) < 3) if sign == 0 else (sign * z_slope > 3), (name, fit)
+            print(
+                f"  {name}: intercept {fit['intercept']:.3f} +- {fit['intercept_se']:.3f} "
+                f"(z {z_intercept:+.2f}), slope {fit['slope']:.3g} +- {fit['slope_se']:.2g}"
+            )

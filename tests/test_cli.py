@@ -1050,6 +1050,14 @@ class TestCliCommands:
             assert exc.value.code == 2, args
         assert not (tmp_path / "c").exists()
 
+    def test_calibrate_without_out_is_a_usage_error_naming_it(self, tmp_path, capsys):
+        # calibrate reads no config, so no out_dir can stand in for --out
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--ensembles", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --out" in err and "config error" not in err
+
     def test_out_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, {"out_dir": "cfg_out"})
@@ -1184,7 +1192,7 @@ def test_the_package_raises_three_error_types():
 # suite runs with (PCG64 Poisson and normal), which numpy may change
 # between releases.
 ARTIFACT_SHA256 = {
-    "calibration.json": "082b928968ebcc775c19f0c1e5cefd0e364e1958f12a2f4f3f48544df560f50b",
+    "calibration.json": "87d487ab3d339d6174587dbe9112a6e707d95719f3b237ce57d3caf890a50879",
     "config.json": "a1809df4fbe2367615d668ab441d0df7489719116609a9edf24bac9fbd0066d1",
     "dark.json": "a5bfec6150d3d263da93071ea63a82a9a7ca388d095db0814e57ae0b24345939",
     "dark.npy": "9e8ab31c84e4b75685d581863c32e1dc10c8b4adf44a86381eb52941b711a338",
@@ -1234,7 +1242,7 @@ def test_npy_samples_are_the_csv_samples_bit_for_bit(finished_run, tmp_path):
 
 # SHA-256 of calibration.json for BASE with the gain-scaling check on; the
 # one pinned document that holds a GainScalingReport.
-GAIN_SCALING_CALIBRATION_SHA256 = "ba36e8fe31cb69cd7d896d2479dcd17efac43ab519fa6efa389244993ace46f2"
+GAIN_SCALING_CALIBRATION_SHA256 = "f91502d1f6fdb93b82f9c6298dc0dacc462e32f7bbcec6fb117bfaeefac936f1"
 
 
 def test_gain_scaling_calibration_matches_pinned_hash(tmp_path):
@@ -1253,7 +1261,7 @@ THERMAL_GAMMA = {
     "gain": {"family": "gamma", "gamma_bar": 100.0, "sigma": 5.0},
 }
 THERMAL_GAMMA_SHA256 = {
-    "calibration.json": "e854ee050b3403ff54a642f95622eecd773408803e1e09a459acef65f5c534e6",
+    "calibration.json": "d2e52a19187848a1210f05496b340df119d812a6671deb4bae2a840f1566444c",
     "config.json": "bacbc369d0092c37478633b0ebcc9bff9273a4ee696fc84ee78e037b7955e714",
     "dark.json": "e6b56c12cf9f7642f25ae83cabcaf748fcf050f9b0ed7473fa6c256841dda97d",
     "dark.npy": "e078b9ed96e7eeeeb4cde1904aeebe87d26f790fd6923b5b34fc767fc9943f7d",
@@ -1264,7 +1272,7 @@ THERMAL_GAMMA_SHA256 = {
     "ensemble_02_eta_0.500000.json": "4ff2c1d0588bcfb3dea1b0b9ef5b7d7cb816745130716280b81f7dd593427602",
     "ensemble_02_eta_0.500000.npy": "ffa198a4a6922b232b00e536abea2ef0fd71dff152f7eeb06973ae24f00b6aa4",
     "pm.csv": "4ed2c925f09c9c34d76831d00ff292e64b13163927fe8d6b19cb486c0b16dc88",
-    "pm_metrics.json": "9f85b946c81688638aba3c261754451683cc6c240a66bcb4b9322ef484bc2232",
+    "pm_metrics.json": "8eb86be5eb69324ca5a970a24d8b0a4177f1c67e3beb4900ff5f8568aedfd281",
     "reconstruction_eta_0.500000.json": "4ff2c1d0588bcfb3dea1b0b9ef5b7d7cb816745130716280b81f7dd593427602",
     "reconstruction_eta_0.500000.npy": "e9f883fc9b3998450acfd558089adac6e765988bacab0f81abeddf29a4d07379",
     "report.md": "e14a6ed9126c5bed59fdc19ec94afd491ca6da1255caeda8cf4376540573abec",
@@ -1561,6 +1569,28 @@ def test_a_moment_whose_sum_overflows_is_printed(tmp_path):
     proc = cli_process("moments", "--input", str(path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["central"]["mu5"] == -4.550417449914479e307
+
+
+def test_blind_calibrate_fits_a_sweep_whose_raw_moments_overflow(tmp_path, capsys):
+    # E[x^4] of 1e80 + 1e70 z is past the float range; no statistic of the
+    # analysis reads it, so the sweep is fitted.  moments --input prints the
+    # raw moments, so it still refuses such an ensemble, naming the order
+    rng = np.random.default_rng(9)
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    dark = VoltageEnsemble(samples=1e70 * rng.standard_normal(1000), eta=0.0, n_samples=1000, seed=1)
+    write_ensemble(sweep / "dark.npy", dark, None)
+    for i, eta in enumerate((0.1, 0.3, 0.5)):
+        # the dark noise plus a signal of Fano factor 5e61
+        samples = 2e80 * eta + 1e70 * rng.standard_normal(1000) + 1e71 * math.sqrt(eta) * rng.standard_normal(1000)
+        ens = VoltageEnsemble(samples=samples, eta=eta, n_samples=1000, seed=1)
+        write_ensemble(sweep / f"ensemble_{i:02d}_eta_{eta:.6f}.npy", ens, None)
+    assert main(["calibrate", "--ensembles", str(sweep), "--out", str(tmp_path / "c")]) == 0, capsys.readouterr().err
+    fit = json.loads((tmp_path / "c" / "calibration.json").read_text())["fit"]
+    assert fit["valid"] is True and abs(fit["intercept"] - 5e61) < 3 * fit["intercept_se"]
+    proc = cli_process("moments", "--input", str(sweep / "ensemble_02_eta_0.500000.npy"), "--order", "4")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: order 4: the raw moment mu4_raw is past the float range\n" and not proc.stdout
 
 
 def test_a_dark_record_that_overflows_is_named(finished_run, tmp_path, capsys):

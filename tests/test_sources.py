@@ -1,5 +1,7 @@
+import ast
 import math
 from functools import partial
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -73,7 +75,6 @@ class TestMultimodeThermal:
             a = make_thermal(mean)
             b = make_multimode_thermal(mean, 1)
             assert np.array_equal(a.pmf, b.pmf)
-            assert a.tail_mass == b.tail_mass
 
     def test_fifty_modes_unit_q(self):
         assert mandel_q(make_multimode_thermal(50.0, 50)) == pytest.approx(1.0, abs=1e-8)
@@ -145,8 +146,7 @@ class TestFromPmf:
 )
 def test_normalization_invariant(dist):
     total = math.fsum(dist.pmf)
-    assert 1.0 - dist.tail_mass - 1e-15 <= total <= 1.0 + 1e-15
-    assert dist.tail_mass <= 1e-12
+    assert 1.0 - DEFAULT_TAIL_EPS - 1e-15 <= total <= 1.0 + 1e-15
     validate(dist)
 
 
@@ -255,18 +255,72 @@ def test_fock_thinning_matches_mpmath(n, eta):
     assert_matches_mp(values, ks, partial(binom_pmf_mp, n=n, p=eta))
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-40])
 @pytest.mark.parametrize(
     "mean,modes",
-    [(100.0, None), (1400.0, None), (1e4, None), (1e5, None), (1e5, 40)],
-    ids=["poisson-1e2", "poisson-1400", "poisson-1e4", "poisson-1e5", "thermal40-1e5"],
+    [(100.0, None), (1400.0, None), (1e4, None), (1e5, None), (100.0, 1), (1e4, 1), (1e5, 40)],
+    ids=["poisson-1e2", "poisson-1400", "poisson-1e4", "poisson-1e5", "thermal-1e2", "thermal-1e4", "thermal40-1e5"],
 )
-def test_truncated_at_the_first_exact_tail_below_eps(mean, modes):
+def test_the_mass_past_the_cut_is_at_most_eps(mean, modes, eps):
+    # n_max is the farthest photon number whose Chernoff bound is at most
+    # -log(eps), so the exact mass past it is below eps
     if modes is None:
-        dist, tail = make_poisson(mean), partial(poisson_tail_mp, mean=mean)
+        dist, tail = make_poisson(mean, eps), partial(poisson_tail_mp, mean=mean)
     else:
-        dist, tail = make_multimode_thermal(mean, modes), partial(nbinom_tail_mp, modes=modes, mean=mean)
+        dist, tail = make_multimode_thermal(mean, modes, eps), partial(nbinom_tail_mp, modes=modes, mean=mean)
+    bound = dist._law(1.0).bound
+    assert bound(dist.n_max) <= -math.log(eps) < bound(dist.n_max + 1)
     with mpmath.workdps(40):
-        past_cut, past_previous = tail(dist.n_max), tail(dist.n_max - 1)
-    assert past_cut <= DEFAULT_TAIL_EPS < past_previous
-    assert dist.tail_mass == pytest.approx(float(past_cut), rel=1e-9, abs=0)
-    validate(dist)
+        assert tail(dist.n_max) <= eps
+    validate(dist, eps)
+
+
+NAMED_SOURCES = {
+    "poisson-0": lambda: make_poisson(0.0),
+    "poisson-1e2": lambda: make_poisson(100.0),
+    "poisson-1e5-eps-1e-40": lambda: make_poisson(1e5, 1e-40),
+    "thermal-0": lambda: make_thermal(0.0),
+    "thermal-50": lambda: make_thermal(50.0),
+    "thermal3-200": lambda: make_multimode_thermal(200.0, 3),
+    "thermal40-1e5": lambda: make_multimode_thermal(1e5, 40),
+    "fock-0": lambda: make_fock(0),
+    "fock-300": lambda: make_fock(300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOURCES))
+def test_a_named_source_is_its_law_on_its_grid(name):
+    dist = NAMED_SOURCES[name]()
+    assert dist.pmf.tobytes() == sources._on_grid(dist._law(1.0), dist.n_max).tobytes()
+
+
+def test_a_bright_single_mode_thermal_source_is_admitted():
+    # a mean past 2.3e5 needs the cut at the bound itself: at eps 0.5 it is
+    # at 2.7 <n>, and 40 nats further (45 <n>) passes MAX_N_MAX
+    dist = make_thermal(5e5, tail_eps=0.5)
+    assert dist.n_max == 1339174
+    validate(dist, 0.5)
+
+
+def test_the_single_mode_thermal_ceiling_is_named():
+    with pytest.raises(
+        InvalidParameterError,
+        match=r"^a source of mean 530000 is too large to tabulate: its PMF reaches photon number "
+        r"1\.70129e\+07, past MAX_N_MAX = 16777216$",
+    ):
+        make_thermal(5.3e5)
+
+
+def test_one_table_evaluator():
+    # every table is _on_grid's: no second evaluator of a law's PMF
+    package = Path(sources.__file__).parent
+    callers = [
+        (path.name, function.name)
+        for path in sorted(package.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if (isinstance(node, ast.Name) and node.id == "_evaluate")
+        or (isinstance(node, ast.Attribute) and node.attr == "_evaluate")
+    ]
+    assert callers == [("sources.py", "_on_grid")]
